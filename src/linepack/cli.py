@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +31,7 @@ from .frames import (
 )
 from .heisenberg import GammaTwist, heis_etf_gram, heis_etf_gram_direct, make_spec
 from .idempotents import (
+    _cluster,
     central_primitive_idempotents,
     multiplicity_free,
     projection_from_subset,
@@ -145,13 +147,16 @@ def cmd_scan_etf(cfg: JobConfig, reduce: bool = True) -> dict:
     action = _build_action(group, cfg.action, cfg.element_limit)
     sch = scheme_from_action(action)
     dec = central_primitive_idempotents(sch, seed=cfg.seed, tol=cfg.tol)
-    if dec.n_projections > MAX_SUBSET_BITS:
-        raise ResourceError(
-            f"{dec.n_projections} projections exceed the 2^{MAX_SUBSET_BITS} subset cap"
-        )
     pool = list(range(dec.n_projections))
     if cfg.subset_policy == "multiplicity_free_only":
         pool = [j for j in pool if dec.multiplicities[j] == 1]
+    largest = len(pool) if cfg.max_subset_size is None else min(cfg.max_subset_size, len(pool))
+    n_subsets = sum(math.comb(len(pool), k) for k in range(1, largest + 1))
+    if n_subsets > 2**MAX_SUBSET_BITS:
+        raise ResourceError(
+            f"{n_subsets} subsets of {len(pool)} projections exceed the "
+            f"2^{MAX_SUBSET_BITS} subset cap"
+        )
     rows = []
     for subset in _iter_subsets(pool, cfg.max_subset_size):
         gram = projection_from_subset(dec, subset)
@@ -178,7 +183,14 @@ def cmd_scan_etf(cfg: JobConfig, reduce: bool = True) -> dict:
         else:
             entry.update({"coherence": 0.0, "is_etf": True, "welch_met": True, "field": "real"})
         rows.append(entry)
-    rows.sort(key=lambda e: (not e["is_etf"], e["coherence"], e["subset"]))
+    # coherences within tol of each other tie, so rows that are equal in
+    # exact arithmetic are ordered by subset and not by rounding noise
+    level = np.zeros(len(rows), dtype=np.int64)
+    if rows:
+        for rank, idx in enumerate(_cluster(np.array([e["coherence"] for e in rows]), cfg.tol)):
+            level[idx] = rank
+    ranked = sorted(zip(level, rows), key=lambda t: (not t[1]["is_etf"], t[0], t[1]["subset"]))
+    rows = [row for _, row in ranked]
     return {
         "n_projections": dec.n_projections,
         "ranks": list(dec.ranks),

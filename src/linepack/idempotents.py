@@ -1,19 +1,25 @@
 """Primitive central idempotents of the adjacency algebra.
 
 The isotypic projections are the primitive idempotents of the center of
-the adjacency algebra.  They are found numerically but certified against
-exact structure constants:
+the adjacency algebra.  They are constant on orbitals, so the whole
+computation runs on coefficient vectors over the orbital basis, and dense
+n x n matrices appear only on output.  They are found numerically but
+certified against exact structure constants:
 
   1. the center is solved exactly (rational nullspace of the commutation
      constraints on the integer structure constants);
-  2. a seeded random self-adjoint center element is eigendecomposed and
-     its eigenvalue clusters give candidate spectral projectors;
-  3. clusters are refined by splitting against every Hermitian center
-     basis element until each projector is primitive in the center.
+  2. a seeded generic Hermitian center element x acts on the algebra by
+     left multiplication L_x; symmetrized by the valencies, one
+     eigendecomposition gives its spectral projectors, and each applied
+     to the identity is one primitive idempotent, whose eigenvalue
+     cluster has size multiplicity^2 (Bannai-Ito, Algebraic Combinatorics
+     I, 2.2-2.3);
+  3. the projectors are verified with exact products: idempotent,
+     Hermitian, pairwise orthogonal and summing to the identity, with
+     integral traces.
 
-All projectors live in the span of the orbital matrices, so they are
-carried as coefficient vectors; since orbitals have disjoint supports,
-entrywise matrix norms are exactly coefficient norms.
+Since orbitals have disjoint supports, entrywise matrix norms are exactly
+coefficient norms.
 """
 
 from __future__ import annotations
@@ -115,20 +121,21 @@ def _center_basis(scheme: SchurianScheme) -> np.ndarray:
     """Coefficient vectors spanning the center of the adjacency algebra."""
     p = scheme.structure_constants
     c1 = scheme.n_orbitals
-    rows = []
     diff = p - p.transpose(1, 0, 2)  # [i, j, k] = p_ij^k - p_ji^k
-    for j in range(c1):
-        for k in range(c1):
-            row = diff[:, j, k]
-            if np.any(row):
-                rows.append([int(x) for x in row])
-    if not rows:
+    rows = diff.transpose(1, 2, 0).reshape(-1, c1)  # row (j, k) is diff[:, j, k]
+    # The row space alone fixes the reduced echelon form and so the basis:
+    # zero rows and rows repeated up to sign are dropped before the exact
+    # elimination.
+    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+    rows = rows[lead != 0] * np.sign(lead[lead != 0])[:, None]
+    if not len(rows):
         return np.eye(c1, dtype=np.complex128)
-    basis = _rational_nullspace(rows, c1)
+    _, first = np.unique(rows, axis=0, return_index=True)
+    basis = _rational_nullspace(rows[np.sort(first)].tolist(), c1)
     return np.array([[complex(x) for x in vec] for vec in basis], dtype=np.complex128)
 
 
-class _RefinementFailure(Exception):
+class _DecompositionFailure(Exception):
     pass
 
 
@@ -149,8 +156,14 @@ def _hermitian_center_basis(scheme: SchurianScheme, center: np.ndarray) -> list[
     return herm
 
 
-def _coeff_multiply(p: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum("i,j,ijk->k", x, y, p)
+def _left_multiplication(p_flat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L_x[k, j] = sum_i x_i p[i, j, k], the matrix of y -> x y on coefficients.
+
+    p_flat is the float structure-constant tensor reshaped to (c, c * c);
+    real and imaginary parts are contracted apart so it is never copied.
+    """
+    c1 = len(x)
+    return (x.real @ p_flat + 1j * (x.imag @ p_flat)).reshape(c1, c1).T
 
 
 def _cluster(values: np.ndarray, threshold: float) -> list[np.ndarray]:
@@ -167,76 +180,34 @@ def _cluster(values: np.ndarray, threshold: float) -> list[np.ndarray]:
     return clusters
 
 
-def _orbital_average(scheme: SchurianScheme, matrix: np.ndarray, tol: float) -> np.ndarray:
-    """Project a matrix onto the orbital span; fail if the residual is large."""
-    flat_idx = scheme.orbital_of.ravel()
-    sizes = np.bincount(flat_idx, minlength=scheme.n_orbitals)
-    sums = np.bincount(flat_idx, weights=matrix.real.ravel(), minlength=scheme.n_orbitals)
-    sums = sums + 1j * np.bincount(flat_idx, weights=matrix.imag.ravel(), minlength=scheme.n_orbitals)
-    coeffs = sums / sizes
-    residual = np.abs(matrix - coeffs[scheme.orbital_of]).max()
-    if residual > tol:
-        raise _RefinementFailure(f"projector strays from the orbital span by {residual:.3e}")
-    pairing = np.asarray(scheme.transpose_pairing)
-    return (coeffs + np.conj(coeffs[pairing])) / 2
-
-
 def _decompose_once(
     scheme: SchurianScheme,
-    center: np.ndarray,
+    p_flat: np.ndarray,
     herm: list[np.ndarray],
     seed: int,
     tol: float,
 ) -> list[np.ndarray]:
-    p = scheme.structure_constants.astype(np.float64)
+    """Spectral projectors of a seeded generic Hermitian central element x.
+
+    L_x is self-adjoint for the inner product <A_i, A_j> = k_i delta_ij, so
+    S = D^(1/2) L_x D^(-1/2) with D = diag(valencies) is Hermitian.  An
+    eigenvalue cluster V of S is the block of one primitive idempotent E,
+    and E = L_E 1 = D^(-1/2) V V* D^(1/2) 1.
+    """
     rng = np.random.default_rng(seed)
     weights = rng.standard_normal(len(herm))
     generic = sum(w * h for w, h in zip(weights, herm))
-    dense = generic[scheme.orbital_of]
-    eigvals, eigvecs = np.linalg.eigh(dense)
+    root_k = np.sqrt(np.asarray(scheme.valencies, dtype=np.float64))
+    sym = root_k[:, None] * _left_multiplication(p_flat, generic) / root_k[None, :]
+    eigvals, eigvecs = np.linalg.eigh((sym + sym.conj().T) / 2)
     radius = max(float(np.abs(eigvals).max()), 1.0)
+    pairing = np.asarray(scheme.transpose_pairing)
     projectors = []
     for idx in _cluster(eigvals, tol * radius):
         vecs = eigvecs[:, idx]
-        projectors.append(_orbital_average(scheme, vecs @ vecs.conj().T, tol * 10))
-
-    # split clusters until every projector is primitive in the center
-    final: list[np.ndarray] = []
-    work = list(projectors)
-    budget = 4 * len(center) * max(1, len(herm))
-    while work:
-        budget -= 1
-        if budget < 0:
-            raise _RefinementFailure("cluster refinement did not converge")
-        e = work.pop()
-        rank = float(np.real(_trace_from_coeffs(scheme, e)))
-        if rank < 0.5:
-            raise _RefinementFailure("empty eigenvalue cluster")
-        split = None
-        for h in herm:
-            ehe = _coeff_multiply(p, _coeff_multiply(p, e, h), e)
-            mu = _trace_from_coeffs(scheme, ehe) / rank
-            if np.abs(ehe - mu * e).max() > 10 * tol:
-                split = h
-                break
-        if split is None:
-            final.append(e)
-            continue
-        dense_e = e[scheme.orbital_of]
-        vals, vecs = np.linalg.eigh(dense_e)
-        basis = vecs[:, vals > 0.5]
-        dense_h = split[scheme.orbital_of]
-        restricted = basis.conj().T @ dense_h @ basis
-        restricted = (restricted + restricted.conj().T) / 2
-        hvals, hvecs = np.linalg.eigh(restricted)
-        hradius = max(float(np.abs(hvals).max()), 1.0)
-        clusters = _cluster(hvals, tol * hradius)
-        if len(clusters) < 2:
-            raise _RefinementFailure("imprimitive projector failed to split")
-        for idx in clusters:
-            w = basis @ hvecs[:, idx]
-            work.append(_orbital_average(scheme, w @ w.conj().T, tol * 10))
-    return final
+        e = vecs @ vecs[scheme.diagonal_index].conj() / root_k
+        projectors.append((e + np.conj(e[pairing])) / 2)
+    return projectors
 
 
 def _trace_from_coeffs(scheme: SchurianScheme, coeffs: np.ndarray) -> complex:
@@ -244,42 +215,25 @@ def _trace_from_coeffs(scheme: SchurianScheme, coeffs: np.ndarray) -> complex:
     return coeffs[scheme.diagonal_index] * scheme.point_count
 
 
-def _verify(scheme: SchurianScheme, coeff_list: list[np.ndarray]) -> None:
-    p = scheme.structure_constants.astype(np.float64)
-    c1 = scheme.n_orbitals
-    total = np.zeros(c1, dtype=np.complex128)
-    identity = np.zeros(c1, dtype=np.complex128)
+def _verify(scheme: SchurianScheme, p_flat: np.ndarray, coeff_list: list[np.ndarray]) -> None:
+    """Certify the projectors with the exact structure constants, one L_E at a time."""
+    stack = np.array(coeff_list)
+    identity = np.zeros(scheme.n_orbitals, dtype=np.complex128)
     identity[scheme.diagonal_index] = 1.0
     pairing = np.asarray(scheme.transpose_pairing)
-    for e in coeff_list:
-        if np.abs(_coeff_multiply(p, e, e) - e).max() > IDEMPOTENT_TOL:
-            raise _RefinementFailure("projector is not idempotent")
+    for a, e in enumerate(coeff_list):
+        if np.real(_trace_from_coeffs(scheme, e)) < 0.5:
+            raise _DecompositionFailure("projector has rank zero")
         if np.abs(e - np.conj(e[pairing])).max() > 1e-12:
-            raise _RefinementFailure("projector is not Hermitian")
-        total += e
-    if np.abs(total - identity).max() > IDEMPOTENT_TOL:
-        raise _RefinementFailure("projectors do not sum to the identity")
-    for a in range(len(coeff_list)):
-        for b in range(a + 1, len(coeff_list)):
-            prod = _coeff_multiply(p, coeff_list[a], coeff_list[b])
-            if np.abs(prod).max() > IDEMPOTENT_TOL:
-                raise _RefinementFailure("projectors are not mutually orthogonal")
-
-
-def _block_dimension(scheme: SchurianScheme, e: np.ndarray) -> int:
-    """Dimension of the simple block E_j * algebra (equals multiplicity^2)."""
-    p = scheme.structure_constants.astype(np.float64)
-    c1 = scheme.n_orbitals
-    cols = []
-    for i in range(c1):
-        unit = np.zeros(c1, dtype=np.complex128)
-        unit[i] = 1.0
-        cols.append(_coeff_multiply(p, e, unit))
-    mat = np.column_stack(cols)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0:
-        return 0
-    return int((svals > 1e-6 * svals[0]).sum())
+            raise _DecompositionFailure("projector is not Hermitian")
+        products = stack @ _left_multiplication(p_flat, e).T  # row b is E_a E_b
+        if np.abs(products[a] - e).max() > IDEMPOTENT_TOL:
+            raise _DecompositionFailure("projector is not idempotent")
+        products[a] = 0.0
+        if np.abs(products).max() > IDEMPOTENT_TOL:
+            raise _DecompositionFailure("projectors are not mutually orthogonal")
+    if np.abs(stack.sum(axis=0) - identity).max() > IDEMPOTENT_TOL:
+        raise _DecompositionFailure("projectors do not sum to the identity")
 
 
 def _item_cmp(a, b):
@@ -307,19 +261,20 @@ def central_primitive_idempotents(
     """
     center = _center_basis(scheme)
     herm = _hermitian_center_basis(scheme, center)
+    p_flat = scheme.structure_constants.astype(np.float64).reshape(scheme.n_orbitals, -1)
     failures = []
     for attempt in range(3):
         try:
-            coeff_list = _decompose_once(scheme, center, herm, seed + attempt, tol)
+            coeff_list = _decompose_once(scheme, p_flat, herm, seed + attempt, tol)
             if len(coeff_list) != len(center):
-                raise _RefinementFailure(
+                raise _DecompositionFailure(
                     f"found {len(coeff_list)} projectors, center dimension is {len(center)}"
                 )
-            _verify(scheme, coeff_list)
+            _verify(scheme, p_flat, coeff_list)
             return _assemble(scheme, coeff_list)
-        except _RefinementFailure as exc:
+        except _DecompositionFailure as exc:
             failures.append(f"seed {seed + attempt}: {exc}")
-    raise NumericError("idempotent refinement failed: " + "; ".join(failures))
+    raise NumericError("idempotent decomposition failed: " + "; ".join(failures))
 
 
 def _assemble(scheme: SchurianScheme, coeff_list: list[np.ndarray]) -> IsotypicDecomposition:
@@ -344,12 +299,15 @@ def _assemble(scheme: SchurianScheme, coeff_list: list[np.ndarray]) -> IsotypicD
     if trivial_index is None:
         raise NumericError("no projection matches J/|X| (trivial component missing)")
 
+    # tr(L_E) = sum_i e_i sum_k p[i, k, k] is the dimension of the simple
+    # block E * algebra, which equals multiplicity^2
+    block_traces = np.trace(scheme.structure_constants, axis1=1, axis2=2)
     degrees: list[Optional[int]] = []
     multiplicities: list[Optional[int]] = []
     for j, (rank, e) in enumerate(items):
-        block = _block_dimension(scheme, e)
-        mult = int(round(np.sqrt(block)))
-        if mult * mult != block or mult < 1 or rank % mult != 0:
+        block = float(np.real(e @ block_traces))
+        mult = int(round(np.sqrt(max(block, 0.0))))
+        if abs(block - mult * mult) > 1e-6 or mult < 1 or rank % mult != 0:
             degrees.append(None)
             multiplicities.append(None)
             continue

@@ -50,26 +50,22 @@ class SchurianScheme:
         """p[i, j, k] with A_i A_j = sum_k p[i, j, k] A_k, exact integers.
 
         Uses row 0 only: products of orbital matrices are group-stable, so
-        they are determined by any single row.  Raises if a product falls
-        outside the integer span (impossible for a true orbital partition).
+        they are determined by any single row.  Row 0 of every A_i A_j is
+        one matrix product per j, in float64: the counts are at most n, so
+        they are exact.  Raises if a product falls outside the integer span
+        (impossible for a true orbital partition).
         """
-        n = self.point_count
         c1 = self.n_orbitals
         row0 = self.orbital_of[0]
+        onehot = (row0[:, None] == np.arange(c1)).astype(np.float64)  # [z, i] = A_i[0, z]
+        present, first_col = np.unique(row0, return_index=True)
         p = np.zeros((c1, c1, c1), dtype=np.int64)
-        cols_by_orbital = [np.nonzero(row0 == i)[0] for i in range(c1)]
-        for i in range(c1):
-            rows = self.orbital_of[cols_by_orbital[i]]  # rows z with (0,z) in R_i
-            for j in range(c1):
-                counts = (rows == j).sum(axis=0)  # (A_i A_j)[0, y]
-                for k in range(c1):
-                    vals = counts[cols_by_orbital[k]]
-                    if vals.size == 0:
-                        continue
-                    v0 = int(vals[0])
-                    if not np.all(vals == v0):
-                        raise InputError("orbital products do not close over the orbitals")
-                    p[i, j, k] = v0
+        for j in range(c1):
+            a_j = (self.orbital_of == j).astype(np.float64)
+            counts = (onehot.T @ a_j).astype(np.int64)  # [i, y] = (A_i A_j)[0, y]
+            p[:, j, present] = counts[:, first_col]
+            if not np.array_equal(counts, p[:, j, row0]):
+                raise InputError("orbital products do not close over the orbitals")
         return p
 
     def to_json_dict(self) -> dict:

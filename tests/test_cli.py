@@ -73,6 +73,29 @@ def test_scan_etf_subset_cap(capsys, tmp_path):
     assert code == 4
 
 
+def test_scan_etf_subset_cap_counts_scanned_subsets(capsys, tmp_path):
+    # 31 projections, but only the 31 + 465 subsets of size at most 2 are scanned
+    group = {"degree": 31, "generators": ["(" + " ".join(map(str, range(31))) + ")"]}
+    path = tmp_path / "z31.json"
+    path.write_text(json.dumps(group))
+    code, payload = run(capsys, ["scan-etf", str(path), "--max-subset-size", "2"])
+    assert code == 0
+    assert payload["n_projections"] == 31
+    assert len(payload["results"]) == 496
+
+
+@pytest.mark.parametrize("fixture", ["m11", "sl2_f8"])
+def test_scan_etf_row_order_is_seed_independent(capsys, fixture):
+    # equal coherences (e.g. four rows at 1/10 on M11 pairs) are ordered by subset
+    orders = []
+    for seed in ("0", "7"):
+        argv = ["scan-etf", f"fixture:{fixture}", "--action", "pairs", "--seed", seed]
+        code, payload = run(capsys, argv)
+        assert code == 0
+        orders.append([row["subset"] for row in payload["results"]])
+    assert orders[0] == orders[1]
+
+
 def test_reduce_command(capsys, tmp_path):
     entries = np.array([[1.0, -1.0], [-1.0, 1.0]])
     gram_path = tmp_path / "gram.json"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from linepack.fixtures import m11_action
 from linepack.idempotents import (
     central_primitive_idempotents,
     multiplicity_free,
@@ -25,6 +26,19 @@ S3 = PermutationGroup.from_cycles(3, ["(0 1 2)", "(0 1)"])
 
 def cyclic(n):
     return PermutationGroup.from_cycles(n, ["(" + " ".join(map(str, range(n))) + ")"])
+
+
+def dihedral(n):
+    """Rotation and reflection of the n-gon; order 2n."""
+    return PermutationGroup(n, [[(i + 1) % n for i in range(n)], [(-i) % n for i in range(n)]])
+
+
+def m11_pairs_scheme():
+    return scheme_from_action(induced_pair_action(m11_action()))
+
+
+def d20_regular_scheme():
+    return scheme_from_action(regular_action(dihedral(20)))
 
 
 def fixture_schemes():
@@ -71,6 +85,22 @@ def test_z3_regular_matches_dft_oracle():
     for j in range(3):
         p = dec.projection_matrix(j)
         assert any(np.abs(p - q).max() < 1e-9 for q in oracle)
+
+
+@pytest.mark.parametrize("n", [48, 97])
+def test_cyclic_regular_matches_dft_oracle(n):
+    sch = scheme_from_action(regular_action(cyclic(n)))
+    dec = central_primitive_idempotents(sch)
+    assert dec.ranks == (1,) * n
+    oracle = dft_projections(n)
+    matched = set()
+    for j in range(n):
+        p = dec.projection_matrix(j)
+        # E_a[0, 1] = omega^(-a) / n names the character
+        a = int(round(-np.angle(p[0, 1]) * n / (2 * np.pi))) % n
+        assert np.abs(p - oracle[a]).max() < 1e-9
+        matched.add(a)
+    assert len(matched) == n
 
 
 def test_z3_spherical_values_are_inverse_characters():
@@ -122,7 +152,12 @@ def test_idempotent_axioms(idx, scheme):
 
 @pytest.mark.parametrize("seed", [1, 7, 12345])
 def test_seed_independence(seed):
-    for scheme in (scheme_from_action(regular_action(S3)), conjugacy_class_scheme(S3)):
+    for scheme in (
+        scheme_from_action(regular_action(S3)),
+        conjugacy_class_scheme(S3),
+        m11_pairs_scheme(),
+        d20_regular_scheme(),
+    ):
         base = central_primitive_idempotents(scheme, seed=0)
         other = central_primitive_idempotents(scheme, seed=seed)
         assert base.ranks == other.ranks
@@ -136,6 +171,19 @@ def test_s3_regular_multiplicities():
     assert not multiplicity_free(dec)
     stats = sorted(zip(dec.ranks, dec.degrees, dec.multiplicities))
     assert stats == [(1, 1, 1), (1, 1, 1), (4, 2, 2)]
+
+
+def test_m11_pairs_multiplicities():
+    dec = central_primitive_idempotents(m11_pairs_scheme())
+    assert dec.multiplicities == (1, 1, 2, 1, 1)
+    assert all(r == d * m for r, d, m in zip(dec.ranks, dec.degrees, dec.multiplicities))
+
+
+def test_d20_regular_multiplicities():
+    # four linear characters and nine of degree 2, each twice in the regular representation
+    dec = central_primitive_idempotents(d20_regular_scheme())
+    stats = sorted(zip(dec.ranks, dec.degrees, dec.multiplicities))
+    assert stats == [(1, 1, 1)] * 4 + [(4, 2, 2)] * 9
 
 
 def test_projection_from_subset():

@@ -12,6 +12,7 @@ from linepack.permgroup import (
     regular_action,
 )
 from linepack.scheme import (
+    SchurianScheme,
     conjugacy_class_scheme,
     is_commutative,
     scheme_from_action,
@@ -128,6 +129,26 @@ def test_algebra_closure_exact():
     prod = a1 @ a2
     expected = sum(p[1, 2, k] * sch.orbital_matrix(k) for k in range(sch.n_orbitals))
     assert np.array_equal(prod, expected)
+
+
+def test_structure_constants_match_dense_products(fixture_schemes):
+    for name, sch in fixture_schemes.items():
+        p = sch.structure_constants
+        mats = [sch.orbital_matrix(i) for i in range(sch.n_orbitals)]
+        for i, a in enumerate(mats):
+            for j, b in enumerate(mats):
+                expected = sum(p[i, j, k] * mats[k] for k in range(sch.n_orbitals))
+                assert np.array_equal(a @ b, expected), (name, i, j)
+
+
+def test_structure_constants_reject_non_orbital_partition():
+    # distance classes {0}, {1, 3}, {2} of Z_4, with two entries of row 1 swapped
+    orbital_of = np.array([[0, 1, 2, 1], [2, 0, 1, 1], [2, 1, 0, 1], [1, 2, 1, 0]])
+    sch = SchurianScheme(
+        point_count=4, orbital_of=orbital_of, valencies=(1, 2, 1), transpose_pairing=(0, 1, 2)
+    )
+    with pytest.raises(InputError):
+        sch.structure_constants
 
 
 def test_commutativity_examples():
