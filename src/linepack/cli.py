@@ -24,6 +24,7 @@ from .frames import (
     GramMatrix,
     coherence,
     difference_set_check,
+    gap_clusters,
     harmonic_gram,
     packing_report,
     projective_reduce,
@@ -31,12 +32,11 @@ from .frames import (
 )
 from .heisenberg import GammaTwist, heis_etf_gram, heis_etf_gram_direct, make_spec
 from .idempotents import (
-    _cluster,
     central_primitive_idempotents,
     multiplicity_free,
     projection_from_subset,
 )
-from .permgroup import GroupAction, induced_pair_action, regular_action
+from .permgroup import GroupAction, induced_pair_action, orbit, regular_action
 from .scheme import is_commutative, scheme_from_action
 from .symmetry import ColoredDigraph, gram_symmetry_group, find_gram_isomorphism
 
@@ -53,31 +53,43 @@ _FIXTURE_GROUPS = {
 class JobConfig:
     """Parsed invocation: what to run, on what, and under which knobs."""
 
-    command: str
-    group_path: Optional[str] = None
+    group_path: str
     action: str = "natural"
-    subset_policy: str = "all"  # all | multiplicity_free_only
+    multiplicity_free_only: bool = False
     max_subset_size: Optional[int] = None
     tol: float = 1e-8
     seed: int = 0
     element_limit: int = 10**6
-    output: Optional[str] = None
 
     def __post_init__(self):
         if self.tol <= 0:
             raise InputError("tolerances must be positive")
+        if self.max_subset_size is not None and self.max_subset_size < 1:
+            raise InputError(f"--max-subset-size must be at least 1, got {self.max_subset_size}")
+
+
+def _read_json(path_str: str, what: str):
+    """Parsed contents of a JSON input file; unreadable or malformed files are input errors."""
+    try:
+        return json.loads(Path(path_str).read_text())
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file {path_str}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what} file {path_str} is not valid JSON: {exc}") from None
+
+
+def _parse_ints(text: str, what: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise InputError(f"{what} must be comma-separated integers, got {text!r}") from None
 
 
 def _load_group(spec: str):
     if spec.startswith("fixture:"):
         name = spec.split(":", 1)[1]
-        if name in _FIXTURE_GROUPS:
-            return fixtures.load_group_fixture(_FIXTURE_GROUPS[name])
-        return fixtures.load_group_fixture(name)
-    path = Path(spec)
-    if not path.exists():
-        raise InputError(f"no such group file: {spec}")
-    return fixtures.group_from_json(json.loads(path.read_text()))
+        return fixtures.load_group_fixture(_FIXTURE_GROUPS.get(name, name))
+    return fixtures.group_from_json(_read_json(spec, "group"))
 
 
 def _build_action(group, action_label: str, element_limit: int) -> GroupAction:
@@ -91,10 +103,7 @@ def _build_action(group, action_label: str, element_limit: int) -> GroupAction:
 
 
 def _load_gram(path_str: str) -> GramMatrix:
-    path = Path(path_str)
-    if not path.exists():
-        raise InputError(f"no such Gram file: {path_str}")
-    return GramMatrix.from_json_dict(json.loads(path.read_text()))
+    return GramMatrix.from_json_dict(_read_json(path_str, "Gram"))
 
 
 def _json_default(obj):
@@ -148,7 +157,7 @@ def cmd_scan_etf(cfg: JobConfig, reduce: bool = True) -> dict:
     sch = scheme_from_action(action)
     dec = central_primitive_idempotents(sch, seed=cfg.seed, tol=cfg.tol)
     pool = list(range(dec.n_projections))
-    if cfg.subset_policy == "multiplicity_free_only":
+    if cfg.multiplicity_free_only:
         pool = [j for j in pool if dec.multiplicities[j] == 1]
     largest = len(pool) if cfg.max_subset_size is None else min(cfg.max_subset_size, len(pool))
     n_subsets = sum(math.comb(len(pool), k) for k in range(1, largest + 1))
@@ -187,7 +196,7 @@ def cmd_scan_etf(cfg: JobConfig, reduce: bool = True) -> dict:
     # exact arithmetic are ordered by subset and not by rounding noise
     level = np.zeros(len(rows), dtype=np.int64)
     if rows:
-        for rank, idx in enumerate(_cluster(np.array([e["coherence"] for e in rows]), cfg.tol)):
+        for rank, idx in enumerate(gap_clusters(np.array([e["coherence"] for e in rows]), cfg.tol)):
             level[idx] = rank
     ranked = sorted(zip(level, rows), key=lambda t: (not t[1]["is_etf"], t[0], t[1]["subset"]))
     rows = [row for _, row in ranked]
@@ -213,7 +222,7 @@ def cmd_reduce(gram_path: str, tol: float) -> dict:
 def cmd_heisenberg(
     moduli: str, parity: str, gamma: int, exact: bool, verify: bool, tol: float
 ) -> dict:
-    spec = make_spec([int(m) for m in moduli.split(",") if m.strip()])
+    spec = make_spec(_parse_ints(moduli, "--moduli"))
     twist = GammaTwist(gamma)
     exact_gram = heis_etf_gram(spec, twist, parity)
     gram = exact_gram.to_gram_matrix()
@@ -239,21 +248,20 @@ def cmd_heisenberg(
 def _parse_dual_subset(text: str, n_moduli: int) -> list[tuple[int, ...]]:
     text = text.strip()
     if text.startswith("["):
-        raw = json.loads(text)
-        out = []
-        for item in raw:
-            if isinstance(item, (int, float)):
-                out.append((int(item),))
-            else:
-                out.append(tuple(int(x) for x in item))
-        return out
+        try:
+            return [
+                (int(item),) if isinstance(item, (int, float)) else tuple(int(x) for x in item)
+                for item in json.loads(text)
+            ]
+        except (ValueError, TypeError):
+            raise InputError(f"--subset is not a JSON list of dual elements: {text!r}") from None
     if n_moduli != 1:
         raise InputError("comma-separated subsets require a single modulus; use JSON lists")
-    return [(int(tok),) for tok in text.split(",") if tok.strip()]
+    return [(a,) for a in _parse_ints(text, "--subset")]
 
 
 def cmd_harmonic(moduli: str, subset: str, tol: float) -> dict:
-    mods = [int(m) for m in moduli.split(",") if m.strip()]
+    mods = _parse_ints(moduli, "--moduli")
     dual = _parse_dual_subset(subset, len(mods))
     gram = harmonic_gram(mods, dual)
     flag, lam = difference_set_check(mods, dual)
@@ -271,11 +279,11 @@ def cmd_symmetry(gram_path: str, tol: float, node_cap: int, colors_path: Optiona
     gram = _load_gram(gram_path)
     colors = None
     if colors_path:
-        data = json.loads(Path(colors_path).read_text())
+        data = _read_json(colors_path, "colors")
+        if not isinstance(data, dict) or "color" not in data:
+            raise InputError(f"colors file {colors_path} needs a 'color' matrix")
         colors = ColoredDigraph(gram.n, np.asarray(data["color"], dtype=np.int64))
     group = gram_symmetry_group(gram, tol=tol, node_cap=node_cap, colors=colors)
-    from .permgroup import orbit
-
     return {
         "order": group.order,
         "generators": [g.cycle_string() for g in group.generators],
@@ -316,44 +324,33 @@ def _verify_figure2() -> dict:
     return checks
 
 
-def _verify_figure3() -> dict:
-    gram = fixtures.figure3_gram()
-    report = packing_report(gram)
+# figure -> (loader, n, rank, coherence check name, coherence, field), all from
+# the paper's three-MUB figures
+_MUB_FIGURES = {
+    "figure3": (fixtures.figure3_gram, 12, 4, "coherence_half", 0.5, "real"),
+    "figure4": (fixtures.figure4_gram, 6, 2, "coherence_inv_sqrt2", 1 / np.sqrt(2), "complex"),
+}
+
+
+def _verify_mub_figure(load, n: int, d: int, coherence_name: str, coh: float, field: str) -> dict:
+    report = packing_report(load())
     checks = {
-        "n": report.n == 12,
-        "rank_4": report.d == 4,
-        "coherence_half": abs(report.coherence - 0.5) < 1e-9,
+        "n": report.n == n,
+        f"rank_{d}": report.d == d,
+        coherence_name: abs(report.coherence - coh) < 1e-9,
         "orthoplex_met": report.orthoplex_met,
         "levenstein_met": report.levenstein_met,
         "tight": report.is_tight,
-        "real": report.field == "real",
-    }
-    checks["passed"] = all(checks.values())
-    return checks
-
-
-def _verify_figure4() -> dict:
-    gram = fixtures.figure4_gram()
-    report = packing_report(gram)
-    checks = {
-        "n": report.n == 6,
-        "rank_2": report.d == 2,
-        "coherence_inv_sqrt2": abs(report.coherence - 1 / np.sqrt(2)) < 1e-9,
-        "orthoplex_met": report.orthoplex_met,
-        "levenstein_met": report.levenstein_met,
-        "tight": report.is_tight,
-        "complex": report.field == "complex",
+        field: report.field == field,
     }
     checks["passed"] = all(checks.values())
     return checks
 
 
 def cmd_verify_figures() -> dict:
-    results = {
-        "figure2": _verify_figure2(),
-        "figure3": _verify_figure3(),
-        "figure4": _verify_figure4(),
-    }
+    results = {"figure2": _verify_figure2()}
+    for name, spec in _MUB_FIGURES.items():
+        results[name] = _verify_mub_figure(*spec)
     for name in sorted(results):
         status = "pass" if results[name]["passed"] else "FAIL"
         print(f"{name}: {status}", file=sys.stderr)
@@ -434,18 +431,12 @@ def main(argv=None) -> int:
     try:
         if args.command in ("scheme", "idempotents", "scan-etf"):
             cfg = JobConfig(
-                command=args.command,
                 group_path=args.group,
                 action=args.action,
                 tol=args.tol,
                 seed=args.seed,
                 element_limit=args.element_limit,
-                output=args.output,
-                subset_policy=(
-                    "multiplicity_free_only"
-                    if getattr(args, "multiplicity_free_only", False)
-                    else "all"
-                ),
+                multiplicity_free_only=getattr(args, "multiplicity_free_only", False),
                 max_subset_size=getattr(args, "max_subset_size", None),
             )
             if args.command == "scheme":

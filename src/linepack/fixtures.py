@@ -14,13 +14,15 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import InputError, NumericError, ResourceError
-from .frames import GramMatrix
+from .errors import InputError, NumericError
+from .frames import GramMatrix, matrix_group_closure, matrix_key
 from .permgroup import GroupAction, Permutation, PermutationGroup, parse_cycles
 
 
 def _load_data(name: str) -> dict:
     path = resources.files("linepack.data").joinpath(name)
+    if not path.is_file():
+        raise InputError(f"no such fixture: {name}")
     return json.loads(path.read_text())
 
 
@@ -29,15 +31,16 @@ def group_from_json(data: dict) -> PermutationGroup:
 
     Generators may be image arrays or cycle-notation strings.
     """
-    if "degree" not in data or "generators" not in data:
+    if not isinstance(data, dict) or "degree" not in data or "generators" not in data:
         raise InputError("group JSON needs 'degree' and 'generators'")
-    degree = int(data["degree"])
-    gens = []
-    for g in data["generators"]:
-        if isinstance(g, str):
-            gens.append(parse_cycles(g, degree))
-        else:
-            gens.append(Permutation(tuple(int(x) for x in g)))
+    try:
+        degree = int(data["degree"])
+        gens = [
+            parse_cycles(g, degree) if isinstance(g, str) else Permutation(tuple(int(x) for x in g))
+            for g in data["generators"]
+        ]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed group JSON: {exc}") from None
     return PermutationGroup(degree, gens)
 
 
@@ -91,6 +94,9 @@ def figure4_gram() -> GramMatrix:
 
 
 # --- three-qubit Heisenberg-type group and the Hoggar fiducial ---------------
+
+# unitarity slack of the matrix closures below; their entries are exact up to rounding
+CLOSURE_TOL = 1e-9
 
 
 def _tensor3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -157,31 +163,6 @@ def fiducial_vector() -> np.ndarray:
     return np.array([1 + 1j, 0, -1, 1, -1j, -1, 0, 0], dtype=np.complex128) / np.sqrt(6)
 
 
-def _matrix_key(m: np.ndarray) -> bytes:
-    return (np.round(m.real, 6) + 0.0).tobytes() + (np.round(m.imag, 6) + 0.0).tobytes()
-
-
-def _close_matrix_group(gens: list[np.ndarray], cap: int) -> list[np.ndarray]:
-    ident = np.eye(gens[0].shape[0], dtype=np.complex128)
-    elements = [ident]
-    seen = {_matrix_key(ident)}
-    frontier = [ident]
-    while frontier:
-        new_frontier = []
-        for x in frontier:
-            for g in gens:
-                y = g @ x
-                k = _matrix_key(y)
-                if k not in seen:
-                    if len(elements) >= cap:
-                        raise ResourceError(f"matrix closure exceeded {cap} elements")
-                    seen.add(k)
-                    elements.append(y)
-                    new_frontier.append(y)
-        frontier = new_frontier
-    return elements
-
-
 def hoggar_heisenberg_action(include_order_check: bool = False) -> GroupAction:
     """Permutation action behind the Hoggar scheme, on 256 points.
 
@@ -191,13 +172,13 @@ def hoggar_heisenberg_action(include_order_check: bool = False) -> GroupAction:
     coset action of the 1,548,288-element product group on K.
     """
     kgens = pauli_tensor_generators()
-    elements = _close_matrix_group(kgens, cap=512)
+    elements = matrix_group_closure(kgens, 512, CLOSURE_TOL)
     if len(elements) != 256:
         raise NumericError(f"tensor-Pauli closure has {len(elements)} elements, expected 256")
-    index = {_matrix_key(m): i for i, m in enumerate(elements)}
+    index = {matrix_key(m): i for i, m in enumerate(elements)}
     gens = []
     for g in kgens:
-        images = tuple(index[_matrix_key(g @ x)] for x in elements)
+        images = tuple(index[matrix_key(g @ x)] for x in elements)
         gens.append(Permutation(images))
     u, v = hoggar_stabilizer_generators()
     for h in (u, v):
@@ -205,17 +186,17 @@ def hoggar_heisenberg_action(include_order_check: bool = False) -> GroupAction:
         images = []
         for x in elements:
             y = h @ x @ h_inv
-            key = _matrix_key(y)
+            key = matrix_key(y)
             if key not in index:
                 raise NumericError("stabilizer generator does not normalize the group")
             images.append(index[key])
         gens.append(Permutation(tuple(images)))
     group = PermutationGroup(256, gens)
     if include_order_check:
-        stab = _close_matrix_group([u, v], cap=10_000)
+        stab = matrix_group_closure([u, v], 10_000, CLOSURE_TOL)
         if len(stab) != 6048:
             raise NumericError(f"stabilizer closure has {len(stab)} elements, expected 6048")
-    return GroupAction(group, label="explicit")
+    return GroupAction(group)
 
 
 def hoggar_central_element_indices() -> dict[str, int]:
@@ -225,8 +206,8 @@ def hoggar_central_element_indices() -> dict[str, int]:
     four single-slot representatives used by the spherical value table.
     """
     kgens = pauli_tensor_generators()
-    elements = _close_matrix_group(kgens, cap=512)
-    index = {_matrix_key(m): i for i, m in enumerate(elements)}
+    elements = matrix_group_closure(kgens, 512, CLOSURE_TOL)
+    index = {matrix_key(m): i for i, m in enumerate(elements)}
     eye2 = np.eye(2, dtype=np.complex128)
     t = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
     m = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
@@ -240,4 +221,4 @@ def hoggar_central_element_indices() -> dict[str, int]:
         "tm_slot0": _tensor3(t @ m, eye2, eye2),
         "tm_slot1": _tensor3(eye2, t @ m, eye2),
     }
-    return {name: index[_matrix_key(mat)] for name, mat in named.items()}
+    return {name: index[matrix_key(mat)] for name, mat in named.items()}

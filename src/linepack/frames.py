@@ -77,11 +77,17 @@ class GramMatrix:
 
     @staticmethod
     def from_json_dict(data: dict) -> "GramMatrix":
-        entries = np.array(
-            [[complex(re, im) for re, im in row] for row in data["entries"]],
-            dtype=np.complex128,
-        )
-        return GramMatrix(int(data["n"]), entries)
+        if not isinstance(data, dict) or "n" not in data or "entries" not in data:
+            raise InputError("Gram JSON needs 'n' and 'entries'")
+        try:
+            n = int(data["n"])
+            entries = np.array(
+                [[complex(re, im) for re, im in row] for row in data["entries"]],
+                dtype=np.complex128,
+            )
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"malformed Gram JSON: {exc}") from None
+        return GramMatrix(n, entries)
 
 
 @dataclass
@@ -329,6 +335,42 @@ def _all_tuples(moduli: Sequence[int]):
     return itertools.product(*[range(m) for m in moduli])
 
 
+def matrix_key(m: np.ndarray) -> bytes:
+    """Hashable key of a complex array, its entries rounded to 7 decimals."""
+    return (np.round(m.real, 7) + 0.0).tobytes() + (np.round(m.imag, 7) + 0.0).tobytes()
+
+
+def matrix_group_closure(
+    generators: Sequence[np.ndarray], cap: int, tol: float
+) -> list[np.ndarray]:
+    """Elements of the group generated by one or more unitary matrices, identity first.
+
+    Breadth-first closure deduplicated by `matrix_key`; every new element
+    must stay unitary within 100*tol, and more than `cap` elements raise.
+    """
+    dim = generators[0].shape[0]
+    ident = np.eye(dim, dtype=np.complex128)
+    elements = [ident]
+    seen = {matrix_key(ident)}
+    frontier = [ident]
+    while frontier:
+        new_frontier = []
+        for x in frontier:
+            for g in generators:
+                y = g @ x
+                k = matrix_key(y)
+                if k not in seen:
+                    if len(elements) >= cap:
+                        raise ResourceError(f"matrix group closure exceeded cap {cap}")
+                    if np.abs(y.conj().T @ y - ident).max() > 100 * tol:
+                        raise NumericError("closure element lost unitarity")
+                    seen.add(k)
+                    elements.append(y)
+                    new_frontier.append(y)
+        frontier = new_frontier
+    return elements
+
+
 def matrix_group_orbit_gram(
     generators: Sequence[np.ndarray],
     v: np.ndarray,
@@ -337,8 +379,8 @@ def matrix_group_orbit_gram(
 ) -> GramMatrix:
     """Gram matrix of the orbit of v under the group generated by unitaries.
 
-    The group is closed by breadth-first search with entrywise
-    deduplication; distinct orbit vectors are kept in discovery order.
+    The group is closed by `matrix_group_closure`; distinct orbit vectors
+    are kept in discovery order.
     """
     gens = [np.asarray(g, dtype=np.complex128) for g in generators]
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
@@ -348,35 +390,12 @@ def matrix_group_orbit_gram(
             raise InputError("generator shape does not match the vector dimension")
         if np.abs(g.conj().T @ g - np.eye(dim)).max() > tol:
             raise InputError("generator is not unitary within tolerance")
-
-    def key(m: np.ndarray) -> bytes:
-        return (np.round(m.real, 7) + 0.0).tobytes() + (np.round(m.imag, 7) + 0.0).tobytes()
-
-    ident = np.eye(dim, dtype=np.complex128)
-    elements = [ident]
-    seen = {key(ident)}
-    frontier = [ident]
-    while frontier:
-        new_frontier = []
-        for x in frontier:
-            for g in gens:
-                y = g @ x
-                k = key(y)
-                if k not in seen:
-                    if len(elements) >= order_cap:
-                        raise ResourceError(f"matrix group closure exceeded cap {order_cap}")
-                    if np.abs(y.conj().T @ y - np.eye(dim)).max() > 100 * tol:
-                        raise NumericError("closure element lost unitarity")
-                    seen.add(k)
-                    elements.append(y)
-                    new_frontier.append(y)
-        frontier = new_frontier
-
     vectors = []
     vec_seen = set()
-    for g in elements:
+    # no generators means the trivial group
+    for g in matrix_group_closure(gens or [np.eye(dim, dtype=np.complex128)], order_cap, tol):
         w = g @ v
-        k = key(w.reshape(1, -1))
+        k = matrix_key(w)
         if k not in vec_seen:
             vec_seen.add(k)
             vectors.append(w)
@@ -386,19 +405,23 @@ def matrix_group_orbit_gram(
     return GramMatrix.from_entries(entries)
 
 
+def gap_clusters(values: np.ndarray, threshold: float) -> list[np.ndarray]:
+    """Indices into `values`, split where consecutive sorted values differ by more than threshold.
+
+    The one value clusterer for real values: eigenvalue clusters, entry
+    moduli and coherence levels all go through it.
+    """
+    order = np.argsort(values)
+    return np.split(order, np.nonzero(np.diff(values[order]) > threshold)[0] + 1)
+
+
 def distinct_moduli(gram: GramMatrix, gap: float = 1e-7) -> list[float]:
     """Sorted distinct off-diagonal entry moduli, clustered at the given gap."""
     n = gram.n
     if n < 2:
         return []
-    off = np.sort(np.abs(gram.entries)[~np.eye(n, dtype=bool)])
-    reps = []
-    start = 0
-    for i in range(1, len(off) + 1):
-        if i == len(off) or off[i] - off[i - 1] > gap:
-            reps.append(float(off[start:i].mean()))
-            start = i
-    return reps
+    off = np.abs(gram.entries)[~np.eye(n, dtype=bool)]
+    return [float(off[idx].mean()) for idx in gap_clusters(off, gap)]
 
 
 @dataclass

@@ -309,10 +309,6 @@ class ExactGram:
         ]
         return ExactGram(n, modulus, entries)
 
-    def entry_complex(self, i: int, j: int) -> complex:
-        zeta = np.exp(2j * np.pi / self.modulus)
-        return complex(sum(float(c) * zeta**e for e, c in self.entries[i][j].items()))
-
     def to_complex(self) -> np.ndarray:
         zeta = np.exp(2j * np.pi / self.modulus)
         powers = zeta ** np.arange(self.modulus)
@@ -546,5 +542,4 @@ def heisenberg_permutation_action(p: int) -> GroupAction:
             alpha2 = (mat[1][0] * a + mat[1][1] * alpha) % p
             images.append(index[((a2,), (alpha2,), e.z)])
         gens.append(Permutation(tuple(images)))
-    names = tuple(f"({e.a[0]},{e.alpha[0]},{e.z})" for e in elems)
-    return GroupAction(PermutationGroup(p**3, gens), label="explicit", point_names=names)
+    return GroupAction(PermutationGroup(p**3, gens))

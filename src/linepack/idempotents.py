@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, NumericError
-from .frames import GramMatrix
+from .frames import GramMatrix, gap_clusters
 from .scheme import SchurianScheme
 
 IDEMPOTENT_TOL = 1e-8
@@ -71,8 +71,8 @@ class IsotypicDecomposition:
     def to_json_dict(self, include_projections: bool = False) -> dict:
         out = {
             "ranks": list(self.ranks),
-            "m": [m if m is not None else None for m in self.degrees],
-            "n": [m if m is not None else None for m in self.multiplicities],
+            "m": list(self.degrees),
+            "n": list(self.multiplicities),
             "coefficients": [
                 [[float(z.real), float(z.imag)] for z in row] for row in self.coefficients
             ],
@@ -166,20 +166,6 @@ def _left_multiplication(p_flat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (x.real @ p_flat + 1j * (x.imag @ p_flat)).reshape(c1, c1).T
 
 
-def _cluster(values: np.ndarray, threshold: float) -> list[np.ndarray]:
-    """Indices of sorted values grouped at gaps larger than the threshold."""
-    order = np.argsort(values)
-    clusters = []
-    current = [order[0]]
-    for idx in order[1:]:
-        if values[idx] - values[current[-1]] > threshold:
-            clusters.append(np.array(current))
-            current = []
-        current.append(idx)
-    clusters.append(np.array(current))
-    return clusters
-
-
 def _decompose_once(
     scheme: SchurianScheme,
     p_flat: np.ndarray,
@@ -203,7 +189,7 @@ def _decompose_once(
     radius = max(float(np.abs(eigvals).max()), 1.0)
     pairing = np.asarray(scheme.transpose_pairing)
     projectors = []
-    for idx in _cluster(eigvals, tol * radius):
+    for idx in gap_clusters(eigvals, tol * radius):
         vecs = eigvecs[:, idx]
         e = vecs @ vecs[scheme.diagonal_index].conj() / root_k
         projectors.append((e + np.conj(e[pairing])) / 2)

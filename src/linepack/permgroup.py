@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, ResourceError
 
@@ -108,6 +108,27 @@ def parse_cycles(text: str, degree: int = 0) -> Permutation:
     return Permutation(tuple(images))
 
 
+def _transversal(point: int, gens: Sequence[Permutation], degree: int) -> dict[int, Permutation]:
+    """Schreier transversal of the orbit of `point`: maps each q to an element taking `point` to q.
+
+    Breadth-first with the generators in the given order, so the insertion
+    order of the dict, and with it every Schreier generator built from it,
+    is reproducible.
+    """
+    trans = {point: Permutation.identity(degree)}
+    frontier = [point]
+    while frontier:
+        new_frontier = []
+        for p in frontier:
+            for g in gens:
+                q = g(p)
+                if q not in trans:
+                    trans[q] = g * trans[p]
+                    new_frontier.append(q)
+        frontier = new_frontier
+    return trans
+
+
 class _StabilizerChain:
     """Stabilizer chain with a flat strong generating set.
 
@@ -142,19 +163,7 @@ class _StabilizerChain:
 
     def _rebuild_orbit(self, level: int) -> list[Permutation]:
         pool = self._pool(level)
-        beta = self.base[level]
-        trans = {beta: Permutation.identity(self.degree)}
-        frontier = [beta]
-        while frontier:
-            new_frontier = []
-            for p in frontier:
-                for g in pool:
-                    q = g(p)
-                    if q not in trans:
-                        trans[q] = g * trans[p]
-                        new_frontier.append(q)
-            frontier = new_frontier
-        self.transversals[level] = trans
+        self.transversals[level] = _transversal(self.base[level], pool, self.degree)
         return pool
 
     def _sift_from(self, g: Permutation, start: int) -> Permutation:
@@ -279,17 +288,9 @@ class PermutationGroup:
 
 @dataclass
 class GroupAction:
-    """A permutation group together with how its point set is meant to be read."""
+    """A permutation group acting on its points {0, ..., degree-1}."""
 
     group: PermutationGroup
-    label: str = "natural"  # natural | ordered_pairs | regular | explicit
-    point_names: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self):
-        if self.label not in ("natural", "ordered_pairs", "regular", "explicit"):
-            raise InputError(f"unknown action label {self.label!r}")
-        if self.point_names is not None and len(self.point_names) != self.group.degree:
-            raise InputError("point_names length does not match the point count")
 
     @property
     def point_count(self) -> int:
@@ -327,18 +328,7 @@ def point_stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:
     """
     if not 0 <= point < group.degree:
         raise InputError(f"point {point} out of range for degree {group.degree}")
-    ident = Permutation.identity(group.degree)
-    transversal = {point: ident}
-    frontier = [point]
-    while frontier:
-        new_frontier = []
-        for p in frontier:
-            for g in group.generators:
-                q = g(p)
-                if q not in transversal:
-                    transversal[q] = g * transversal[p]
-                    new_frontier.append(q)
-        frontier = new_frontier
+    transversal = _transversal(point, group.generators, group.degree)
     gens: list[Permutation] = []
     seen = set()
     probe = _StabilizerChain(group.degree)
@@ -373,9 +363,7 @@ def induced_pair_action(action: GroupAction) -> GroupAction:
         for idx, (i, j) in enumerate(pairs):
             images[idx] = pair_index(n, g(i), g(j))
         gens.append(Permutation(tuple(images)))
-    grp = PermutationGroup(n * (n - 1), gens)
-    names = tuple(f"({i},{j})" for (i, j) in pairs)
-    return GroupAction(grp, label="ordered_pairs", point_names=names)
+    return GroupAction(PermutationGroup(n * (n - 1), gens))
 
 
 def regular_action(group: PermutationGroup, element_limit: int = DEFAULT_ELEMENT_LIMIT) -> GroupAction:
@@ -390,6 +378,4 @@ def regular_action(group: PermutationGroup, element_limit: int = DEFAULT_ELEMENT
     for g in group.generators:
         images = tuple(index[(g * p).images] for p in elems)
         gens.append(Permutation(images))
-    grp = PermutationGroup(len(elems), gens)
-    names = tuple(p.cycle_string() for p in elems)
-    return GroupAction(grp, label="regular", point_names=names)
+    return GroupAction(PermutationGroup(len(elems), gens))

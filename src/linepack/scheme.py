@@ -42,9 +42,6 @@ class SchurianScheme:
     def orbital_matrix(self, i: int) -> np.ndarray:
         return (self.orbital_of == i).astype(np.int64)
 
-    def orbital_indicator(self, i: int) -> np.ndarray:
-        return self.orbital_of == i
-
     @cached_property
     def structure_constants(self) -> np.ndarray:
         """p[i, j, k] with A_i A_j = sum_k p[i, j, k] A_k, exact integers.
@@ -83,6 +80,27 @@ class SchurianScheme:
         }
 
 
+def _canonical_scheme(orbital_of: np.ndarray) -> SchurianScheme:
+    """The scheme with its orbitals relabelled canonically.
+
+    Orbitals are ordered by (valency, least column in row 0); the diagonal
+    has the least key (1, 0), so it comes first.  Valencies are counted in
+    row 0, which meets every orbital of a transitive action, and orbital i
+    pairs with the orbital of (y, 0) for any (0, y) in orbital i.
+    """
+    labels, first_col, valency = np.unique(orbital_of[0], return_index=True, return_counts=True)
+    order = np.lexsort((first_col, valency))
+    relabel = np.empty(int(labels[-1]) + 1, dtype=np.int64)
+    relabel[labels[order]] = np.arange(len(order))
+    orbital_of = relabel[orbital_of]
+    return SchurianScheme(
+        point_count=len(orbital_of),
+        orbital_of=orbital_of,
+        valencies=tuple(int(k) for k in valency[order]),
+        transpose_pairing=tuple(int(i) for i in orbital_of[first_col[order], 0]),
+    )
+
+
 def scheme_from_action(action: GroupAction) -> SchurianScheme:
     """Orbital partition of X x X under the diagonal action.
 
@@ -94,15 +112,12 @@ def scheme_from_action(action: GroupAction) -> SchurianScheme:
     n = action.point_count
     gens = [g.images for g in action.group.generators]
     orbital_of = np.full((n, n), -1, dtype=np.int64)
-    sizes = []
-    seeds = []
     next_id = 0
     for y0 in range(n):
         if orbital_of[0, y0] >= 0:
             continue
         members = [(0, y0)]
         orbital_of[0, y0] = next_id
-        size = 1
         while members:
             new_members = []
             for (x, y) in members:
@@ -111,33 +126,11 @@ def scheme_from_action(action: GroupAction) -> SchurianScheme:
                     if orbital_of[gx, gy] < 0:
                         orbital_of[gx, gy] = next_id
                         new_members.append((gx, gy))
-                        size += 1
             members = new_members
-        sizes.append(size)
-        seeds.append(y0)
         next_id += 1
     if np.any(orbital_of < 0):
         raise InputError("pair orbits failed to cover X x X")
-    # canonical order: diagonal first, then (valency, least column in row 0)
-    valencies = [s // n for s in sizes]
-    order = [0] + sorted(range(1, next_id), key=lambda i: (valencies[i], seeds[i]))
-    relabel = np.empty(next_id, dtype=np.int64)
-    for new, old in enumerate(order):
-        relabel[old] = new
-    orbital_of = relabel[orbital_of]
-    valencies = tuple(valencies[old] for old in order)
-    row0 = orbital_of[0]
-    col0 = orbital_of[:, 0]
-    pairing = []
-    for i in range(next_id):
-        y = int(np.nonzero(row0 == i)[0][0])
-        pairing.append(int(col0[y]))
-    return SchurianScheme(
-        point_count=n,
-        orbital_of=orbital_of,
-        valencies=valencies,
-        transpose_pairing=tuple(pairing),
-    )
+    return _canonical_scheme(orbital_of)
 
 
 def is_commutative(scheme: SchurianScheme) -> bool:
@@ -181,30 +174,7 @@ def conjugacy_class_scheme(
         y_inv = elems[inverses[y]]
         col = np.array([class_of[index[(x * y_inv).images]] for x in elems], dtype=np.int64)
         orbital_of[:, y] = col
-    sizes = np.bincount(class_of, minlength=n_classes)
-    # canonical order: identity class first, then by (class size, least column in row 0)
-    row0 = orbital_of[0]
-    first_col = [int(np.nonzero(row0 == i)[0][0]) for i in range(n_classes)]
-    diag_class = int(orbital_of[0, 0])
-    rest = [i for i in range(n_classes) if i != diag_class]
-    order = [diag_class] + sorted(rest, key=lambda i: (int(sizes[i]), first_col[i]))
-    relabel = np.empty(n_classes, dtype=np.int64)
-    for new, old in enumerate(order):
-        relabel[old] = new
-    orbital_of = relabel[orbital_of]
-    valencies = tuple(int(sizes[old]) for old in order)
-    row0 = orbital_of[0]
-    col0 = orbital_of[:, 0]
-    pairing = []
-    for i in range(n_classes):
-        y = int(np.nonzero(row0 == i)[0][0])
-        pairing.append(int(col0[y]))
-    return SchurianScheme(
-        point_count=m,
-        orbital_of=orbital_of,
-        valencies=valencies,
-        transpose_pairing=tuple(pairing),
-    )
+    return _canonical_scheme(orbital_of)
 
 
 def stable_matrix_check(scheme: SchurianScheme, matrix, tol: float = 1e-9) -> bool:
@@ -217,7 +187,7 @@ def stable_matrix_check(scheme: SchurianScheme, matrix, tol: float = 1e-9) -> bo
         if matrix.shape != (n, n):
             raise InputError(f"matrix shape {matrix.shape} does not match point count {n}")
         for i in range(scheme.n_orbitals):
-            vals = matrix[scheme.orbital_indicator(i)]
+            vals = matrix[scheme.orbital_of == i]
             if np.abs(vals - vals.flat[0]).max() > tol:
                 return False
         return True

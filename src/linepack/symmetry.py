@@ -88,6 +88,13 @@ def _cluster_values(values: np.ndarray, tol: float) -> dict[complex, int]:
     return colors
 
 
+def _colorize(entries: np.ndarray, lookup: dict[complex, int]) -> np.ndarray:
+    """Color id of every entry, looked up by its value rounded as in `_cluster_values`."""
+    values, inverse = np.unique(np.round(entries, 9), return_inverse=True)
+    ids = np.array([lookup[complex(z)] for z in values], dtype=np.int64)
+    return ids[inverse].reshape(entries.shape)
+
+
 def color_matrix_from_gram(gram: GramMatrix, tol: float = 1e-7) -> ColoredDigraph:
     """Entry-value coloring of a Gram matrix.
 
@@ -114,13 +121,7 @@ def color_matrix_from_gram(gram: GramMatrix, tol: float = 1e-7) -> ColoredDigrap
             for (x, y) in cells_t:
                 colors[x, y] = color_id[t]
         return ColoredDigraph(n, colors)
-    lookup = _cluster_values(gram.entries.ravel(), tol)
-    rounded = np.round(gram.entries, 9)
-    colors = np.empty((n, n), dtype=np.int64)
-    for x in range(n):
-        for y in range(n):
-            colors[x, y] = lookup[complex(rounded[x, y])]
-    return ColoredDigraph(n, colors)
+    return ColoredDigraph(n, _colorize(gram.entries, _cluster_values(gram.entries.ravel(), tol)))
 
 
 def _joint_refine(
@@ -221,19 +222,6 @@ def _search_isomorphism(
     return None
 
 
-def _closure(point: int, gens: Sequence[Permutation], n: int) -> set[int]:
-    seen = {point}
-    frontier = [point]
-    while frontier:
-        p = frontier.pop()
-        for g in gens:
-            q = g(p)
-            if q not in seen:
-                seen.add(q)
-                frontier.append(q)
-    return seen
-
-
 def colored_graph_automorphisms(
     graph: ColoredDigraph, node_cap: int = DEFAULT_NODE_CAP
 ) -> tuple[list[Permutation], int]:
@@ -260,14 +248,14 @@ def colored_graph_automorphisms(
         v = cell[0]
         gens, stab_order = level(fixed + [v])
         gens = list(gens)
-        reached = _closure(v, gens, n)
+        reached = orbit(PermutationGroup(n, gens), v)
         for u in cell[1:]:
             if u in reached:
                 continue
             found = _search_isomorphism(ec, ec, fixed + [v], fixed + [u], budget)
             if found is not None:
                 gens.append(found)
-                reached = _closure(v, gens, n)
+                reached = orbit(PermutationGroup(n, gens), v)
         return gens, stab_order * len(reached)
 
     return level([])
@@ -319,20 +307,10 @@ def find_gram_isomorphism(
     """
     if gram_a.n != gram_b.n:
         return None
-    n = gram_a.n
     lookup = _cluster_values(
         np.concatenate([gram_a.entries.ravel(), gram_b.entries.ravel()]), tol
     )
-
-    def colorize(g: GramMatrix) -> np.ndarray:
-        rounded = np.round(g.entries, 9)
-        out = np.empty((n, n), dtype=np.int64)
-        for x in range(n):
-            for y in range(n):
-                out[x, y] = lookup[complex(rounded[x, y])]
-        return out
-
-    ec_a, ec_b = colorize(gram_a), colorize(gram_b)
+    ec_a, ec_b = _colorize(gram_a.entries, lookup), _colorize(gram_b.entries, lookup)
     budget = _Budget(node_cap)
     return _search_isomorphism(ec_a, ec_b, [], [], budget)
 

@@ -188,9 +188,59 @@ def test_heisenberg_direct_cap_is_resource_error(capsys):
         heis_etf_gram_direct(make_spec((3, 17)), GammaTwist(1), "odd")
 
 
-def test_missing_file_is_input_error(capsys):
-    code, _ = run(capsys, ["scheme", "/nonexistent/group.json"])
+GRAM_I2 = json.dumps(GramMatrix.from_entries(np.eye(2)).to_json_dict())
+
+
+@pytest.mark.parametrize(
+    "files, argv",
+    [
+        ({}, ["scheme", "/nonexistent/group.json"]),
+        ({"g": "{not json"}, ["scheme", "@g"]),
+        ({"g": "5"}, ["scheme", "@g"]),
+        ({"g": '{"degree": "x", "generators": []}'}, ["scheme", "@g"]),
+        ({"g": "[1, 2"}, ["symmetry", "@g"]),
+        ({"g": '{"n": 1}'}, ["symmetry", "@g"]),
+        ({"g": '{"n": 2, "entries": [1, 2]}'}, ["symmetry", "@g"]),
+        ({"g": GRAM_I2}, ["symmetry", "@g", "--assume-colors", "/nonexistent/colors.json"]),
+        ({"g": GRAM_I2, "c": "{}"}, ["symmetry", "@g", "--assume-colors", "@c"]),
+        ({}, ["scheme", "fixture:nosuch"]),
+        ({}, ["heisenberg", "--moduli", "x"]),
+        ({}, ["harmonic", "--moduli", "7", "--subset", "a"]),
+        ({}, ["harmonic", "--moduli", "7", "--subset", "[[1, 2"]),
+    ],
+    ids=[
+        "missing-group",
+        "malformed-group",
+        "group-not-an-object",
+        "group-bad-degree",
+        "malformed-gram",
+        "gram-without-entries",
+        "gram-bad-entries",
+        "missing-colors",
+        "colors-without-color",
+        "unknown-fixture",
+        "bad-moduli",
+        "bad-subset",
+        "bad-json-subset",
+    ],
+)
+def test_missing_file_is_input_error(capsys, tmp_path, files, argv):
+    # "@name" in argv stands for the file written from files[name]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code = main([str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv])
+    captured = capsys.readouterr()
     assert code == 2
+    assert captured.err.startswith("input error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_scan_etf_rejects_max_subset_size_below_one(capsys, size):
+    code = main(["scan-etf", "fixture:agl", "--max-subset-size", size])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--max-subset-size" in captured.err
 
 
 def test_verify_figures_command(capsys):

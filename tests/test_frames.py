@@ -9,6 +9,7 @@ from linepack.frames import (
     coherence,
     difference_set_check,
     distinct_moduli,
+    gap_clusters,
     gram_rank,
     harmonic_gram,
     is_etf,
@@ -205,6 +206,18 @@ def test_distinct_moduli():
     m[1, 2] = m[2, 1] = 0.25
     vals = distinct_moduli(GramMatrix.from_entries(m))
     assert np.allclose(vals, [0.25, 0.5])
+
+
+def test_gap_clusters():
+    values = np.array([0.5, 0.1, 0.3, 0.1, 0.5, 0.2])
+    clusters = gap_clusters(values, 0.15)
+    # unsorted input with ties; the returned indices point into the input
+    assert [sorted(values[idx].tolist()) for idx in clusters] == [[0.1, 0.1, 0.2, 0.3], [0.5, 0.5]]
+    assert sorted(np.concatenate(clusters).tolist()) == list(range(len(values)))
+    assert all(np.all(np.diff(values[idx]) >= 0) for idx in clusters)
+    # a gap exactly equal to the threshold does not split; a larger one does
+    assert len(gap_clusters(np.array([1.0, 0.0, 2.0]), 1.0)) == 1
+    assert [idx.tolist() for idx in gap_clusters(np.array([1.0, 0.0, 2.0]), 0.5)] == [[1], [0], [2]]
 
 
 def test_packing_report_on_simplex():

@@ -179,6 +179,23 @@ def test_conjugacy_class_scheme_examples():
     assert is_commutative(sch)
 
 
+@pytest.mark.parametrize(
+    "degree, gens",
+    [(6, ["(0 1 2 3 4 5)"]), (6, ["(0 1)", "(2 3 4 5)"])],
+    ids=["Z6", "Z2xZ4"],
+)
+def test_abelian_class_scheme_is_regular_scheme(degree, gens):
+    # for abelian G both entry points label the pair (x, y) by x^-1 y, so
+    # the canonical relabelling must give the same scheme from both
+    group = PermutationGroup.from_cycles(degree, gens)
+    classes = conjugacy_class_scheme(group)
+    regular = scheme_from_action(regular_action(group))
+    assert classes.n_orbitals == regular.n_orbitals == group.order
+    assert np.array_equal(classes.orbital_of, regular.orbital_of)
+    assert classes.valencies == regular.valencies
+    assert classes.transpose_pairing == regular.transpose_pairing
+
+
 def test_stable_matrix_check():
     sch = scheme_from_action(GroupAction(S3))
     n = 3
