@@ -211,11 +211,12 @@ def cmd_scan_etf(cfg: JobConfig, reduce: bool = True) -> dict:
 def cmd_reduce(gram_path: str, tol: float) -> dict:
     gram = _load_gram(gram_path)
     reduced, class_map = projective_reduce(gram, tol=tol)
-    sizes = [class_map.count(r) for r in sorted(set(class_map))]
+    sizes = np.bincount(class_map)
+    sizes = sizes[sizes > 0]
     payload = reduced.to_json_dict()
     payload["class_map"] = class_map
     payload["class_count"] = len(sizes)
-    payload["equal_class_sizes"] = len(set(sizes)) == 1
+    payload["equal_class_sizes"] = bool(sizes.min() == sizes.max())
     return payload
 
 

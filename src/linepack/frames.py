@@ -24,6 +24,7 @@ import numpy as np
 from .errors import InputError, NumericError, ResourceError
 
 HERMITIAN_TOL = 1e-12
+RANK_TOL = 1e-8  # eigenvalues above RANK_TOL * spectral radius count toward the rank
 
 
 @dataclass
@@ -127,7 +128,7 @@ def vectors_from_gram(gram: GramMatrix, tol: float = 1e-9) -> FrameVectors:
     return FrameVectors(int(keep.sum()), gram.n, synthesis)
 
 
-def gram_rank(gram: GramMatrix, tol: float = 1e-8) -> int:
+def gram_rank(gram: GramMatrix, tol: float = RANK_TOL) -> int:
     eigvals = np.linalg.eigvalsh(gram.entries)
     radius = float(np.abs(eigvals).max(initial=0.0))
     if radius == 0.0:
@@ -177,22 +178,52 @@ def secondary_bounds(n: int, d: int, field: str) -> tuple[Optional[float], Optio
     return orthoplex, lev
 
 
-def _projection_scalar(entries: np.ndarray, tol: float) -> Optional[float]:
-    """c such that G^2 = c G, or None; c is recovered from trace ratios."""
+def _tightness(gram: GramMatrix, tol: float) -> tuple[Optional[float], float, bool]:
+    """(c, residual, etf): the tight and ETF tests, sharing one G @ G.
+
+    c is the scalar with G^2 = c G within tol, recovered from trace ratios,
+    or None when G is not a nonzero multiple of a projection; residual is
+    max |G^2 - c G| (inf when tr G is below tol).  etf adds to tightness a
+    constant positive diagonal and a constant off-diagonal modulus, within tol.
+    """
+    entries = gram.entries
+    moduli = np.abs(entries)
+    scale = max(1.0, float(moduli.max()))
     tr = float(np.real(np.trace(entries)))
     if abs(tr) < tol:
-        return None
+        return None, np.inf, False
     sq = entries @ entries
     c = float(np.real(np.trace(sq))) / tr
-    scale = max(1.0, float(np.abs(entries).max()))
-    if np.abs(sq - c * entries).max() > tol * max(1.0, abs(c)) * scale:
+    residual = float(np.abs(sq - c * entries).max())
+    if residual > tol * max(1.0, abs(c)) * scale:
+        return None, residual, False
+    diag = np.real(np.diag(entries))
+    if np.abs(diag - diag[0]).max() > tol * scale or diag[0] <= 0:
+        return c, residual, False
+    off = moduli[~np.eye(gram.n, dtype=bool)]
+    return c, residual, bool(off.size == 0 or off.max() - off.min() <= tol * scale)
+
+
+def _trace_rank(gram: GramMatrix, c: Optional[float], residual: float) -> Optional[int]:
+    """`gram_rank` of G read off tr G / c, when G^2 = c G certifies it; else None.
+
+    Every eigenvalue l of G has |l| |l - c| <= ||G^2 - c G||_2 <= n * residual,
+    so it lies within spread = 2 n residual / c of 0 or of c.  When spread is
+    at most half of gram_rank's threshold RANK_TOL * c, gram_rank counts
+    exactly the eigenvalues near c, and tr G / c is that count to within
+    n * spread / c <= n * RANK_TOL / 2, far below 1/2 for any dense n.
+    """
+    if c is None or c <= 0:
         return None
-    return c
+    spread = 2 * gram.n * residual / c
+    if spread > 0.5 * RANK_TOL * c:
+        return None
+    return round(float(np.real(np.trace(gram.entries))) / c)
 
 
 def is_tight(gram: GramMatrix, tol: float = 1e-8) -> bool:
     """True iff the Gram matrix is a (nonzero) scalar multiple of a projection."""
-    return _projection_scalar(gram.entries, tol) is not None
+    return _tightness(gram, tol)[0] is not None
 
 
 def is_etf(gram: GramMatrix, tol: float = 1e-8) -> bool:
@@ -202,18 +233,7 @@ def is_etf(gram: GramMatrix, tol: float = 1e-8) -> bool:
     constant diagonal, constant modulus off the diagonal.  An identity
     matrix (orthonormal basis) passes with off-diagonal modulus 0.
     """
-    entries = gram.entries
-    n = gram.n
-    diag = np.real(np.diag(entries))
-    scale = max(1.0, float(np.abs(entries).max()))
-    if np.abs(diag - diag[0]).max() > tol * scale or diag[0] <= 0:
-        return False
-    if _projection_scalar(entries, tol) is None:
-        return False
-    if n == 1:
-        return True
-    off = np.abs(entries)[~np.eye(n, dtype=bool)]
-    return bool((off.max() - off.min()) <= tol * scale)
+    return _tightness(gram, tol)[2]
 
 
 def naimark_complement(gram: GramMatrix) -> GramMatrix:
@@ -228,43 +248,55 @@ def projective_reduce(gram: GramMatrix, tol: float = 1e-7) -> tuple[GramMatrix, 
     """Collapse frame vectors that agree up to a unimodular scalar.
 
     Columns x and y are equivalent when column y is a unimodular multiple
-    of column x; each class keeps its lowest-index representative.
+    of column x; each class keeps its lowest-index representative.  The
+    anchor, modulus and phase tests of every pair x < y run as one numpy
+    pass over the n x n moduli: at the anchor a, the row of column x's
+    largest modulus, |G[a, y]| must match |G[a, x]| within tol * scale,
+    |G[a, x]| must exceed it, and alpha = G[a, y] / G[a, x] must be
+    unimodular within tol.  The greedy pass over the
+    representatives then compares whole columns, G[:, y] = alpha G[:, x],
+    only for the pairs that passed.
     Returns the reduced Gram and the map point -> representative index.
     Unequal class sizes break the group-frame pattern and raise a warning.
     """
     entries = gram.entries
     n = gram.n
+    moduli = np.abs(entries)
     diag = np.real(np.diag(entries))
-    scale = max(1.0, float(np.abs(entries).max()))
+    scale = max(1.0, float(moduli.max()))
     if np.abs(diag - diag[0]).max() > tol * scale:
         raise InputError("projective reduction requires a constant diagonal")
-    class_map = [-1] * n
-    reps: list[int] = []
-    for x in range(n):
-        if class_map[x] >= 0:
+    points = np.arange(n)
+    anchor = np.argmax(moduli, axis=0)
+    anchor_mod = moduli[anchor, points]
+    # candidates (x, y), y > x: column y's modulus at column x's anchor matches
+    close = np.abs(anchor_mod[:, None] - moduli[anchor, :]) <= tol * scale
+    close &= (anchor_mod > tol * scale)[:, None]
+    xs, ys = np.nonzero(np.triu(close, 1))
+    alpha = entries[anchor[xs], ys] / entries[anchor[xs], xs]
+    unimodular = np.abs(np.abs(alpha) - 1.0) <= tol
+    xs, ys, alpha = xs[unimodular], ys[unimodular], alpha[unimodular]
+    class_map = points.copy()
+    claimed = np.zeros(n, dtype=bool)
+    # xs is sorted, so each representative's candidates form one run
+    starts = np.flatnonzero(np.diff(xs, prepend=-1))
+    for lo, hi in zip(starts, np.append(starts[1:], xs.size)):
+        x = xs[lo]
+        if claimed[x]:
             continue
-        class_map[x] = x
-        reps.append(x)
-        col_x = entries[:, x]
-        anchor = int(np.argmax(np.abs(col_x)))
-        for y in range(x + 1, n):
-            if class_map[y] >= 0:
-                continue
-            col_y = entries[:, y]
-            ax, ay = col_x[anchor], col_y[anchor]
-            if abs(abs(ax) - abs(ay)) > tol * scale or abs(ax) <= tol * scale:
-                continue
-            alpha = ay / ax
-            if abs(abs(alpha) - 1.0) > tol:
-                continue
-            if np.abs(col_y - alpha * col_x).max() <= tol * scale:
-                class_map[y] = x
-        # a vector proportional to nothing keeps its own singleton class
-    sizes = [class_map.count(r) for r in reps]
-    if len(set(sizes)) > 1:
+        free = ~claimed[ys[lo:hi]]
+        y, a = ys[lo:hi][free], alpha[lo:hi][free]
+        residual = np.abs(entries[:, y] - a * entries[:, x, None]).max(axis=0)
+        won = y[residual <= tol * scale]
+        class_map[won] = x
+        claimed[won] = True
+    # a vector proportional to nothing keeps its own singleton class
+    reps = np.flatnonzero(~claimed)
+    sizes = np.bincount(class_map)[reps]
+    if sizes.min() != sizes.max():
         warnings.warn("projective reduction classes have unequal sizes", stacklevel=2)
     sub = entries[np.ix_(reps, reps)]
-    return GramMatrix.from_entries(sub), class_map
+    return GramMatrix.from_entries(sub), class_map.tolist()
 
 
 def _dual_value(moduli: Sequence[int], alpha: Sequence[int], g: Sequence[int]) -> complex:
@@ -463,12 +495,18 @@ class PackingReport:
 def packing_report(gram: GramMatrix, field: Optional[str] = None, tol: float = 1e-8) -> PackingReport:
     """Evaluate a Gram matrix as a line packing.
 
-    The ambient dimension is the numerical rank; coherence is taken after
-    unit normalization, and a bound counts as met when coherence sits
-    within tol of it.
+    The ambient dimension d is the numerical rank (`gram_rank`).  The tight
+    and ETF tests share one G @ G; when it shows G = c P for a projection P
+    with a margin that certifies the rank, d is read off tr G / c, and
+    only Grams without that certificate pay for the eigenvalues.
+    Coherence is taken after unit normalization, and a bound counts as met
+    when coherence sits within tol of it.
     """
     n = gram.n
-    d = gram_rank(gram)
+    c, residual, etf = _tightness(gram, tol)
+    d = _trace_rank(gram, c, residual)
+    if d is None:
+        d = gram_rank(gram)
     if field is None:
         field = "real" if gram.is_real() else "complex"
     coh = coherence(gram) if n >= 2 else 0.0
@@ -484,8 +522,8 @@ def packing_report(gram: GramMatrix, field: Optional[str] = None, tol: float = 1
         orthoplex_met=bool(orthoplex is not None and abs(coh - orthoplex) <= tol),
         levenstein_applicable=lev is not None,
         levenstein_met=bool(lev is not None and abs(coh - lev) <= tol),
-        is_etf=is_etf(gram, tol),
-        is_tight=is_tight(gram, tol),
+        is_etf=etf,
+        is_tight=c is not None,
         field=field,
         distinct_offdiag_moduli=distinct_moduli(gram),
     )

@@ -107,6 +107,19 @@ def test_reduce_command(capsys, tmp_path):
     assert payload["equal_class_sizes"] is True
 
 
+def test_reduce_command_unequal_classes(capsys, tmp_path):
+    # lines e1, -e1, e2: classes of sizes 2 and 1
+    synth = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+    gram_path = tmp_path / "gram.json"
+    gram_path.write_text(json.dumps(GramMatrix.from_entries(synth.T @ synth).to_json_dict()))
+    with pytest.warns(UserWarning, match="unequal sizes"):
+        code, payload = run(capsys, ["reduce", str(gram_path)])
+    assert code == 0
+    assert payload["class_map"] == [0, 0, 2]
+    assert payload["class_count"] == 2
+    assert payload["equal_class_sizes"] is False
+
+
 def test_heisenberg_command_exact_and_verify(capsys):
     code, payload = run(capsys, ["heisenberg", "--moduli", "3", "--parity", "odd", "--verify"])
     assert code == 0

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from linepack.frames import (
     gram_rank,
     harmonic_gram,
     is_etf,
+    is_tight,
     matrix_group_orbit_gram,
     naimark_complement,
     packing_report,
@@ -139,6 +141,178 @@ def test_projective_reduce_unequal_classes_warns():
     g = GramMatrix.from_entries(synth.T @ synth)
     with pytest.warns(UserWarning):
         projective_reduce(g)
+    assert _assert_reduce_matches_reference(g) == [0, 0, 2]
+
+
+def _reference_projective_reduce(gram, tol=1e-7):
+    """The pairwise loop projective_reduce replaced, kept verbatim as the oracle."""
+    entries = gram.entries
+    n = gram.n
+    diag = np.real(np.diag(entries))
+    scale = max(1.0, float(np.abs(entries).max()))
+    if np.abs(diag - diag[0]).max() > tol * scale:
+        raise InputError("projective reduction requires a constant diagonal")
+    class_map = [-1] * n
+    reps: list[int] = []
+    for x in range(n):
+        if class_map[x] >= 0:
+            continue
+        class_map[x] = x
+        reps.append(x)
+        col_x = entries[:, x]
+        anchor = int(np.argmax(np.abs(col_x)))
+        for y in range(x + 1, n):
+            if class_map[y] >= 0:
+                continue
+            col_y = entries[:, y]
+            ax, ay = col_x[anchor], col_y[anchor]
+            if abs(abs(ax) - abs(ay)) > tol * scale or abs(ax) <= tol * scale:
+                continue
+            alpha = ay / ax
+            if abs(abs(alpha) - 1.0) > tol:
+                continue
+            if np.abs(col_y - alpha * col_x).max() <= tol * scale:
+                class_map[y] = x
+        # a vector proportional to nothing keeps its own singleton class
+    sizes = [class_map.count(r) for r in reps]
+    if len(set(sizes)) > 1:
+        warnings.warn("projective reduction classes have unequal sizes", stacklevel=2)
+    sub = entries[np.ix_(reps, reps)]
+    return GramMatrix.from_entries(sub), class_map
+
+
+def _assert_reduce_matches_reference(gram, tol=1e-7):
+    with warnings.catch_warnings(record=True) as ref_warnings:
+        warnings.simplefilter("always")
+        ref_red, ref_map = _reference_projective_reduce(gram, tol)
+    with warnings.catch_warnings(record=True) as new_warnings:
+        warnings.simplefilter("always")
+        red, class_map = projective_reduce(gram, tol)
+    assert class_map == ref_map
+    assert all(type(r) is int for r in class_map)
+    assert red.entries.tobytes() == ref_red.entries.tobytes()
+    assert len(new_warnings) == len(ref_warnings)
+    return class_map
+
+
+def _duplicated_lines_gram(rng, d, lines, copies, field):
+    """Gram of `lines` random unit vectors in dimension d, each repeated `copies`
+    times with random unit phases (signs over R), columns shuffled."""
+    base = rng.standard_normal((d, lines))
+    if field == "complex":
+        base = base + 1j * rng.standard_normal((d, lines))
+    base /= np.linalg.norm(base, axis=0)
+    cols = np.repeat(np.arange(lines), copies)
+    if field == "complex":
+        phases = np.exp(2j * np.pi * rng.random(cols.size))
+    else:
+        phases = rng.choice([-1.0, 1.0], cols.size)
+    synth = base[:, cols] * phases
+    synth = synth[:, rng.permutation(cols.size)]
+    return GramMatrix.from_entries(synth.conj().T @ synth)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_projective_reduce_matches_reference_on_duplicated_lines(seed, field):
+    rng = np.random.default_rng(seed)
+    lines, copies = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+    gram = _duplicated_lines_gram(rng, 4, lines, copies, field)
+    class_map = _assert_reduce_matches_reference(gram)
+    assert len(set(class_map)) == lines
+
+
+def test_projective_reduce_matches_reference_with_zero_columns():
+    _assert_reduce_matches_reference(GramMatrix.from_entries(np.zeros((5, 5))))
+    # zero diagonal (Hermitian, not PSD): column 2 is zero, column 3 is
+    # -1 times column 1 and column 4 is i times column 0
+    m = np.zeros((5, 5), dtype=complex)
+    m[0, 1], m[0, 3], m[1, 4], m[3, 4] = 1.0, -1.0, 1j, -1j
+    m = m + m.conj().T
+    assert _assert_reduce_matches_reference(GramMatrix.from_entries(m)) == [0, 1, 2, 1, 0]
+
+
+def test_projective_reduce_matches_reference_on_non_unimodular_multiple():
+    # zero diagonal again: column 1 is 1.001 times column 0, which passes
+    # the anchor modulus test at scale 100 but not the phase test
+    m = np.zeros((4, 4))
+    m[0, 2], m[1, 2], m[2, 3] = 1e-3, 1.001e-3, 100.0
+    m = m + m.T
+    assert _assert_reduce_matches_reference(GramMatrix.from_entries(m)) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("steps, expected", [((0, 2, 1), [0, 1, 0, 3]), ((0, 1, 2), [0, 0, 2, 3])])
+def test_projective_reduce_tolerance_chain_keeps_first_representative(steps, expected):
+    # lines u + k eps w, k = steps[i], with eps = 0.7 tol: neighbours in the
+    # chain are within tol of each other, its two ends are not; a vector
+    # along w makes the differences show in the Gram columns
+    tol = 1e-7
+    u, w = np.eye(2)
+    vecs = [u + k * 0.7 * tol * w for k in steps] + [w]
+    synth = np.column_stack([v / np.linalg.norm(v) for v in vecs])
+    gram = GramMatrix.from_entries(synth.T @ synth)
+    assert _assert_reduce_matches_reference(gram, tol) == expected
+
+
+@pytest.mark.parametrize("offset, merged", [(0.5, True), (2.0, False)])
+def test_projective_reduce_matches_reference_near_tol(offset, merged):
+    tol = 1e-7
+    rng = np.random.default_rng(5)
+    gram = _duplicated_lines_gram(rng, 3, 4, 2, "complex")
+    ref = _reference_projective_reduce(gram, tol)[1]
+    x = 0
+    y = next(j for j in range(1, gram.n) if ref[j] == x)
+    k = next(j for j in range(gram.n) if j not in (x, y))
+    entries = gram.entries.copy()
+    # column y is off parallel to column x by offset * tol in row k only
+    entries[k, y] += offset * tol
+    entries[y, k] = np.conj(entries[k, y])
+    class_map = _assert_reduce_matches_reference(GramMatrix.from_entries(entries), tol)
+    assert (class_map[y] == x) == merged
+
+
+def test_packing_report_rank_and_flags_match_public_tests(fixture_schemes, monkeypatch):
+    from linepack import frames
+    from linepack.idempotents import central_primitive_idempotents, projection_from_subset
+
+    eig_calls = []
+
+    def counted_gram_rank(gram, *args, **kwargs):
+        eig_calls.append(gram)
+        return gram_rank(gram, *args, **kwargs)
+
+    monkeypatch.setattr(frames, "gram_rank", counted_gram_rank)
+    grams = []
+    for scheme in fixture_schemes.values():
+        dec = central_primitive_idempotents(scheme)
+        for r in range(1, dec.n_projections + 1):
+            for subset in itertools.combinations(range(dec.n_projections), r):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    grams.append(projective_reduce(projection_from_subset(dec, subset))[0])
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
+    random_gram = GramMatrix.from_entries(a.conj().T @ a)
+    for g in grams + [random_gram]:
+        before = len(eig_calls)
+        rep = packing_report(g)
+        assert rep.d == gram_rank(g)
+        assert rep.is_etf == is_etf(g)
+        assert rep.is_tight == is_tight(g)
+        # tight Grams take d from tr G / c; only the others reach eigvalsh
+        assert len(eig_calls) - before == (0 if rep.is_tight else 1)
+    assert not is_tight(random_gram) and packing_report(random_gram).d == 3
+    assert sum(packing_report(g).is_tight for g in grams) > 0
+
+
+def test_packing_report_rank_needs_a_certifying_margin():
+    # a loose tol accepts G as tight, and tr G / c lies within 1e-6 of 2,
+    # but the third eigenvalue 1e-7 is above gram_rank's threshold
+    q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 6)))
+    g = GramMatrix.from_entries(q @ np.diag([1.0, 1.0, 1e-7, 0.0, 0.0, 0.0]) @ q.T)
+    rep = packing_report(g, tol=1e-3)
+    assert rep.is_tight
+    assert rep.d == gram_rank(g) == 3
 
 
 def test_harmonic_gram_examples():
