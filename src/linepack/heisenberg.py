@@ -4,7 +4,7 @@ For an odd abelian group A with exponent N, the Heisenberg group is
 K x C_N with K = A x A^ (dual), multiplied through the half-twisted
 symplectic cocycle.  The Schrodinger representation acts on L^2(A) by
 monomial matrices with N-th-root-of-unity entries, so everything here is
-exact integer arithmetic on exponents mod N plus rational coefficients.
+exact integer arithmetic on exponents mod N.
 
 The headline construction: the orbit of either parity projector under
 operator multiplication by the Schrodinger matrices is an equiangular
@@ -12,6 +12,13 @@ tight frame for the even/odd operator subspace.  Its |K| x |K| Gram is
 produced both in closed form (diagonal (|A|+-1)/2, off-diagonal
 -+ half a root of unity) and by direct Hilbert-Schmidt traces; the two
 must agree entrywise exactly.
+
+An exact Gram is one (n, n, N) int64 array: entry (i, j) is
+sum_e terms[i, j, e]/2 zeta_N^e, with the coefficients stored doubled.
+A coefficient vector is zero in Q(zeta_N) exactly when its product with
+`cyclotomic_basis(N)`, the powers of zeta_N reduced mod the cyclotomic
+polynomial Phi_N, is zero; Gram equality and the scaled-projection
+certificate are integer reductions through that one matrix.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from numbers import Rational
 from typing import Sequence
 
 import numpy as np
@@ -150,6 +158,13 @@ def heisenberg_inverse(spec: AbelianGroupSpec, x: HeisenbergElement) -> Heisenbe
     return HeisenbergElement(spec.neg(x.a), spec.neg(x.alpha), (-x.z) % spec.exponent)
 
 
+def _fixed_point_counts(col: np.ndarray, exp: np.ndarray, modulus: int) -> np.ndarray:
+    """Row k: how many fixed points of the column map col[k] carry each exponent."""
+    rows, fixed = np.nonzero(col == np.arange(col.shape[1]))
+    keys = rows * modulus + exp[rows, fixed]
+    return np.bincount(keys, minlength=len(col) * modulus).reshape(len(col), modulus)
+
+
 @dataclass(frozen=True)
 class MonomialMatrix:
     """Matrix with one root-of-unity entry per row: M[i, col[i]] = zeta^exp[i]."""
@@ -174,13 +189,9 @@ class MonomialMatrix:
             inv_exp[c] = (-self.exp[j]) % self.modulus
         return MonomialMatrix(self.size, self.modulus, tuple(inv_col), tuple(inv_exp))
 
-    def trace_terms(self) -> dict[int, int]:
-        """Exponent -> count over the fixed points of the column map."""
-        out: dict[int, int] = {}
-        for i, c in enumerate(self.col):
-            if c == i:
-                out[self.exp[i]] = out.get(self.exp[i], 0) + 1
-        return out
+    def trace_terms(self) -> np.ndarray:
+        """Length-modulus vector: fixed points of the column map, counted by exponent."""
+        return _fixed_point_counts(np.array([self.col]), np.array([self.exp]), self.modulus)[0]
 
     def to_complex(self) -> np.ndarray:
         m = np.zeros((self.size, self.size), dtype=np.complex128)
@@ -238,6 +249,9 @@ def parity_projectors(spec: AbelianGroupSpec) -> tuple[list[list[Fraction]], lis
 
 # --- exact cyclotomic arithmetic -------------------------------------------
 
+# Largest n * n * N term array an ExactGram may hold: 2^27 int64 values, 1 GiB.
+MAX_TERM_ENTRIES = 2**27
+
 
 @lru_cache(maxsize=None)
 def _cyclotomic(n: int) -> tuple[int, ...]:
@@ -265,29 +279,28 @@ def _polydiv_exact(num: list, den: list) -> list:
     return out
 
 
-def _reduce_terms(terms: dict[int, Fraction], n: int) -> tuple[Fraction, ...]:
-    """Canonical form of sum c_e zeta_n^e as a vector mod the n-th cyclotomic."""
-    vec = [Fraction(0)] * n
-    for e, c in terms.items():
-        vec[e % n] += c
-    phi = _cyclotomic(n)
-    deg = len(phi) - 1
-    for i in range(n - 1, deg - 1, -1):
-        coeff = vec[i]
-        if coeff:
-            vec[i] = Fraction(0)
-            for k in range(deg):
-                vec[i - deg + k] -= coeff * phi[k]
-    return tuple(vec[:deg])
+@lru_cache(maxsize=None)
+def cyclotomic_basis(n: int) -> np.ndarray:
+    """n x phi(n) integer matrix whose row e is zeta_n^e in the power basis mod Phi_n.
+
+    A coefficient vector t over the exponents 0..n-1 is zero in Q(zeta_n)
+    exactly when t @ cyclotomic_basis(n) is zero.  The result is read-only.
+    """
+    phi = np.array(_cyclotomic(n)[:-1], dtype=np.int64)
+    deg = len(phi)
+    basis = np.zeros((n, deg), dtype=np.int64)
+    basis[:deg] = np.eye(deg, dtype=np.int64)
+    for e in range(deg, n):
+        # x^e = x * x^(e-1), with x^deg replaced by -(Phi_n - x^deg)
+        basis[e, 1:] = basis[e - 1, :-1]
+        basis[e] -= basis[e - 1, -1] * phi
+    basis.flags.writeable = False
+    return basis
 
 
-def terms_equal(t1: dict[int, Fraction], t2: dict[int, Fraction], n: int) -> bool:
-    if t1 == t2:
-        return True
-    diff = dict(t1)
-    for e, c in t2.items():
-        diff[e] = diff.get(e, Fraction(0)) - c
-    return all(c == 0 for c in _reduce_terms(diff, n))
+def cyclotomic_zero(terms: np.ndarray, n: int) -> bool:
+    """Is every coefficient vector along the last axis zero in Q(zeta_n)?"""
+    return not np.any(np.asarray(terms) @ cyclotomic_basis(n))
 
 
 # --- exact Gram matrices -----------------------------------------------------
@@ -295,82 +308,65 @@ def terms_equal(t1: dict[int, Fraction], t2: dict[int, Fraction], n: int) -> boo
 
 @dataclass
 class ExactGram:
-    """Gram matrix with entries sum_e coeff[e] * zeta_modulus^e, exact."""
+    """Gram matrix with entry (i, j) = sum_e terms[i, j, e] / 2 * zeta_modulus^e.
+
+    `terms` is an (n, n, modulus) int64 array; coefficients are stored
+    doubled so that every Gram here has integer terms.
+    """
 
     n: int
     modulus: int
-    entries: list[list[dict[int, Fraction]]]
+    terms: np.ndarray
 
     @staticmethod
-    def single_term(n: int, modulus: int, coeff, zexp) -> "ExactGram":
-        entries = [
-            [({int(zexp[i][j]) % modulus: Fraction(coeff[i][j])} if coeff[i][j] else {}) for j in range(n)]
-            for i in range(n)
-        ]
-        return ExactGram(n, modulus, entries)
+    def zeros(n: int, modulus: int) -> "ExactGram":
+        """The zero Gram, refused before allocation past MAX_TERM_ENTRIES terms."""
+        if n * n * modulus > MAX_TERM_ENTRIES:
+            raise ResourceError(
+                f"an exact {n}x{n} Gram over {modulus}-th roots of unity needs "
+                f"{n * n * modulus} terms, above the limit of {MAX_TERM_ENTRIES}"
+            )
+        return ExactGram(n, modulus, np.zeros((n, n, modulus), dtype=np.int64))
 
     def to_complex(self) -> np.ndarray:
-        zeta = np.exp(2j * np.pi / self.modulus)
-        powers = zeta ** np.arange(self.modulus)
-        out = np.zeros((self.n, self.n), dtype=np.complex128)
-        for i in range(self.n):
-            for j in range(self.n):
-                out[i, j] = sum(float(c) * powers[e] for e, c in self.entries[i][j].items())
-        return out
+        powers = np.exp(2j * np.pi / self.modulus) ** np.arange(self.modulus)
+        # row by row, so no complex copy of the whole term array is made
+        return np.stack([row @ powers for row in self.terms]) / 2
 
     def to_gram_matrix(self) -> GramMatrix:
         entries = self.to_complex()
         entries = (entries + entries.conj().T) / 2
-        tokens = [
-            [tuple(sorted(self.entries[i][j].items())) for j in range(self.n)]
-            for i in range(self.n)
-        ]
+        # the reduced vectors are canonical, so their bytes are exact tokens
+        reduced = self.terms @ cyclotomic_basis(self.modulus)
+        tokens = reduced.view(f"V{reduced.itemsize * reduced.shape[2]}")[..., 0].tolist()
         return GramMatrix(self.n, entries, "root_of_unity", tokens)
 
     def single_term_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(coefficients doubled to integers, exponents) for one-term entries."""
-        coeff2 = np.zeros((self.n, self.n), dtype=np.int64)
-        zexp = np.zeros((self.n, self.n), dtype=np.int64)
-        for i in range(self.n):
-            for j in range(self.n):
-                cell = self.entries[i][j]
-                if len(cell) > 1:
-                    raise NumericError("entry is not a single root-of-unity term")
-                for e, c in cell.items():
-                    doubled = 2 * c
-                    if doubled.denominator != 1:
-                        raise NumericError("entry coefficient is not a half-integer")
-                    coeff2[i, j] = int(doubled)
-                    zexp[i, j] = e
+        if np.any(np.count_nonzero(self.terms, axis=2) > 1):
+            raise NumericError("entry is not a single root-of-unity term")
+        zexp = np.argmax(self.terms != 0, axis=2)
+        coeff2 = np.take_along_axis(self.terms, zexp[..., None], axis=2)[..., 0]
         return coeff2, zexp
 
     def equals(self, other: "ExactGram") -> bool:
         if (self.n, self.modulus) != (other.n, other.modulus):
             return False
-        return all(
-            terms_equal(self.entries[i][j], other.entries[i][j], self.modulus)
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        return all(cyclotomic_zero(a - b, self.modulus) for a, b in zip(self.terms, other.terms))
 
     def export_entries(self) -> list[list[dict]]:
         """JSON-friendly exact entries; single-term cells only."""
         coeff2, zexp = self.single_term_arrays()
-        out = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                c = Fraction(int(coeff2[i, j]), 2)
-                row.append(
-                    {
-                        "coeff_num": c.numerator,
-                        "coeff_den": c.denominator,
-                        "zeta_num": int(zexp[i, j]),
-                        "zeta_den": self.modulus,
-                    }
-                )
-            out.append(row)
-        return out
+        even = coeff2 % 2 == 0
+        nums = np.where(even, coeff2 // 2, coeff2).tolist()
+        dens = np.where(even, 1, 2).tolist()
+        return [
+            [
+                {"coeff_num": c, "coeff_den": d, "zeta_num": e, "zeta_den": self.modulus}
+                for c, d, e in zip(*row)
+            ]
+            for row in zip(nums, dens, zexp.tolist())
+        ]
 
 
 def heis_etf_gram(spec: AbelianGroupSpec, gamma: GammaTwist, parity: str) -> ExactGram:
@@ -383,23 +379,19 @@ def heis_etf_gram(spec: AbelianGroupSpec, gamma: GammaTwist, parity: str) -> Exa
         raise InputError(f"parity must be 'even' or 'odd', got {parity!r}")
     g = gamma.for_spec(spec)
     n_mod = spec.exponent
-    ks = k_elements(spec)
-    size = len(ks)
-    half = spec.half
-    sign = Fraction(1, 2) if parity == "even" else Fraction(-1, 2)
-    diag = Fraction(spec.order + 1, 2) if parity == "even" else Fraction(spec.order - 1, 2)
-    entries: list[list[dict[int, Fraction]]] = []
-    for i, u in enumerate(ks):
-        row = []
-        for j, v in enumerate(ks):
-            if i == j:
-                row.append({0: diag})
-            else:
-                # Gram[i, j] = <phi_j, phi_i> = +-(1/2) gamma([u_j, u_i]^(1/2))
-                e = (g * half * symplectic_exponent(spec, v, u)) % n_mod
-                row.append({e: sign})
-        entries.append(row)
-    return ExactGram(size, n_mod, entries)
+    gram = ExactGram.zeros(spec.order**2, n_mod)
+    elems = np.array(spec.elements(), dtype=np.int64)
+    a = np.repeat(elems, len(elems), axis=0)  # K = A x A^ in k_elements order
+    alpha = np.tile(elems, (len(elems), 1))
+    weights = np.array([n_mod // m for m in spec.moduli], dtype=np.int64)
+    pairing = (a * weights) @ alpha.T  # [i, j] = <a_i, alpha_j>, as an exponent
+    # Gram[i, j] = <phi_j, phi_i> = +-(1/2) gamma([u_j, u_i]^(1/2))
+    exps = (g * spec.half * ((pairing - pairing.T) % n_mod)) % n_mod
+    sign = 1 if parity == "even" else -1
+    np.put_along_axis(gram.terms, exps[..., None], sign, axis=2)
+    diag = np.arange(gram.n)
+    gram.terms[diag, diag, 0] = spec.order + sign
+    return gram
 
 
 def heis_etf_gram_direct(spec: AbelianGroupSpec, gamma: GammaTwist, parity: str) -> ExactGram:
@@ -407,51 +399,51 @@ def heis_etf_gram_direct(spec: AbelianGroupSpec, gamma: GammaTwist, parity: str)
 
     Entry (i, j) is tr(pi(u_j, 1) P P* pi(u_i, 1)*) with P the parity
     projector, expanded through P = (I +- R)/2 so every trace is a trace
-    of a monomial matrix.
+    of a monomial matrix: a count of its fixed points by exponent.
     """
     if parity not in ("even", "odd"):
         raise InputError(f"parity must be 'even' or 'odd', got {parity!r}")
     if spec.order > 49:
         raise ResourceError("direct Hilbert-Schmidt computation is capped at |A| <= 49")
     n_mod = spec.exponent
+    gram = ExactGram.zeros(spec.order**2, n_mod)
     ks = k_elements(spec)
-    rev = reversal_matrix(spec)
-    sign = Fraction(1, 2) if parity == "even" else Fraction(-1, 2)
-    mats = [
-        schrodinger_matrix(spec, gamma, HeisenbergElement(a, alpha, 0)) for (a, alpha) in ks
-    ]
+    rev = np.array(reversal_matrix(spec).col)
+    sign = 1 if parity == "even" else -1
+    mats = [schrodinger_matrix(spec, gamma, HeisenbergElement(a, alpha, 0)) for (a, alpha) in ks]
+    col = np.array([m.col for m in mats])
+    exp = np.array([m.exp for m in mats])
     adjoints = [m.adjoint() for m in mats]
-    entries: list[list[dict[int, Fraction]]] = []
-    for i in range(len(ks)):
-        row = []
-        for j in range(len(ks)):
-            prod = mats[j] @ adjoints[i]
-            cell: dict[int, Fraction] = {}
-            for e, count in prod.trace_terms().items():
-                cell[e] = cell.get(e, Fraction(0)) + Fraction(count, 2)
-            for e, count in (mats[j] @ (rev @ adjoints[i])).trace_terms().items():
-                cell[e] = cell.get(e, Fraction(0)) + sign * count
-            row.append({e: c for e, c in cell.items() if c != 0})
-        entries.append(row)
-    return ExactGram(len(ks), n_mod, entries)
+    for i, adj in enumerate(adjoints):
+        adj_col, adj_exp = np.array(adj.col), np.array(adj.exp)
+        # (M @ O)[r] has column O.col[M.col[r]] and exponent M.exp[r] + O.exp[M.col[r]];
+        # O is pi(u_i)* for the identity half of P P* and R pi(u_i)* for the other.
+        for o_col, o_exp, weight in ((adj_col, adj_exp, 1), (adj_col[rev], adj_exp[rev], sign)):
+            counts = _fixed_point_counts(o_col[col], (exp + o_exp[col]) % n_mod, n_mod)
+            gram.terms[i] += weight * counts
+    return gram
 
 
-def exact_scaled_projection_check(gram: ExactGram, constant: Fraction) -> bool:
-    """Exact test of gram @ gram == constant * gram via cyclotomic reduction."""
+def _is_scaled_projection(gram: ExactGram, num: int, den: int) -> bool:
+    """gram @ gram == (num / den) * gram, for single-term entries, in integers."""
     coeff2, zexp = gram.single_term_arrays()
-    n = gram.n
-    n_mod = gram.modulus
+    n, n_mod = gram.n, gram.modulus
+    cols = np.broadcast_to(np.arange(n), (n, n))
     for i in range(n):
-        exps = (zexp[i][:, None] + zexp) % n_mod  # [w, j] exponent of G[i,w] G[w,j]
-        weights = coeff2[i][:, None] * coeff2
-        for j in range(n):
-            acc = np.bincount(exps[:, j], weights=weights[:, j], minlength=n_mod)
-            terms = {e: Fraction(int(round(acc[e]))) for e in range(n_mod) if acc[e]}
-            target_coeff = 4 * constant * Fraction(int(coeff2[i, j]), 2)
-            target = {int(zexp[i, j]): target_coeff} if target_coeff else {}
-            if not terms_equal(terms, target, n_mod):
-                return False
+        # 4 den (G @ G)[i, j] = den sum_w coeff2[i, w] coeff2[w, j] zeta^(zexp[i, w] + zexp[w, j])
+        acc = np.zeros((n, n_mod), dtype=np.int64)
+        np.add.at(acc, (cols, (zexp[i][:, None] + zexp) % n_mod), coeff2[i][:, None] * coeff2)
+        acc *= den
+        # 4 den (num / den) G[i, j] = 2 num coeff2[i, j] zeta^zexp[i, j]
+        acc[np.arange(n), zexp[i]] -= 2 * num * coeff2[i]
+        if not cyclotomic_zero(acc, n_mod):
+            return False
     return True
+
+
+def exact_scaled_projection_check(gram: ExactGram, constant: Rational) -> bool:
+    """Exact test of gram @ gram == constant * gram for a rational constant."""
+    return _is_scaled_projection(gram, constant.numerator, constant.denominator)
 
 
 def exact_is_etf(gram: ExactGram) -> bool:
@@ -465,10 +457,9 @@ def exact_is_etf(gram: ExactGram) -> bool:
     off = np.abs(coeff2[~np.eye(n, dtype=bool)])
     if np.any(off != off[0]):
         return False
-    # constant = trace(G^2)/trace(G), exact because exponents cancel pairwise
-    trace_sq = Fraction(int((coeff2.astype(object) ** 2).sum()), 4)
-    trace = Fraction(int(diag.sum()), 2)
-    return exact_scaled_projection_check(gram, trace_sq / trace)
+    # constant = trace(G^2)/trace(G) = (sum coeff2^2 / 4) / (trace coeff2 / 2),
+    # exact because exponents cancel pairwise
+    return _is_scaled_projection(gram, int((coeff2.astype(object) ** 2).sum()), 2 * int(diag.sum()))
 
 
 # --- the symplectic group at prime level ------------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -141,6 +142,35 @@ def test_heisenberg_command_float_output(capsys):
 def test_heisenberg_rejects_even_moduli(capsys):
     code, _ = run(capsys, ["heisenberg", "--moduli", "4", "--parity", "odd"])
     assert code == 2
+
+
+def test_heisenberg_verify_reports_a_disagreeing_direct_gram(capsys, monkeypatch):
+    import linepack.cli as cli
+
+    direct = cli.heis_etf_gram_direct
+
+    def shifted(spec, gamma, parity):
+        gram = direct(spec, gamma, parity)
+        gram.terms[0, 1] = np.roll(gram.terms[0, 1], 1)
+        return gram
+
+    monkeypatch.setattr(cli, "heis_etf_gram_direct", shifted)
+    code = main(["heisenberg", "--moduli", "3", "--parity", "odd", "--verify"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "closed-form Gram disagrees" in captured.err
+
+
+def test_heisenberg_oversized_gram_is_refused_at_once(capsys):
+    # Z_101: a 10201 x 10201 Gram over 101st roots of unity, 1.05e10 terms
+    start = time.monotonic()
+    code = main(["heisenberg", "--moduli", "101"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "resource limit" in captured.err
+    assert time.monotonic() - start < 10.0
 
 
 def test_harmonic_command(capsys):

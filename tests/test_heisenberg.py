@@ -4,11 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from linepack.errors import InputError
+from linepack.errors import InputError, ResourceError
 from linepack.frames import coherence, gram_rank, is_etf, welch_bound
 from linepack.heisenberg import (
+    MAX_TERM_ENTRIES,
+    ExactGram,
     GammaTwist,
     HeisenbergElement,
+    cyclotomic_basis,
+    cyclotomic_zero,
     exact_is_etf,
     exact_scaled_projection_check,
     heis_etf_gram,
@@ -24,13 +28,19 @@ from linepack.heisenberg import (
     schrodinger_matrix,
     sp_membership,
     symplectic_exponent,
-    terms_equal,
 )
 from linepack.permgroup import group_order, is_transitive
 from linepack.scheme import is_commutative, scheme_from_action
 
 Z3 = make_spec((3,))
 GAMMA1 = GammaTwist(1)
+
+
+def unit(n, e):
+    """Coefficient vector of zeta_n^e."""
+    out = np.zeros(n, dtype=np.int64)
+    out[e % n] = 1
+    return out
 
 
 def test_spec_validation():
@@ -162,14 +172,12 @@ def test_trace_character_every_element(moduli):
     zero = tuple(0 for _ in spec.moduli)
     for a in spec.elements():
         for alpha in spec.elements():
-            expected = {} if (a, alpha) != (zero, zero) else None
             for z in range(n):
                 tr = schrodinger_matrix(spec, gamma, HeisenbergElement(a, alpha, z)).trace_terms()
-                terms = {e: Fraction(c) for e, c in tr.items()}
-                if expected is None:
-                    assert terms == {(g * z) % n: Fraction(spec.order)}
+                if (a, alpha) == (zero, zero):
+                    assert np.array_equal(tr, spec.order * unit(n, g * z))
                 else:
-                    assert terms_equal(terms, expected, n)
+                    assert cyclotomic_zero(tr, n)
 
 
 def test_reversal_trace_identity():
@@ -183,8 +191,7 @@ def test_reversal_trace_identity():
             for alpha in spec.elements():
                 for z in (0, 1):
                     m = rev @ schrodinger_matrix(spec, gamma, HeisenbergElement(a, alpha, z))
-                    tr = {e: Fraction(c) for e, c in m.trace_terms().items()}
-                    assert terms_equal(tr, {z % n: Fraction(1)}, n)
+                    assert cyclotomic_zero(m.trace_terms() - unit(n, z), n)
 
 
 @pytest.mark.parametrize("moduli", [(3,), (5,), (7,), (9,), (3, 3)])
@@ -198,9 +205,8 @@ def test_hilbert_schmidt_orthonormality(moduli):
     adjoints = [m.adjoint() for m in mats]
     for i, mi in enumerate(mats):
         for j in range(len(ks)):
-            tr = {e: Fraction(c) for e, c in (mi @ adjoints[j]).trace_terms().items()}
-            expected = {0: Fraction(spec.order)} if i == j else {}
-            assert terms_equal(tr, expected, n)
+            tr = (mi @ adjoints[j]).trace_terms()
+            assert cyclotomic_zero(tr - (i == j) * spec.order * unit(n, 0), n)
 
 
 def test_parity_projectors():
@@ -234,11 +240,15 @@ def hs_gram_float_oracle(spec, gamma, parity):
     return gram
 
 
+@pytest.mark.parametrize("moduli", [(3,), (5,), (3, 3)])
 @pytest.mark.parametrize("parity", ["even", "odd"])
-def test_closed_form_matches_float_oracle(parity):
-    closed = heis_etf_gram(Z3, GAMMA1, parity)
-    oracle = hs_gram_float_oracle(Z3, GAMMA1, parity)
+def test_closed_form_matches_float_oracle(moduli, parity):
+    spec = make_spec(moduli)
+    oracle = hs_gram_float_oracle(spec, GAMMA1, parity)
+    closed = heis_etf_gram(spec, GAMMA1, parity)
+    direct = heis_etf_gram_direct(spec, GAMMA1, parity)
     assert np.abs(closed.to_complex() - oracle).max() < 1e-10
+    assert np.abs(direct.to_complex() - oracle).max() < 1e-10
 
 
 # every odd abelian group of order <= 15, two twists, both parities
@@ -259,7 +269,7 @@ def test_direct_diagonal_is_projector_rank():
     for parity, rank in (("even", 2), ("odd", 1)):
         direct = heis_etf_gram_direct(Z3, GAMMA1, parity)
         for i in range(direct.n):
-            assert direct.entries[i][i] == {0: Fraction(rank)}
+            assert np.array_equal(direct.terms[i, i], 2 * rank * unit(3, 0))
 
 
 @pytest.mark.parametrize("moduli", [(3,), (5,)])
@@ -321,7 +331,7 @@ def test_positive_type_invariance_under_sl2_3():
                 ((m[0][0] * a + m[0][1] * alpha) % 3,),
                 ((m[1][0] * a + m[1][1] * alpha) % 3,),
             )
-            assert gram.entries[0][index[u]] == gram.entries[0][index[image]]
+            assert np.array_equal(gram.terms[0, index[u]], gram.terms[0, index[image]])
 
 
 def test_sp_membership_examples():
@@ -360,3 +370,69 @@ def test_exact_gram_export():
     assert exported[0][0] == {"coeff_num": 1, "coeff_den": 1, "zeta_num": 0, "zeta_den": 3}
     assert exported[0][1]["coeff_num"] == -1
     assert exported[0][1]["coeff_den"] == 2
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 15, 21, 105])
+def test_cyclotomic_basis_is_the_power_basis(n):
+    basis = cyclotomic_basis(n)
+    zeta = np.exp(2j * np.pi / n) ** np.arange(n)
+    phi = basis.shape[1]
+    assert np.abs(basis @ zeta[:phi] - zeta).max() < 1e-9
+    assert not any(cyclotomic_zero(unit(n, e), n) for e in range(n))
+    # the p-th roots of unity sum to zero for every prime p dividing n
+    for p in (q for q in (3, 5, 7) if n % q == 0):
+        assert cyclotomic_zero(np.bincount(np.arange(0, n, n // p), minlength=n), n)
+
+
+NONVACUOUS = [(5,), (15,), (3, 3)]
+
+
+@pytest.mark.parametrize("moduli", NONVACUOUS)
+def test_equals_detects_one_shifted_exponent(moduli):
+    spec = make_spec(moduli)
+    closed = heis_etf_gram(spec, GAMMA1, "odd")
+    direct = heis_etf_gram_direct(spec, GAMMA1, "odd")
+    assert closed.equals(direct)
+    direct.terms[0, 1] = np.roll(direct.terms[0, 1], 1)
+    assert not closed.equals(direct)
+
+
+# the roots zeta^(step k) of the exponent N sum to zero: for N = 15, the five zeta^(3k)
+@pytest.mark.parametrize("moduli, step", [((5,), 1), ((15,), 3), ((3, 3), 1)])
+def test_equals_reduces_mod_the_cyclotomic_polynomial(moduli, step):
+    spec = make_spec(moduli)
+    closed = heis_etf_gram(spec, GAMMA1, "even")
+    direct = heis_etf_gram_direct(spec, GAMMA1, "even")
+    direct.terms[0, 1, ::step] += 1
+    assert np.count_nonzero(direct.terms[0, 1]) > 1
+    assert not np.array_equal(closed.terms, direct.terms)
+    assert closed.equals(direct)
+
+
+@pytest.mark.parametrize("moduli", NONVACUOUS)
+def test_scaled_projection_check_rejects_wrong_constants(moduli):
+    spec = make_spec(moduli)
+    gram = heis_etf_gram(spec, GAMMA1, "even")
+    assert exact_scaled_projection_check(gram, Fraction(spec.order))
+    assert not exact_scaled_projection_check(gram, Fraction(spec.order + 1))
+    assert not exact_scaled_projection_check(gram, spec.order + Fraction(1, 3))
+
+
+@pytest.mark.parametrize("moduli", NONVACUOUS)
+def test_exact_is_etf_rejects_a_shifted_exponent_pair(moduli):
+    gram = heis_etf_gram(make_spec(moduli), GAMMA1, "odd")
+    assert exact_is_etf(gram)
+    # zeta G[0, 1] and its conjugate: still Hermitian, equal moduli, not a scaled projection
+    gram.terms[0, 1] = np.roll(gram.terms[0, 1], 1)
+    gram.terms[1, 0] = np.roll(gram.terms[1, 0], -1)
+    assert not exact_is_etf(gram)
+
+
+def test_oversized_exact_gram_is_refused_before_allocation():
+    # Z_43: 1849^2 entries over 43rd roots of unity is 1.47e8 terms
+    spec = make_spec((43,))
+    assert spec.order**4 * spec.exponent > MAX_TERM_ENTRIES
+    with pytest.raises(ResourceError):
+        heis_etf_gram(spec, GAMMA1, "odd")
+    with pytest.raises(ResourceError):
+        ExactGram.zeros(2**14, 1)
