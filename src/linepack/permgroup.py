@@ -4,9 +4,17 @@ Points are 0-based everywhere.  Products act on the left, so
 ``(p * q)(x) == p(q(x))`` and permutation matrices satisfy
 ``P[p * q] == P[p] @ P[q]``.
 
-Group order and membership go through a stabilizer chain built
-incrementally (Schreier generators sifted against the chain); all results
-are exact integers.
+Group order and membership go through a stabilizer chain built by the
+deterministic Schreier-Sims algorithm (Holt, Eick and O'Brien, *Handbook
+of Computational Group Theory*, section 4.4).  Transversals only grow, and
+each Schreier generator is sifted once.  All results are exact integers.
+
+``symmetry.gram_symmetry_group`` cross-checks the order that its search
+reports against this chain.  Because the chain is exact, the check is
+certain in both directions: a reported order above the order of the group
+the generators generate (an over-counted orbit, or a lost generator) and
+one below it (an under-counted orbit).  A randomised Schreier-Sims that
+stops on reaching the reported order would catch only the first.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .errors import InputError, ResourceError
 
@@ -31,6 +39,13 @@ class Permutation:
         if sorted(self.images) != list(range(len(self.images))):
             raise InputError(f"not a permutation of 0..{len(self.images) - 1}: {self.images}")
 
+    @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap an image tuple known to be a permutation, skipping validation."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -45,13 +60,10 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if other.degree != self.degree:
             raise InputError("degree mismatch in product")
-        return Permutation(tuple(self.images[j] for j in other.images))
+        return Permutation._unchecked(_compose(self.images, other.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
+        return Permutation._unchecked(_invert(self.images))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -108,117 +120,139 @@ def parse_cycles(text: str, degree: int = 0) -> Permutation:
     return Permutation(tuple(images))
 
 
-def _transversal(point: int, gens: Sequence[Permutation], degree: int) -> dict[int, Permutation]:
-    """Schreier transversal of the orbit of `point`: maps each q to an element taking `point` to q.
+def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Image tuple of ``a * b``, unchecked: ``x -> a[b[x]]``."""
+    return tuple(map(a.__getitem__, b))
 
-    Breadth-first with the generators in the given order, so the insertion
-    order of the dict, and with it every Schreier generator built from it,
-    is reproducible.
+
+def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(a)
+    for i, j in enumerate(a):
+        inv[j] = i
+    return tuple(inv)
+
+
+class _Transversal:
+    """Extend-only Schreier transversal of the orbit of `point`.
+
+    ``reps[q]`` takes `point` to q and ``invs[q]`` is its inverse; both
+    are image tuples, and ``None`` off the orbit.  Representatives are
+    never replaced, so a Schreier generator, once formed, stays the same
+    element however far the orbit or the generator list grows later.
+    ``cursor[j]`` counts the orbit points already paired with ``gens[j]``.
     """
-    trans = {point: Permutation.identity(degree)}
-    frontier = [point]
-    while frontier:
-        new_frontier = []
-        for p in frontier:
-            for g in gens:
-                q = g(p)
-                if q not in trans:
-                    trans[q] = g * trans[p]
-                    new_frontier.append(q)
-        frontier = new_frontier
-    return trans
+
+    def __init__(self, point: int, degree: int):
+        ident = tuple(range(degree))
+        self.point = point
+        self.orbit = [point]
+        self.reps: list[Optional[tuple[int, ...]]] = [None] * degree
+        self.invs: list[Optional[tuple[int, ...]]] = [None] * degree
+        self.reps[point] = self.invs[point] = ident
+        self.gens: list[tuple[int, ...]] = []
+        self.cursor: list[int] = []
+
+    def add_generator(self, g: tuple[int, ...]) -> None:
+        self.gens.append(g)
+        self.cursor.append(0)
+
+    def schreier_generators(self) -> Iterator[tuple[int, ...]]:
+        """Visit every new (orbit point, generator) pair once, point-major.
+
+        A pair that reaches a new point extends the orbit (breadth-first,
+        generators in the given order, so the result is reproducible); any
+        other pair yields its Schreier generator ``invs[g(p)] * g * reps[p]``.
+        Each pair is marked visited before it is yielded, so a caller may
+        stop at any yield and resume with a fresh call.
+        """
+        k = min(self.cursor, default=len(self.orbit))
+        while k < len(self.orbit):
+            p = self.orbit[k]
+            rep = self.reps[p]
+            for j, g in enumerate(self.gens):
+                if self.cursor[j] > k:
+                    continue
+                self.cursor[j] = k + 1
+                q = g[p]
+                inv = self.invs[q]
+                if inv is None:
+                    new = _compose(g, rep)
+                    self.orbit.append(q)
+                    self.reps[q] = new
+                    self.invs[q] = _invert(new)
+                else:
+                    yield _compose(inv, _compose(g, rep))
+            k += 1
 
 
 class _StabilizerChain:
-    """Stabilizer chain with a flat strong generating set.
+    """Deterministic Schreier-Sims with a flat strong generating set.
 
-    The pool of generators at level i is every strong generator fixing
-    base[0..i-1] pointwise; the classical up-down Schreier-Sims loop
-    reprocesses a level whenever a sifted Schreier generator survives.
+    Level i holds the transversal of base[i] under the strong generators
+    that fix base[0..i-1] pointwise.  Transversals only grow, and each
+    (orbit point, strong generator) pair of a level is sifted at most once:
+    by Schreier's lemma the Schreier generators of any fixed transversal
+    generate the point stabilizer, and a generator that once sifted to the
+    identity stays in the group of the lower levels, which only grows.  A
+    residue that survives its sift becomes a new strong generator, and the
+    up-down loop resumes at the level where the sift stopped.  Elements are
+    image tuples.
     """
 
     def __init__(self, degree: int):
         self.degree = degree
-        self.base: list[int] = []
-        self.sgs: list[Permutation] = []
-        # transversals[i][p] maps base[i] to p
-        self.transversals: list[dict[int, Permutation]] = []
+        self.identity = tuple(range(degree))
+        self.levels: list[_Transversal] = []
 
     def order(self) -> int:
         n = 1
-        for t in self.transversals:
-            n *= len(t)
+        for t in self.levels:
+            n *= len(t.orbit)
         return n
 
-    def _fix_level(self, g: Permutation) -> int:
-        k = 0
-        for beta in self.base:
-            if g(beta) != beta:
-                break
-            k += 1
-        return k
+    def _sift(self, g: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
+        """Strip g through the levels from `start`; return the residue and the level it stopped at."""
+        levels = self.levels
+        for i in range(start, len(levels)):
+            t = levels[i]
+            inv = t.invs[g[t.point]]
+            if inv is None:
+                return g, i
+            g = _compose(inv, g)
+        return g, len(levels)
 
-    def _pool(self, level: int) -> list[Permutation]:
-        return [g for g in self.sgs if self._fix_level(g) >= level]
+    def _add_strong(self, g: tuple[int, ...], level: int) -> None:
+        """Add a residue that fixes base[0..level-1] and moves base[level].
 
-    def _rebuild_orbit(self, level: int) -> list[Permutation]:
-        pool = self._pool(level)
-        self.transversals[level] = _transversal(self.base[level], pool, self.degree)
-        return pool
+        At ``level == len(base)`` the residue fixes the whole base, and its
+        first moved point becomes a new base point.
+        """
+        if level == len(self.levels):
+            moved = next(i for i, j in enumerate(g) if i != j)
+            self.levels.append(_Transversal(moved, self.degree))
+        for t in self.levels[: level + 1]:
+            t.add_generator(g)
 
-    def _sift_from(self, g: Permutation, start: int) -> Permutation:
-        for i in range(start, len(self.base)):
-            target = g(self.base[i])
-            rep = self.transversals[i].get(target)
-            if rep is None:
-                return g
-            g = rep.inverse() * g
-        return g
-
-    def _register(self, g: Permutation) -> int:
-        """Add a strong generator, extending the base if nothing moves it."""
-        if all(g(b) == b for b in self.base):
-            moved = next(i for i in range(self.degree) if g(i) != i)
-            self.base.append(moved)
-            self.transversals.append({})
-        self.sgs.append(g)
-        return self._fix_level(g)
-
-    def _process(self, start_level: int) -> None:
-        """Verify Schreier generators from start_level back up to level 0."""
-        i = start_level
+    def extend(self, g: tuple[int, ...]) -> bool:
+        """Add g to the group; return whether the group grew."""
+        residue, level = self._sift(g, 0)
+        if residue == self.identity:
+            return False
+        self._add_strong(residue, level)
+        i = level
         while i >= 0:
-            if i >= len(self.base):
-                i = len(self.base) - 1
-                continue
-            pool = self._rebuild_orbit(i)
-            trans = self.transversals[i]
-            dirty = False
-            for p in sorted(trans):
-                rep = trans[p]
-                for g in pool:
-                    schreier = trans[g(p)].inverse() * (g * rep)
-                    residue = self._sift_from(schreier, i + 1)
-                    if not residue.is_identity():
-                        i = self._register(residue)
-                        dirty = True
-                        break
-                if dirty:
+            for schreier in self.levels[i].schreier_generators():
+                residue, level = self._sift(schreier, i + 1)
+                if residue != self.identity:
+                    self._add_strong(residue, level)
+                    i = level
                     break
-            if not dirty:
+            else:
                 i -= 1
+        return True
 
-    def extend(self, gen: Permutation) -> None:
-        if gen.is_identity():
-            return
-        residue = self._sift_from(gen, 0)
-        if residue.is_identity():
-            return
-        level = self._register(residue)
-        self._process(level)
-
-    def contains(self, g: Permutation) -> bool:
-        return self._sift_from(g, 0).is_identity()
+    def contains(self, g: tuple[int, ...]) -> bool:
+        return self._sift(g, 0)[0] == self.identity
 
 
 class PermutationGroup:
@@ -247,7 +281,7 @@ class PermutationGroup:
         if self._chain is None:
             chain = _StabilizerChain(self.degree)
             for g in self.generators:
-                chain.extend(g)
+                chain.extend(g.images)
             self._chain = chain
         return self._chain
 
@@ -258,7 +292,7 @@ class PermutationGroup:
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             return False
-        return self.chain().contains(g)
+        return self.chain().contains(g.images)
 
     def elements(self, element_limit: int = DEFAULT_ELEMENT_LIMIT) -> list[Permutation]:
         """All group elements by deterministic BFS over the generators.
@@ -328,19 +362,18 @@ def point_stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:
     """
     if not 0 <= point < group.degree:
         raise InputError(f"point {point} out of range for degree {group.degree}")
-    transversal = _transversal(point, group.generators, group.degree)
+    transversal = _Transversal(point, group.degree)
+    for g in group.generators:
+        transversal.add_generator(g.images)
     gens: list[Permutation] = []
     seen = set()
     probe = _StabilizerChain(group.degree)
-    for p, rep in transversal.items():
-        for g in group.generators:
-            schreier = transversal[g(p)].inverse() * (g * rep)
-            if schreier.is_identity() or schreier.images in seen:
-                continue
-            seen.add(schreier.images)
-            if not probe.contains(schreier):
-                probe.extend(schreier)
-                gens.append(schreier)
+    for schreier in transversal.schreier_generators():
+        if schreier in seen:
+            continue
+        seen.add(schreier)
+        if probe.extend(schreier):
+            gens.append(Permutation._unchecked(schreier))
     return PermutationGroup(group.degree, gens)
 
 

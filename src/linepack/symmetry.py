@@ -275,12 +275,12 @@ def gram_symmetry_group(
     if colors is None:
         colors = color_matrix_from_gram(gram, tol)
     gens, order = colored_graph_automorphisms(colors, node_cap)
-    scale = max(1.0, float(np.abs(gram.entries).max()))
+    entries = gram.entries
+    scale = max(1.0, float(np.abs(entries).max()))
     for g in gens:
-        p = np.zeros((gram.n, gram.n))
-        for y in range(gram.n):
-            p[g(y), y] = 1.0
-        if np.abs(p @ gram.entries - gram.entries @ p).max() > 10 * tol * scale:
+        # with P[g(y), y] = 1, (P G - G P)[g(x), y] = G[x, y] - G[g(x), g(y)]
+        idx = np.asarray(g.images)
+        if np.abs(entries[np.ix_(idx, idx)] - entries).max() > 10 * tol * scale:
             raise NumericError("automorphism search returned a non-commuting generator")
     group = PermutationGroup(gram.n, gens)
     if group.order != order:

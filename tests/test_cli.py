@@ -211,6 +211,26 @@ def test_symmetry_ambiguity_exit_code(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("drop_generator,extra", [(False, 1), (True, 0)], ids=["overcount", "undercount"])
+def test_symmetry_order_disagreement_exit_code(capsys, tmp_path, monkeypatch, drop_generator, extra):
+    import linepack.symmetry as symmetry
+
+    search = symmetry.colored_graph_automorphisms
+
+    def miscounted(colors, node_cap):
+        gens, order = search(colors, node_cap)
+        return (gens[:-1] if drop_generator else gens), order + extra
+
+    monkeypatch.setattr(symmetry, "colored_graph_automorphisms", miscounted)
+    gram_path = tmp_path / "gram.json"
+    gram_path.write_text(json.dumps(GramMatrix.from_entries(np.eye(4)).to_json_dict()))
+    code = main(["symmetry", str(gram_path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "search order bookkeeping disagrees with the stabilizer chain" in captured.err
+
+
 def test_symmetry_assume_colors(capsys, tmp_path):
     # a supplied coloring overrides value clustering entirely
     gram_path = tmp_path / "gram.json"

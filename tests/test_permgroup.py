@@ -1,10 +1,19 @@
-import pytest
+import math
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.combinatorics import Permutation as SympyPermutation
+from sympy.combinatorics import PermutationGroup as SympyGroup
+
+from linepack import fixtures
 from linepack.errors import InputError, ResourceError
 from linepack.permgroup import (
     GroupAction,
     Permutation,
     PermutationGroup,
+    _StabilizerChain,
     group_order,
     induced_pair_action,
     is_transitive,
@@ -110,6 +119,18 @@ def test_point_stabilizer_examples():
     assert group_order(st) == 1
 
 
+def test_point_stabilizer_generators_are_reproducible():
+    # the Schreier generators kept, and their order, follow the
+    # breadth-first transversal and the generator order exactly
+    s4 = PermutationGroup.from_cycles(4, ["(0 1 2 3)", "(0 1)"])
+    assert [g.cycle_string() for g in point_stabilizer(s4, 0).generators] == ["(1 3 2)", "(2 3)"]
+    m11 = fixtures.m11_action().group
+    assert [g.cycle_string() for g in point_stabilizer(m11, 5).generators] == [
+        "(0 2 6 3 9 8 7 11 4 1 10)",
+        "(0 3 6 9 4)(2 8 11 10 7)",
+    ]
+
+
 @pytest.mark.parametrize("group", [S3, Z4, PermutationGroup.from_cycles(6, ["(0 1 2 3 4 5)", "(1 5)(2 4)"])])
 def test_orbit_stabilizer_invariant(group):
     for x in range(group.degree):
@@ -190,3 +211,112 @@ def test_element_enumeration_deterministic():
     elems2 = PermutationGroup.from_cycles(3, ["(0 1 2)", "(0 1)"]).elements()
     assert [p.images for p in elems1] == [p.images for p in elems2]
     assert elems1[0].is_identity()
+
+
+# --- the stabilizer chain against sympy.combinatorics as an oracle -----------
+
+
+def symmetric_group(n):
+    return PermutationGroup.from_cycles(n, ["(" + " ".join(map(str, range(n))) + ")", "(0 1)"])
+
+
+def alternating_group(n):
+    return PermutationGroup.from_cycles(n, [f"(0 1 {k})" for k in range(2, n)])
+
+
+def wreath_z2_z4():
+    """Z_2 wr Z_4 on 8 points: a swap inside block {0, 1}, and the blocks rotated."""
+    return PermutationGroup.from_cycles(8, ["(0 1)", "(0 2 4 6)(1 3 5 7)"])
+
+
+def oracle(group):
+    return SympyGroup([SympyPermutation(list(g.images)) for g in group.generators])
+
+
+ORACLE_GROUPS = {
+    "m11": lambda: fixtures.m11_action().group,
+    "sl2_f8": lambda: fixtures.sl2_f8_action().group,
+    "agl_lines": lambda: fixtures.agl_line_action().group,
+    "m11_pairs": lambda: induced_pair_action(fixtures.m11_action()).group,
+    "sl2_f8_pairs": lambda: induced_pair_action(fixtures.sl2_f8_action()).group,
+    "agl_lines_pairs": lambda: induced_pair_action(fixtures.agl_line_action()).group,
+    "z2_wr_z4": wreath_z2_z4,
+    **{f"S{n}": (lambda n=n: symmetric_group(n)) for n in range(2, 10)},
+    **{f"A{n}": (lambda n=n: alternating_group(n)) for n in range(3, 10)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_chain_order_matches_sympy(name):
+    group = ORACLE_GROUPS[name]()
+    assert group_order(group) == oracle(group).order()
+
+
+def test_oracle_orders_are_the_known_ones():
+    assert group_order(ORACLE_GROUPS["m11"]()) == 7920
+    assert group_order(ORACLE_GROUPS["sl2_f8"]()) == 504
+    assert group_order(ORACLE_GROUPS["agl_lines"]()) == 1344
+    assert group_order(wreath_z2_z4()) == 2**4 * 4
+    assert group_order(symmetric_group(9)) == math.factorial(9)
+    assert group_order(alternating_group(9)) == math.factorial(9) // 2
+
+
+@st.composite
+def generator_sets(draw):
+    n = draw(st.integers(2, 8))
+    perm = st.permutations(list(range(n)))
+    return n, draw(st.lists(perm, max_size=3)), draw(perm)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(generator_sets())
+def test_chain_matches_sympy_on_random_generators(case):
+    n, gens, probe = case
+    group = PermutationGroup(n, [Permutation(tuple(g)) for g in gens])
+    sym = SympyGroup([SympyPermutation(g) for g in gens] or [SympyPermutation(list(range(n)))])
+    assert group_order(group) == sym.order()
+    assert group.contains(Permutation(tuple(probe))) == sym.contains(SympyPermutation(probe))
+    assert len(orbit(group, 0)) * group_order(point_stabilizer(group, 0)) == group_order(group)
+
+
+def random_word(group, rng, length=30):
+    g = group.identity()
+    for _ in range(length):
+        g = rng.choice(group.generators) * g
+    return g
+
+
+@pytest.mark.parametrize("name", ["m11", "sl2_f8", "agl_lines", "sl2_f8_pairs", "z2_wr_z4", "A7", "A8"])
+def test_chain_membership_matches_sympy(name):
+    group = ORACLE_GROUPS[name]()
+    sym = oracle(group)
+    rng = random.Random(name)
+    for _ in range(20):
+        assert group.contains(random_word(group, rng))
+    rejected = 0
+    for _ in range(40):
+        images = list(range(group.degree))
+        rng.shuffle(images)
+        g = Permutation(tuple(images))
+        member = sym.contains(SympyPermutation(images))
+        assert group.contains(g) == member
+        rejected += not member
+    assert rejected > 0
+
+
+def test_chain_sifts_each_schreier_pair_at_most_once(monkeypatch):
+    calls = []
+    sift = _StabilizerChain._sift
+
+    def counting_sift(self, g, start):
+        calls.append(start)
+        return sift(self, g, start)
+
+    monkeypatch.setattr(_StabilizerChain, "_sift", counting_sift)
+    group = symmetric_group(12)
+    chain = group.chain()
+    assert chain.order() == math.factorial(12)
+    pairs = sum(len(level.orbit) * len(level.gens) for level in chain.levels)
+    assert len(calls) <= pairs + len(group.generators)
+    # one sift from level 0 per input generator; the rest are Schreier pairs
+    assert calls.count(0) == len(group.generators)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from linepack import symmetry
 from linepack.errors import InputError, NumericError
 from linepack.frames import GramMatrix, harmonic_gram
 from linepack.idempotents import central_primitive_idempotents, projection_from_subset
@@ -16,6 +17,7 @@ from linepack.permgroup import (
 )
 from linepack.scheme import scheme_from_action
 from linepack.symmetry import (
+    ColoredDigraph,
     color_matrix_from_gram,
     find_gram_isomorphism,
     gram_symmetry_group,
@@ -88,6 +90,52 @@ def test_symmetry_group_soundness():
         for y in range(5):
             p[g(y), y] = 1.0
         assert np.abs(p @ gram.entries - gram.entries @ p).max() < 1e-6
+
+
+def test_non_commuting_generator_raises(monkeypatch):
+    gram = GramMatrix.from_entries(np.diag([1.0, 2.0, 3.0]))
+    swap = parse_cycles("(0 1)", 3)
+    monkeypatch.setattr(symmetry, "colored_graph_automorphisms", lambda colors, node_cap: ([swap], 2))
+    with pytest.raises(NumericError, match="non-commuting generator"):
+        gram_symmetry_group(gram)
+
+
+@pytest.mark.parametrize("defect,raises", [(0.5e-6, False), (2e-6, True)])
+def test_commute_check_bound_is_ten_tol(defect, raises):
+    # swapping points 0 and 1 moves the diagonal by `defect`; the bound is 10 * tol * scale
+    entries = np.array([[1.0, 0.5], [0.5, 1.0 + defect]])
+    colors = ColoredDigraph(2, np.array([[0, 1], [1, 0]]))
+    gram = GramMatrix.from_entries(entries)
+    if raises:
+        with pytest.raises(NumericError, match="non-commuting generator"):
+            gram_symmetry_group(gram, tol=1e-7, colors=colors)
+    else:
+        assert gram_symmetry_group(gram, tol=1e-7, colors=colors).order == 2
+
+
+def true_simplex_symmetries(n):
+    simplex = GramMatrix.from_entries(np.eye(n) - np.full((n, n), 1 / n))
+    gens, order = symmetry.colored_graph_automorphisms(color_matrix_from_gram(simplex))
+    return simplex, gens, order
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda gens, order: (gens, order + 1), id="order-overcount"),
+        pytest.param(lambda gens, order: (gens[:-1], order), id="lost-generator"),
+        pytest.param(lambda gens, order: (gens, order // 2), id="order-undercount"),
+    ],
+)
+def test_order_cross_check_catches_bookkeeping_errors(monkeypatch, corrupt):
+    simplex, gens, order = true_simplex_symmetries(5)
+    bad_gens, bad_order = corrupt(gens, order)
+    assert PermutationGroup(5, bad_gens).order != bad_order
+    monkeypatch.setattr(
+        symmetry, "colored_graph_automorphisms", lambda colors, node_cap: (bad_gens, bad_order)
+    )
+    with pytest.raises(NumericError, match="search order bookkeeping disagrees"):
+        gram_symmetry_group(simplex)
 
 
 def test_scheme_action_contained_in_symmetry_group():
