@@ -151,6 +151,32 @@ def _iter_subsets(indices: list[int], max_size: Optional[int]):
         yield from itertools.combinations(indices, r)
 
 
+def scan_row(subset, rank: int, gram: GramMatrix, reduce: bool, tol: float) -> dict:
+    """The `scan-etf` row of one subset's projection Gram, reduced when asked."""
+    entry = {"subset": list(subset), "rank": rank, "n": gram.n, "reduced": False}
+    if reduce:
+        gram, class_map = projective_reduce(gram, tol=max(tol, 1e-9) * 10)
+        entry["reduced"] = True
+        entry["n"] = gram.n
+        entry["class_size"] = len(class_map) // gram.n if gram.n else 0
+    if gram.n >= 2 and rank >= 1:
+        report = packing_report(gram, tol=tol)
+        entry.update(
+            {
+                "coherence": report.coherence,
+                "welch": report.welch,
+                "is_etf": report.is_etf,
+                "welch_met": report.welch_met,
+                "orthoplex_met": report.orthoplex_met,
+                "levenstein_met": report.levenstein_met,
+                "field": report.field,
+            }
+        )
+    else:
+        entry.update({"coherence": 0.0, "is_etf": True, "welch_met": True, "field": "real"})
+    return entry
+
+
 def cmd_scan_etf(cfg: JobConfig, reduce: bool = True) -> dict:
     group = _load_group(cfg.group_path)
     action = _build_action(group, cfg.action, cfg.element_limit)
@@ -166,32 +192,16 @@ def cmd_scan_etf(cfg: JobConfig, reduce: bool = True) -> dict:
             f"{n_subsets} subsets of {len(pool)} projections exceed the "
             f"2^{MAX_SUBSET_BITS} subset cap"
         )
-    rows = []
-    for subset in _iter_subsets(pool, cfg.max_subset_size):
-        gram = projection_from_subset(dec, subset)
-        rank = sum(dec.ranks[j] for j in subset)
-        entry = {"subset": list(subset), "rank": rank, "n": gram.n, "reduced": False}
-        if reduce:
-            gram, class_map = projective_reduce(gram, tol=max(cfg.tol, 1e-9) * 10)
-            entry["reduced"] = True
-            entry["n"] = gram.n
-            entry["class_size"] = len(class_map) // gram.n if gram.n else 0
-        if gram.n >= 2 and rank >= 1:
-            report = packing_report(gram, tol=cfg.tol)
-            entry.update(
-                {
-                    "coherence": report.coherence,
-                    "welch": report.welch,
-                    "is_etf": report.is_etf,
-                    "welch_met": report.welch_met,
-                    "orthoplex_met": report.orthoplex_met,
-                    "levenstein_met": report.levenstein_met,
-                    "field": report.field,
-                }
-            )
-        else:
-            entry.update({"coherence": 0.0, "is_etf": True, "welch_met": True, "field": "real"})
-        rows.append(entry)
+    rows = [
+        scan_row(
+            subset,
+            sum(dec.ranks[j] for j in subset),
+            projection_from_subset(dec, subset),
+            reduce,
+            cfg.tol,
+        )
+        for subset in _iter_subsets(pool, cfg.max_subset_size)
+    ]
     # coherences within tol of each other tie, so rows that are equal in
     # exact arithmetic are ordered by subset and not by rounding noise
     level = np.zeros(len(rows), dtype=np.int64)

@@ -1,8 +1,12 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the one array size limit.
 
 The CLI maps these onto stable exit codes: InputError -> 2,
 NumericError -> 3, ResourceError -> 4.
 """
+
+# Largest array, in entries, that a computation may allocate before it is
+# refused with ResourceError: 2^27 int64 values, 1 GiB.
+MAX_ARRAY_ENTRIES = 2**27
 
 
 class LinepackError(Exception):

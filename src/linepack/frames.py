@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from dataclasses import field as dataclass_field
+from functools import cached_property
 from math import sqrt
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -25,32 +27,88 @@ from .errors import InputError, NumericError, ResourceError
 
 HERMITIAN_TOL = 1e-12
 RANK_TOL = 1e-8  # eigenvalues above RANK_TOL * spectral radius count toward the rank
+_EPS = float(np.finfo(np.float64).eps)
 
 
-@dataclass
+@dataclass(frozen=True)
+class OrbitalForm:
+    """Entries of a Gram matrix that is constant on the orbitals of a scheme.
+
+    Entry (a, b) is x[orbital_of[a, b]].  A whole form labels X x X with
+    the orbitals of a transitive scheme (`SchurianScheme.orbital_of`), so
+    row 0 meets every label and one pair (0, v) of orbital i stands for all
+    of it; `columns[i]` is the first such v.  A form that
+    `projective_reduce` cut down to class representatives keeps their rows
+    and columns of the whole form's labels, has no `columns`, and carries
+    `certificate` = (c, bound): max |G^2 - c G| <= bound, inherited from
+    the whole form, which measures its own (`_square_certificate`).
+    """
+
+    orbital_of: np.ndarray
+    x: np.ndarray
+    columns: Optional[np.ndarray] = None
+    certificate: Optional[tuple[float, float]] = None
+
+
 class GramMatrix:
     """Hermitian PSD matrix of pairwise inner products.
 
     `exactness` records how the entries were produced: plain floating
     point, exact rationals, or rational multiples of roots of unity.  When
     exact entries are available, `exact_entries` holds hashable per-entry
-    tokens (used for exact value-coloring in the symmetry module).
+    tokens (used for exact value-coloring in the symmetry module).  A Gram
+    made by `from_orbitals` holds its `orbital` form and forms the dense
+    `entries` only when they are read.
     """
 
-    n: int
-    entries: np.ndarray
-    exactness: str = "float"
-    # nested sequence of hashable per-entry tokens, same shape as entries
-    exact_entries: Optional[Sequence[Sequence]] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.complex128)
-        if self.entries.shape != (self.n, self.n):
-            raise InputError(f"entries shape {self.entries.shape} does not match n={self.n}")
-        if np.abs(self.entries - self.entries.conj().T).max() > HERMITIAN_TOL:
+    def __init__(self, n: int, entries, exactness: str = "float", exact_entries=None):
+        self.n = n
+        self._entries = np.asarray(entries, dtype=np.complex128)
+        if self._entries.shape != (self.n, self.n):
+            raise InputError(f"entries shape {self._entries.shape} does not match n={self.n}")
+        if np.abs(self._entries - self._entries.conj().T).max() > HERMITIAN_TOL:
             raise InputError("Gram matrix is not Hermitian within 1e-12")
-        if self.exactness not in ("float", "rational", "root_of_unity"):
-            raise InputError(f"unknown exactness {self.exactness!r}")
+        if exactness not in ("float", "rational", "root_of_unity"):
+            raise InputError(f"unknown exactness {exactness!r}")
+        self.exactness = exactness
+        # nested sequence of hashable per-entry tokens, same shape as entries
+        self.exact_entries: Optional[Sequence[Sequence]] = exact_entries
+        self.orbital: Optional[OrbitalForm] = None
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            self._entries = self.orbital.x[self.orbital.orbital_of]
+        return self._entries
+
+    @staticmethod
+    def _of_form(form: OrbitalForm) -> "GramMatrix":
+        gram = GramMatrix.__new__(GramMatrix)
+        gram.n = len(form.orbital_of)
+        gram._entries = None
+        gram.exactness = "float"
+        gram.exact_entries = None
+        gram.orbital = form
+        return gram
+
+    @staticmethod
+    def from_orbitals(orbital_of: np.ndarray, x) -> "GramMatrix":
+        """The Gram x[orbital_of] of a whole orbital form, held without dense entries.
+
+        orbital_of must be a transitive scheme's orbital matrix with labels
+        0..len(x)-1; Hermitian symmetry is checked on the coefficients,
+        pairing orbital i with the orbital of (v, 0) for (0, v) in orbital i.
+        """
+        orbital_of = np.asarray(orbital_of)
+        x = np.asarray(x, dtype=np.complex128)
+        if orbital_of.ndim != 2 or orbital_of.shape[0] != orbital_of.shape[1]:
+            raise InputError(f"orbital matrix shape {orbital_of.shape} is not square")
+        labels, cols = np.unique(orbital_of[0], return_index=True)
+        if not np.array_equal(labels, np.arange(len(x))):
+            raise InputError("a whole orbital form needs every label 0..c-1 in row 0")
+        if np.abs(x - np.conj(x[orbital_of[cols, 0]])).max() > HERMITIAN_TOL:
+            raise InputError("Gram matrix is not Hermitian within 1e-12")
+        return GramMatrix._of_form(OrbitalForm(orbital_of, x, columns=cols))
 
     @staticmethod
     def from_entries(entries, exactness: str = "float", exact_entries=None) -> "GramMatrix":
@@ -256,9 +314,16 @@ def projective_reduce(gram: GramMatrix, tol: float = 1e-7) -> tuple[GramMatrix, 
     unimodular within tol.  The greedy pass over the
     representatives then compares whole columns, G[:, y] = alpha G[:, x],
     only for the pairs that passed.
+    A Gram with a whole orbital form is reduced per orbital instead
+    (`_reduce_orbitals`), and falls back to this dense path when a test
+    lands within 10x of its tolerance.
     Returns the reduced Gram and the map point -> representative index.
     Unequal class sizes break the group-frame pattern and raise a warning.
     """
+    if gram.orbital is not None and gram.orbital.columns is not None:
+        reduced = _reduce_orbitals(gram.orbital, tol)
+        if reduced is not None:
+            return reduced
     entries = gram.entries
     n = gram.n
     moduli = np.abs(entries)
@@ -297,6 +362,96 @@ def projective_reduce(gram: GramMatrix, tol: float = 1e-7) -> tuple[GramMatrix, 
         warnings.warn("projective reduction classes have unequal sizes", stacklevel=2)
     sub = entries[np.ix_(reps, reps)]
     return GramMatrix.from_entries(sub), class_map.tolist()
+
+
+def _decisive(values: np.ndarray, threshold: float) -> Optional[np.ndarray]:
+    """values <= threshold, or None when one of them lies within 10x of threshold."""
+    passed = values <= threshold / 10
+    if np.any(~passed & (values <= threshold * 10)):
+        return None
+    return passed
+
+
+def _square_certificate(form: OrbitalForm) -> tuple[float, float]:
+    """(c, bound) with max |G^2 - c G| <= bound, for a whole orbital form.
+
+    Group invariance lets row 0 of G^2 stand for all of it: (G^2)[0, v]
+    for one column v per orbital is a length-n dot product, O(n c) in all,
+    and c = (G^2)[0, 0] / G[0, 0].  A dot product's rounding is at most
+    about n eps sum_z |G[0, z] G[z, v]| <= n eps (G^2)[0, 0]
+    (Cauchy-Schwarz), which the bound adds four times over.
+    """
+    of, x = form.orbital_of, form.x
+    sq = x[of[0]] @ x[of[:, form.columns]]
+    diag = of[0, 0]
+    norm = float(sq[diag].real)
+    c = norm / float(x[diag].real)
+    return c, float(np.abs(sq - c * x).max()) + 4 * len(of) * _EPS * norm
+
+
+def _reduce_orbitals(form: OrbitalForm, tol: float) -> Optional[tuple[GramMatrix, list[int]]]:
+    """`projective_reduce`'s tests run once per orbital of a whole form.
+
+    Group invariance lets the pair (0, v_i), v_i the first column of
+    orbital i in row 0, decide every pair of orbital i, so the anchor,
+    modulus, phase and column-residual tests cost O(n) per orbital.  The
+    classes are the blocks of the collapsed orbitals: class_map[y] is the
+    first x with orbital_of[x, y] collapsed, the lowest-index member.
+    Returns None, leaving the decision to the dense path, when a test lands
+    within 10x of its tolerance or the collapsed orbitals do not form an
+    equivalence with equal classes.
+
+    The reduced form inherits the whole form's certificate G^2 = c G: an
+    exact collapse into classes of k points gives k G_red^2 = c G_red, and
+    with columns y = alpha x + e, ||alpha| - 1| <= phase and |e| <= resid,
+    an inexact one adds at most n ((2 phase + phase^2) x_0^2
+    + 2 (1 + phase) resid x_0 + resid^2) to each entry of G^2.
+    """
+    of, x = form.orbital_of, form.x
+    n = len(of)
+    moduli = np.abs(x)
+    scale = max(1.0, float(moduli.max()))
+    diag = of[0, 0]
+    anchor = int(np.argmax(moduli[of[:, 0]]))
+    anchor_mod = moduli[of[anchor, 0]]
+    if not anchor_mod > 10 * tol * scale:
+        return None
+    labels = np.delete(np.arange(len(x)), diag)
+    v = form.columns[labels]
+    close = _decisive(np.abs(anchor_mod - moduli[of[anchor, v]]), tol * scale)
+    if close is None:
+        return None
+    labels, v = labels[close], v[close]
+    alpha = x[of[anchor, v]] / x[of[anchor, 0]]
+    phase = np.abs(np.abs(alpha) - 1.0)
+    unimodular = _decisive(phase, tol)
+    if unimodular is None:
+        return None
+    labels, v = labels[unimodular], v[unimodular]
+    alpha, phase = alpha[unimodular], phase[unimodular]
+    resid = np.abs(x[of[:, v]] - alpha * x[of[:, 0, None]]).max(axis=0)
+    parallel = _decisive(resid, tol * scale)
+    if parallel is None:
+        return None
+    if not parallel.any():
+        return GramMatrix._of_form(form), list(range(n))
+    collapsed = np.zeros(len(x), dtype=bool)
+    collapsed[diag] = True
+    collapsed[labels[parallel]] = True
+    same = collapsed[of]
+    class_map = np.argmax(same, axis=0)
+    if not np.array_equal(same, class_map[:, None] == class_map):
+        return None
+    reps = np.flatnonzero(class_map == np.arange(n))
+    k = n // reps.size
+    if np.any(np.bincount(class_map)[reps] != k):
+        return None
+    c, bound = _square_certificate(form)
+    phase, resid = float(phase[parallel].max()), float(resid[parallel].max())
+    x0 = float(x[diag].real)
+    dropped = n * ((2 * phase + phase**2) * x0**2 + 2 * (1 + phase) * resid * x0 + resid**2)
+    reduced = OrbitalForm(of[np.ix_(reps, reps)], x, certificate=(c / k, (bound + dropped) / k))
+    return GramMatrix._of_form(reduced), class_map.tolist()
 
 
 def _dual_value(moduli: Sequence[int], alpha: Sequence[int], g: Sequence[int]) -> complex:
@@ -444,7 +599,8 @@ def gap_clusters(values: np.ndarray, threshold: float) -> list[np.ndarray]:
     moduli and coherence levels all go through it.
     """
     order = np.argsort(values)
-    return np.split(order, np.nonzero(np.diff(values[order]) > threshold)[0] + 1)
+    cuts = [0, *(np.flatnonzero(np.diff(values[order]) > threshold) + 1).tolist(), len(order)]
+    return [order[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 def distinct_moduli(gram: GramMatrix, gap: float = 1e-7) -> list[float]:
@@ -458,7 +614,11 @@ def distinct_moduli(gram: GramMatrix, gap: float = 1e-7) -> list[float]:
 
 @dataclass
 class PackingReport:
-    """Coherence of a packing measured against the standard lower bounds."""
+    """Coherence of a packing measured against the standard lower bounds.
+
+    The distinct off-diagonal moduli are formed when first read; the scan
+    reads none.
+    """
 
     n: int
     d: int
@@ -472,7 +632,11 @@ class PackingReport:
     is_etf: bool
     is_tight: bool
     field: str
-    distinct_offdiag_moduli: list[float]
+    moduli: Callable[[], list[float]] = dataclass_field(repr=False, compare=False)
+
+    @cached_property
+    def distinct_offdiag_moduli(self) -> list[float]:
+        return self.moduli()
 
     def to_json_dict(self) -> dict:
         return {
@@ -492,6 +656,67 @@ class PackingReport:
         }
 
 
+def _orbital_facts(gram: GramMatrix, tol: float) -> Optional[tuple]:
+    """(d, etf, real, coherence, moduli) of an orbital-form Gram, or None.
+
+    Coherence, realness, the equal-modulus test and moduli(), the distinct
+    off-diagonal moduli, read the labels that occur in the matrix, each
+    counted as often as it occurs, so they are the dense values bit for
+    bit: the same numbers pass through the same float operations.
+    Tightness and d come from the form's certificate max |G^2 - c G| <=
+    bound.  The dense test's residual r, with its own c' = tr G^2 / tr G
+    and the rounding of G @ G, is at most 2 (bound + 4 n eps c x_0).  Every
+    eigenvalue of G then lies within about n r / c of 0 or of c, so when
+    that is below RANK_TOL c, the dense path's d, from `_trace_rank` or
+    `gram_rank`, is tr G / c rounded.  Returns None, for the dense path,
+    unless r clears the tightness threshold and n r / c clears RANK_TOL c
+    by 10x, and tr G / c lies within 0.05 of an integer.
+    """
+    form = gram.orbital
+    of, x = form.orbital_of, form.x
+    n = gram.n
+    diag = of[0, 0]
+    if np.any(np.diagonal(of) != diag):
+        return None
+    if form.columns is not None:
+        counts = n * np.bincount(of[0], minlength=len(x))
+        c, bound = _square_certificate(form)
+    else:
+        counts = np.bincount(of.ravel(), minlength=len(x))
+        c, bound = form.certificate
+    counts[diag] -= n
+    off = np.flatnonzero(counts)
+    absx = np.abs(x)
+    scale = max(1.0, float(absx[off].max(initial=absx[diag])))
+    x0 = float(x[diag].real)
+    if not (x0 > 0 and c > 0 and n * x0 > 10 * tol):
+        return None
+    residual = 2 * (bound + 4 * n * _EPS * c * x0)
+    if residual > tol * scale / 10 or n * residual / c > 0.1 * RANK_TOL * c:
+        return None
+    rank = n * x0 / c
+    if abs(rank - round(rank)) > 0.05:
+        return None
+    off_moduli = absx[off]
+    etf = off.size == 0 or bool(off_moduli.max() - off_moduli.min() <= tol * scale)
+    real = float(np.abs(x[np.append(off, diag)].imag).max()) <= 1e-10
+    if n < 2:
+        return round(rank), etf, real, 0.0, lambda: []
+    inv = 1.0 / np.sqrt(np.float64(x0))
+    coh = float((off_moduli * (inv * inv)).max())
+
+    def moduli() -> list[float]:
+        # each cluster's mean over its entries in ascending order, as
+        # `distinct_moduli` takes it
+        weights = counts[off]
+        return [
+            float(np.repeat(off_moduli[idx], weights[idx]).mean())
+            for idx in gap_clusters(off_moduli, 1e-7)
+        ]
+
+    return round(rank), etf, real, coh, moduli
+
+
 def packing_report(gram: GramMatrix, field: Optional[str] = None, tol: float = 1e-8) -> PackingReport:
     """Evaluate a Gram matrix as a line packing.
 
@@ -500,16 +725,29 @@ def packing_report(gram: GramMatrix, field: Optional[str] = None, tol: float = 1
     with a margin that certifies the rank, d is read off tr G / c, and
     only Grams without that certificate pay for the eigenvalues.
     Coherence is taken after unit normalization, and a bound counts as met
-    when coherence sits within tol of it.
+    when coherence sits within tol of it.  A Gram with an orbital form is
+    read in coefficient space (`_orbital_facts`) when its certificate
+    decides tightness with a 10x margin.
     """
     n = gram.n
-    c, residual, etf = _tightness(gram, tol)
-    d = _trace_rank(gram, c, residual)
-    if d is None:
-        d = gram_rank(gram)
+    facts = _orbital_facts(gram, tol) if gram.orbital is not None else None
+    if facts is not None:
+        d, etf, real, coh, moduli = facts
+        tight = True
+    else:
+        c, residual, etf = _tightness(gram, tol)
+        tight = c is not None
+        d = _trace_rank(gram, c, residual)
+        if d is None:
+            d = gram_rank(gram)
+        real = field is None and gram.is_real()
+        coh = coherence(gram) if n >= 2 else 0.0
+
+        def moduli() -> list[float]:
+            return distinct_moduli(gram)
+
     if field is None:
-        field = "real" if gram.is_real() else "complex"
-    coh = coherence(gram) if n >= 2 else 0.0
+        field = "real" if real else "complex"
     welch = welch_bound(n, d) if n >= 2 and d >= 1 else 0.0
     orthoplex, lev = secondary_bounds(n, d, field) if n >= 2 and d >= 1 else (None, None)
     return PackingReport(
@@ -523,7 +761,7 @@ def packing_report(gram: GramMatrix, field: Optional[str] = None, tol: float = 1
         levenstein_applicable=lev is not None,
         levenstein_met=bool(lev is not None and abs(coh - lev) <= tol),
         is_etf=etf,
-        is_tight=c is not None,
+        is_tight=tight,
         field=field,
-        distinct_offdiag_moduli=distinct_moduli(gram),
+        moduli=moduli,
     )

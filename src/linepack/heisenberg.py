@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericError, ResourceError
+from .errors import MAX_ARRAY_ENTRIES, InputError, NumericError, ResourceError
 from .frames import GramMatrix
 from .permgroup import GroupAction, Permutation, PermutationGroup
 
@@ -249,8 +249,8 @@ def parity_projectors(spec: AbelianGroupSpec) -> tuple[list[list[Fraction]], lis
 
 # --- exact cyclotomic arithmetic -------------------------------------------
 
-# Largest n * n * N term array an ExactGram may hold: 2^27 int64 values, 1 GiB.
-MAX_TERM_ENTRIES = 2**27
+# Largest n * n * N term array an ExactGram may hold.
+MAX_TERM_ENTRIES = MAX_ARRAY_ENTRIES
 
 
 @lru_cache(maxsize=None)

@@ -336,12 +336,13 @@ def projection_from_subset(dec: IsotypicDecomposition, subset) -> GramMatrix:
     """Orthogonal projection sum of the selected isotypic projections.
 
     The complement subset yields I minus the result (Naimark pairing).
+    The Gram is held in its orbital form: the coefficients, symmetrised as
+    x <- (x + conj(x[transpose_pairing])) / 2, over the scheme's orbitals.
     """
     indices = sorted(set(int(j) for j in subset))
     for j in indices:
         if not 0 <= j < dec.n_projections:
             raise InputError(f"projection index {j} out of range")
     coeffs = dec.coefficients[indices].sum(axis=0)
-    entries = coeffs[dec.scheme.orbital_of]
-    entries = (entries + entries.conj().T) / 2
-    return GramMatrix.from_entries(entries)
+    coeffs = (coeffs + np.conj(coeffs[list(dec.scheme.transpose_pairing)])) / 2
+    return GramMatrix.from_orbitals(dec.scheme.orbital_of, coeffs)

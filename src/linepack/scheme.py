@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError
+from .errors import MAX_ARRAY_ENTRIES, InputError, ResourceError
 from .permgroup import (
     DEFAULT_ELEMENT_LIMIT,
     GroupAction,
@@ -50,9 +50,15 @@ class SchurianScheme:
         they are determined by any single row.  Row 0 of every A_i A_j is
         one matrix product per j, in float64: the counts are at most n, so
         they are exact.  Raises if a product falls outside the integer span
-        (impossible for a true orbital partition).
+        (impossible for a true orbital partition), and refuses a c^3 tensor
+        past MAX_ARRAY_ENTRIES before allocating it.
         """
         c1 = self.n_orbitals
+        if c1**3 > MAX_ARRAY_ENTRIES:
+            raise ResourceError(
+                f"structure constants of {c1} orbitals need {c1**3} entries, "
+                f"above the limit of {MAX_ARRAY_ENTRIES}"
+            )
         row0 = self.orbital_of[0]
         onehot = (row0[:, None] == np.arange(c1)).astype(np.float64)  # [z, i] = A_i[0, z]
         present, first_col = np.unique(row0, return_index=True)

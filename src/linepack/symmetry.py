@@ -43,11 +43,19 @@ def _cluster_values(values: np.ndarray, tol: float) -> dict[complex, int]:
 
     Values within tol share a color; a pair separated by more than tol
     but less than 10*tol is ambiguous at this tolerance and raises.
+    |dz| <= tol implies |d re| <= tol, so with the distinct values sorted
+    by real part, each is compared only with the later values whose real
+    part lies within 10*tol of its own (a little more, against rounding);
+    that window holds every pair that the clustering or the audit reads.
     """
-    rounded = np.round(values, 9)
-    unique = np.unique(rounded)
-    pts = sorted((float(z.real), float(z.imag)) for z in unique)
-    parent = list(range(len(pts)))
+    unique = np.unique(np.round(values, 9))  # sorted by (real, imag)
+    u = unique.size
+    hi = np.searchsorted(unique.real, unique.real + 11 * tol, side="right")
+    width = hi - np.arange(u) - 1
+    first = np.repeat(np.arange(u), width)
+    second = first + np.arange(first.size) - np.repeat(np.cumsum(width) - width, width) + 1
+    dist = np.abs(unique[second] - unique[first])
+    parent = list(range(u))
 
     def find(i):
         while parent[i] != i:
@@ -55,37 +63,35 @@ def _cluster_values(values: np.ndarray, tol: float) -> dict[complex, int]:
             i = parent[i]
         return i
 
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            dist = abs(complex(*pts[i]) - complex(*pts[j]))
-            if dist <= tol:
-                parent[find(i)] = find(j)
-    roots = sorted({find(i) for i in range(len(pts))})
-    color_of_root = {r: c for c, r in enumerate(roots)}
-    colors = {complex(*pts[i]): color_of_root[find(i)] for i in range(len(pts))}
+    # the single-link unions in the order (i, then j) of the pairwise scan
+    for i, j in zip(first[dist <= tol].tolist(), second[dist <= tol].tolist()):
+        parent[find(i)] = find(j)
+    root = np.array([find(i) for i in range(u)], dtype=np.int64)
+    roots, color = np.unique(root, return_inverse=True)
     # audit: a color must not straddle more than tol (single-link chaining),
     # and distinct colors must sit at least 10*tol apart
-    reps: dict[int, list[complex]] = {}
-    for z, c in colors.items():
-        reps.setdefault(c, []).append(z)
-    for c, vals in reps.items():
-        diameter = max(abs(a - b) for a in vals for b in vals)
-        if diameter > tol:
-            raise NumericError(
-                f"chained value cluster has diameter {diameter:.3e} > tol {tol:.1e}"
-            )
-    for ci in roots:
-        for cj in roots:
-            if ci >= cj:
-                continue
-            dmin = min(
-                abs(a - b) for a in reps[color_of_root[ci]] for b in reps[color_of_root[cj]]
-            )
-            if dmin < 10 * tol:
-                raise NumericError(
-                    f"entry values {dmin:.3e} apart cannot be clustered at tol {tol:.1e}"
-                )
-    return colors
+    span = np.full(roots.size, np.inf)
+    np.minimum.at(span, color, unique.real)
+    span_hi = np.full(roots.size, -np.inf)
+    np.maximum.at(span_hi, color, unique.real)
+    wide = set(np.flatnonzero(span_hi - span > tol).tolist())
+    same = color[first] == color[second]
+    wide.update(color[first[same & (dist > tol)]].tolist())
+    if wide:
+        # report the color met first in sorted order, with its diameter
+        c = min(wide, key=lambda k: np.flatnonzero(color == k)[0])
+        vals = unique[color == c]
+        diameter = float(np.abs(vals[:, None] - vals[None, :]).max())
+        raise NumericError(f"chained value cluster has diameter {diameter:.3e} > tol {tol:.1e}")
+    near = ~same & (dist < 10 * tol)
+    if near.any():
+        # report the pair of colors with the least (root, root), with their distance
+        ends = np.sort(np.stack([root[first[near]], root[second[near]]]), axis=0)
+        pick = np.lexsort((ends[1], ends[0]))[0]
+        between = (ends[0] == ends[0, pick]) & (ends[1] == ends[1, pick])
+        dmin = float(dist[near][between].min())
+        raise NumericError(f"entry values {dmin:.3e} apart cannot be clustered at tol {tol:.1e}")
+    return {complex(z): int(k) for z, k in zip(unique, color)}
 
 
 def _colorize(entries: np.ndarray, lookup: dict[complex, int]) -> np.ndarray:

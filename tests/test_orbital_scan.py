@@ -1,0 +1,273 @@
+"""The scan's coefficient-space path against the dense path it stands in for.
+
+`projection_from_subset` returns a Gram held in its orbital form, and
+`projective_reduce` and `packing_report` read such a Gram per orbital.  The
+dense path, run on the same Gram stripped of its form, is the reference:
+class maps, reduced entries and scan rows must agree exactly.
+"""
+
+import itertools
+import warnings
+
+import numpy as np
+import pytest
+
+from linepack import fixtures, frames
+from linepack.cli import JobConfig, cmd_scan_etf, main, scan_row
+from linepack.errors import InputError, ResourceError
+from linepack.frames import GramMatrix, packing_report, projective_reduce
+from linepack.idempotents import central_primitive_idempotents, projection_from_subset
+from linepack.permgroup import induced_pair_action
+from linepack.scheme import SchurianScheme, scheme_from_action
+
+SCAN_TOL = 1e-8
+REDUCE_TOL = 1e-7  # the scan reduces at 10 * max(tol, 1e-9)
+
+
+def _shipped_schemes():
+    return {
+        "agl_natural": scheme_from_action(fixtures.agl_line_action()),
+        "sl2_f8_pairs": scheme_from_action(induced_pair_action(fixtures.sl2_f8_action())),
+        "m11_pairs": scheme_from_action(induced_pair_action(fixtures.m11_action())),
+    }
+
+
+@pytest.fixture(scope="module")
+def decompositions(fixture_schemes):
+    schemes = {**fixture_schemes, **_shipped_schemes()}
+    return {name: central_primitive_idempotents(sch) for name, sch in schemes.items()}
+
+
+def _subsets(r):
+    largest = 3 if r > 12 else r
+    for k in range(1, largest + 1):
+        yield from itertools.combinations(range(r), k)
+
+
+class _Fallbacks:
+    """Counts the subsets whose orbital-form Gram left coefficient space."""
+
+    def __init__(self, monkeypatch):
+        self.reduce = self.report = 0
+        reduce_orbitals, orbital_facts = frames._reduce_orbitals, frames._orbital_facts
+
+        def counted_reduce(*args):
+            out = reduce_orbitals(*args)
+            self.reduce += out is None
+            return out
+
+        def counted_facts(*args):
+            out = orbital_facts(*args)
+            self.report += out is None
+            return out
+
+        monkeypatch.setattr(frames, "_reduce_orbitals", counted_reduce)
+        monkeypatch.setattr(frames, "_orbital_facts", counted_facts)
+
+
+def _dense(gram):
+    return GramMatrix.from_entries(gram.entries)
+
+
+def test_projection_form_matches_the_dense_symmetrised_sum(decompositions):
+    for dec in decompositions.values():
+        for subset in itertools.islice(_subsets(dec.n_projections), 40):
+            gram = projection_from_subset(dec, subset)
+            entries = dec.coefficients[list(subset)].sum(axis=0)[dec.scheme.orbital_of]
+            entries = (entries + entries.conj().T) / 2
+            assert gram.entries.tobytes() == entries.tobytes()
+
+
+def test_coefficient_scan_matches_dense_scan(decompositions, monkeypatch):
+    fallbacks = _Fallbacks(monkeypatch)
+    scored = 0
+    for name, dec in decompositions.items():
+        for subset in _subsets(dec.n_projections):
+            rank = sum(dec.ranks[j] for j in subset)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                gram = projection_from_subset(dec, subset)
+                red, class_map = projective_reduce(gram, REDUCE_TOL)
+                report = packing_report(red, tol=SCAN_TOL) if red.n >= 2 else None
+                # scored without forming a dense matrix
+                assert gram._entries is None and red._entries is None
+                dense_red, dense_map = projective_reduce(_dense(gram), REDUCE_TOL)
+                assert class_map == dense_map, (name, subset)
+                assert red.entries.tobytes() == dense_red.entries.tobytes(), (name, subset)
+                if report is not None:
+                    dense_report = packing_report(dense_red, tol=SCAN_TOL)
+                    assert report.to_json_dict() == dense_report.to_json_dict(), (name, subset)
+                for reduce in (True, False):
+                    row = scan_row(subset, rank, gram, reduce, SCAN_TOL)
+                    assert row == scan_row(subset, rank, _dense(gram), reduce, SCAN_TOL), (
+                        name,
+                        subset,
+                        reduce,
+                    )
+            scored += 1
+    assert scored > 800
+    # every decision was clear of its tolerance, so none of them fell back
+    assert (fallbacks.reduce, fallbacks.report) == (0, 0)
+
+
+def test_z7_collapsed_phases_do_not_reach_the_field(decompositions):
+    # one character of Z_7: all seven lines coincide up to complex phases,
+    # and the one-point reduced Gram keeps only the real diagonal
+    dec = decompositions["z7_regular"]
+    for j in range(dec.n_projections):
+        gram = projection_from_subset(dec, [j])
+        red, class_map = projective_reduce(gram, REDUCE_TOL)
+        assert red.n == 1 and class_map == [0] * 7
+    complex_rows = 0
+    for subset in _subsets(dec.n_projections):
+        row = scan_row(subset, len(subset), projection_from_subset(dec, subset), True, SCAN_TOL)
+        dense = scan_row(
+            subset, len(subset), _dense(projection_from_subset(dec, subset)), True, SCAN_TOL
+        )
+        assert row == dense
+        complex_rows += row["field"] == "complex"
+    assert complex_rows > 0
+
+
+@pytest.mark.parametrize("offset", [0.5, 2.0])
+def test_orbital_modulus_near_tolerance_falls_back_and_matches(decompositions, monkeypatch, offset):
+    # a rank-one projection of Z_7: every orbital has modulus x_0; pull one
+    # orbital (and its transpose) offset * tol below it
+    dec = decompositions["z7_regular"]
+    gram = projection_from_subset(dec, [1])
+    x = gram.orbital.x.copy()
+    pairing = list(dec.scheme.transpose_pairing)
+    i = 1
+    x[i] *= 1 - offset * REDUCE_TOL / abs(x[i])
+    x[pairing[i]] = np.conj(x[i])
+    near = GramMatrix.from_orbitals(dec.scheme.orbital_of, x)
+    assert abs(abs(x[i]) - x[0].real) == pytest.approx(offset * REDUCE_TOL, rel=1e-6)
+    fallbacks = _Fallbacks(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        red, class_map = projective_reduce(near, REDUCE_TOL)
+        dense_red, dense_map = projective_reduce(_dense(near), REDUCE_TOL)
+        row = scan_row([1], 1, near, True, SCAN_TOL)
+        assert row == scan_row([1], 1, _dense(near), True, SCAN_TOL)
+    assert fallbacks.reduce == 2
+    assert class_map == dense_map
+    assert red.entries.tobytes() == dense_red.entries.tobytes()
+
+
+def test_report_falls_back_when_the_certificate_is_loose(decompositions, monkeypatch):
+    dec = decompositions["s4_pairs"]
+    gram = projection_from_subset(dec, [0, 1])
+    form = gram.orbital
+    loose = GramMatrix._of_form(
+        frames.OrbitalForm(form.orbital_of, form.x, certificate=(1.0, SCAN_TOL / 5))
+    )
+    fallbacks = _Fallbacks(monkeypatch)
+    report = packing_report(loose, tol=SCAN_TOL)
+    assert fallbacks.report == 1
+    assert report.to_json_dict() == packing_report(_dense(gram), tol=SCAN_TOL).to_json_dict()
+
+
+def test_orbital_form_that_is_no_projection_is_read_densely(decompositions, monkeypatch):
+    # identity plus one symmetric orbital: constant on orbitals, not tight
+    dec = decompositions["s4_pairs"]
+    pairing = dec.scheme.transpose_pairing
+    i = next(i for i in range(1, len(pairing)) if pairing[i] == i)
+    x = np.zeros(len(pairing), dtype=complex)
+    x[0], x[i] = 1.0, 0.25
+    gram = GramMatrix.from_orbitals(dec.scheme.orbital_of, x)
+    fallbacks = _Fallbacks(monkeypatch)
+    report = packing_report(gram, tol=SCAN_TOL)
+    assert fallbacks.report == 1 and not report.is_tight
+    assert report.to_json_dict() == packing_report(_dense(gram), tol=SCAN_TOL).to_json_dict()
+
+
+def test_square_certificate_bounds_the_dense_residual(decompositions):
+    dec = decompositions["s4_pairs"]
+    x = np.zeros(dec.scheme.n_orbitals, dtype=complex)
+    x[0], x[1:] = 1.0, 0.2
+    forms = [projection_from_subset(dec, s) for s in _subsets(dec.n_projections)]
+    forms.append(GramMatrix.from_orbitals(dec.scheme.orbital_of, x))
+    for gram in forms:
+        c, bound = frames._square_certificate(gram.orbital)
+        g = gram.entries
+        dense = float(np.abs(g @ g - c * g).max())
+        assert dense <= bound <= dense + 1e-12
+    assert bound > 0.1  # the last form is no scaled projection
+
+
+def test_equal_anchor_moduli_without_parallel_columns_stay_apart(decompositions, monkeypatch):
+    # a matching orbital i (valency 1, self-paired) gets modulus x_0, so the
+    # modulus and phase tests pass on it; the other orbitals get distinct
+    # values, so only the column residual keeps the matched points apart
+    scheme = decompositions["s4_pairs"].scheme
+    pairing = scheme.transpose_pairing
+    i = next(i for i in range(1, scheme.n_orbitals) if scheme.valencies[i] == 1 and pairing[i] == i)
+    x = np.array([0.1 * min(j, pairing[j]) for j in range(scheme.n_orbitals)], dtype=complex)
+    x[0] = x[i] = 1.0
+    gram = GramMatrix.from_orbitals(scheme.orbital_of, x)
+    fallbacks = _Fallbacks(monkeypatch)
+    red, class_map = projective_reduce(gram, REDUCE_TOL)
+    assert fallbacks.reduce == 0
+    assert class_map == projective_reduce(_dense(gram), REDUCE_TOL)[1] == list(range(gram.n))
+
+
+def test_from_orbitals_checks_its_form(decompositions):
+    dec = decompositions["s4_pairs"]
+    x = projection_from_subset(dec, [0]).orbital.x.copy()
+    asymmetric = next(i for i, j in enumerate(dec.scheme.transpose_pairing) if i != j)
+    x[asymmetric] += 1e-3
+    with pytest.raises(InputError):
+        GramMatrix.from_orbitals(dec.scheme.orbital_of, x)
+    with pytest.raises(InputError):
+        GramMatrix.from_orbitals(dec.scheme.orbital_of, np.append(x, 0.0))
+
+
+def _gerzon(row):
+    d, n = row["rank"], row["n"]
+    return n <= (d * d if row["field"] == "complex" else d * (d + 1) // 2)
+
+
+@pytest.mark.parametrize(
+    "group, action",
+    [
+        ("fixture:agl", "natural"),
+        ("fixture:sl2_f8", "natural"),
+        ("fixture:m11", "natural"),
+        ("fixture:sl2_f8", "pairs"),
+        ("fixture:m11", "pairs"),
+    ],
+)
+def test_scan_etf_rows_obey_the_gerzon_bound(group, action):
+    rows = cmd_scan_etf(JobConfig(group_path=group, action=action))["results"]
+    etfs = [row for row in rows if row["is_etf"]]
+    assert etfs
+    assert all(_gerzon(row) for row in etfs), [r for r in etfs if not _gerzon(r)]
+
+
+def test_fixture_scheme_etf_rows_obey_the_gerzon_bound(decompositions):
+    etfs = 0
+    for dec in decompositions.values():
+        for subset in _subsets(dec.n_projections):
+            rank = sum(dec.ranks[j] for j in subset)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                row = scan_row(subset, rank, projection_from_subset(dec, subset), True, SCAN_TOL)
+            if row["is_etf"]:
+                etfs += 1
+                assert _gerzon(row), row
+    assert etfs > 50
+
+
+def test_structure_constants_refuse_an_oversized_tensor():
+    c = 513  # c^3 just above 2^27
+    scheme = SchurianScheme(1, np.zeros((1, 1), dtype=np.int64), (1,) * c, tuple(range(c)))
+    with pytest.raises(ResourceError, match="structure constants of 513 orbitals"):
+        scheme.structure_constants
+
+
+def test_regular_agl_idempotents_exit_4_before_allocating(capsys):
+    assert main(["idempotents", "fixture:agl", "--action", "regular"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit")
+    assert "1344 orbitals" in err
+

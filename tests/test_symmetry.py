@@ -207,3 +207,92 @@ def test_regular_subgroup_check_examples():
     assert not regular_subgroup_check(natural, [parse_cycles("(0 1)", 3)])
     with pytest.raises(InputError):
         regular_subgroup_check(natural, [parse_cycles("(0 1 2 3)", 4)])
+
+
+def _reference_cluster_values(values, tol):
+    """The pairwise union-find `_cluster_values` replaced, kept verbatim as the oracle."""
+    rounded = np.round(values, 9)
+    unique = np.unique(rounded)
+    pts = sorted((float(z.real), float(z.imag)) for z in unique)
+    parent = list(range(len(pts)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            dist = abs(complex(*pts[i]) - complex(*pts[j]))
+            if dist <= tol:
+                parent[find(i)] = find(j)
+    roots = sorted({find(i) for i in range(len(pts))})
+    color_of_root = {r: c for c, r in enumerate(roots)}
+    colors = {complex(*pts[i]): color_of_root[find(i)] for i in range(len(pts))}
+    reps: dict[int, list[complex]] = {}
+    for z, c in colors.items():
+        reps.setdefault(c, []).append(z)
+    for c, vals in reps.items():
+        diameter = max(abs(a - b) for a in vals for b in vals)
+        if diameter > tol:
+            raise NumericError(
+                f"chained value cluster has diameter {diameter:.3e} > tol {tol:.1e}"
+            )
+    for ci in roots:
+        for cj in roots:
+            if ci >= cj:
+                continue
+            dmin = min(
+                abs(a - b) for a in reps[color_of_root[ci]] for b in reps[color_of_root[cj]]
+            )
+            if dmin < 10 * tol:
+                raise NumericError(
+                    f"entry values {dmin:.3e} apart cannot be clustered at tol {tol:.1e}"
+                )
+    return colors
+
+
+def _cluster_outcome(fn, values, tol):
+    try:
+        return fn(values, tol)
+    except NumericError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cluster_values_match_the_pairwise_reference(seed):
+    # clusters of values with noise from none to 20 tol, over R and over C,
+    # where real parts of distinct clusters may coincide
+    rng = np.random.default_rng(seed)
+    outcomes = {"clustered": 0, "refused": 0}
+    for _ in range(150):
+        tol = 10.0 ** int(rng.integers(-8, -3))
+        k = int(rng.integers(1, 10))
+        step = rng.choice([1e-3, 1e-1, 1.0])
+        imag_step = rng.choice([0, 1e-3, 1.0])
+        centers = rng.integers(-3, 4, k) * step + 1j * rng.integers(-3, 4, k) * imag_step
+        noise = rng.choice([0.0, 0.1, 0.3, 0.4, 3.0, 20.0], p=[0.3, 0.2, 0.2, 0.1, 0.1, 0.1])
+        values = np.repeat(centers, rng.integers(1, 4, k))
+        jitter = rng.standard_normal(values.size) + 1j * rng.standard_normal(values.size)
+        values = values + jitter * tol * noise
+        if rng.random() < 0.4:
+            values = values.real + 0j
+        ref = _cluster_outcome(_reference_cluster_values, values, tol)
+        assert _cluster_outcome(symmetry._cluster_values, values, tol) == ref
+        outcomes["refused" if isinstance(ref, str) else "clustered"] += 1
+    assert min(outcomes.values()) >= 10
+
+
+def test_cluster_values_keeps_union_find_color_order():
+    tol = 1e-7
+    # a chain a0 ~ a2 ~ a1 whose ends sit more than tol apart is refused
+    values = np.array([0.0, 0.4e-7 + 5j, 0.8e-7 - 0.7e-7j, 0.9e-7 + 0.1e-7j])
+    with pytest.raises(NumericError, match="diameter"):
+        symmetry._cluster_values(values, tol)
+    # a0 ~ a1 with b between them in (re, im) order: the union makes a1 the
+    # a-cluster's root, which comes after b's, so b takes color 0
+    values = np.array([0.0, 0.4e-7 + 5j, 0.5e-7 + 0.5e-7j])
+    colors = symmetry._cluster_values(values, tol)
+    assert colors == _reference_cluster_values(values, tol)
+    assert colors[complex(0.4e-7, 5.0)] == 0 and colors[0j] == 1
