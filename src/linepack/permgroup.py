@@ -8,6 +8,11 @@ Group order and membership go through a stabilizer chain built by the
 deterministic Schreier-Sims algorithm (Holt, Eick and O'Brien, *Handbook
 of Computational Group Theory*, section 4.4).  Transversals only grow, and
 each Schreier generator is sifted once.  All results are exact integers.
+Inside the chain and the transversals, elements are numpy index arrays
+of images: the gather ``a[b]`` is the product ``a * b``, one scatter
+inverts, and comparing the array's bytes with the identity's tests for
+it.  ``Permutation`` stays a validated tuple of Python ints at the API
+boundary.
 
 ``symmetry.gram_symmetry_group`` cross-checks the order that its search
 reports against this chain.  Because the chain is exact, the check is
@@ -19,10 +24,13 @@ stops on reaching the reported order would catch only the first.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from .errors import InputError, ResourceError
 
@@ -31,11 +39,15 @@ DEFAULT_ELEMENT_LIMIT = 10**6
 
 @dataclass(frozen=True)
 class Permutation:
-    """A bijection of {0, ..., degree-1}, stored as its image tuple."""
+    """A bijection of {0, ..., degree-1}, stored as its image tuple of Python ints."""
 
     images: tuple[int, ...]
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "images", tuple(map(operator.index, self.images)))
+        except TypeError:
+            raise InputError(f"permutation images must be integers: {self.images}") from None
         if sorted(self.images) != list(range(len(self.images))):
             raise InputError(f"not a permutation of 0..{len(self.images) - 1}: {self.images}")
 
@@ -132,31 +144,42 @@ def _invert(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def _as_array(images) -> np.ndarray:
+    """Images as an index array, the element form of the chain."""
+    return np.asarray(images, dtype=np.intp)
+
+
+def _invert_array(a: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(a)
+    inv[a] = np.arange(a.size, dtype=a.dtype)
+    return inv
+
+
 class _Transversal:
     """Extend-only Schreier transversal of the orbit of `point`.
 
     ``reps[q]`` takes `point` to q and ``invs[q]`` is its inverse; both
-    are image tuples, and ``None`` off the orbit.  Representatives are
+    are image arrays, and ``None`` off the orbit.  Representatives are
     never replaced, so a Schreier generator, once formed, stays the same
     element however far the orbit or the generator list grows later.
     ``cursor[j]`` counts the orbit points already paired with ``gens[j]``.
     """
 
     def __init__(self, point: int, degree: int):
-        ident = tuple(range(degree))
+        ident = np.arange(degree, dtype=np.intp)
         self.point = point
         self.orbit = [point]
-        self.reps: list[Optional[tuple[int, ...]]] = [None] * degree
-        self.invs: list[Optional[tuple[int, ...]]] = [None] * degree
+        self.reps: list[Optional[np.ndarray]] = [None] * degree
+        self.invs: list[Optional[np.ndarray]] = [None] * degree
         self.reps[point] = self.invs[point] = ident
-        self.gens: list[tuple[int, ...]] = []
+        self.gens: list[np.ndarray] = []
         self.cursor: list[int] = []
 
-    def add_generator(self, g: tuple[int, ...]) -> None:
+    def add_generator(self, g: np.ndarray) -> None:
         self.gens.append(g)
         self.cursor.append(0)
 
-    def schreier_generators(self) -> Iterator[tuple[int, ...]]:
+    def schreier_generators(self) -> Iterator[np.ndarray]:
         """Visit every new (orbit point, generator) pair once, point-major.
 
         A pair that reaches a new point extends the orbit (breadth-first,
@@ -167,21 +190,20 @@ class _Transversal:
         """
         k = min(self.cursor, default=len(self.orbit))
         while k < len(self.orbit):
-            p = self.orbit[k]
-            rep = self.reps[p]
+            rep = self.reps[self.orbit[k]]
             for j, g in enumerate(self.gens):
                 if self.cursor[j] > k:
                     continue
                 self.cursor[j] = k + 1
-                q = g[p]
+                moved = g[rep]
+                q = moved.item(self.point)
                 inv = self.invs[q]
                 if inv is None:
-                    new = _compose(g, rep)
                     self.orbit.append(q)
-                    self.reps[q] = new
-                    self.invs[q] = _invert(new)
+                    self.reps[q] = moved
+                    self.invs[q] = _invert_array(moved)
                 else:
-                    yield _compose(inv, _compose(g, rep))
+                    yield inv[moved]
             k += 1
 
 
@@ -196,12 +218,13 @@ class _StabilizerChain:
     identity stays in the group of the lower levels, which only grows.  A
     residue that survives its sift becomes a new strong generator, and the
     up-down loop resumes at the level where the sift stopped.  Elements are
-    image tuples.
+    image arrays.
     """
 
     def __init__(self, degree: int):
         self.degree = degree
-        self.identity = tuple(range(degree))
+        self.identity = np.arange(degree, dtype=np.intp)
+        self._identity_bytes = self.identity.tobytes()
         self.levels: list[_Transversal] = []
 
     def order(self) -> int:
@@ -210,40 +233,51 @@ class _StabilizerChain:
             n *= len(t.orbit)
         return n
 
-    def _sift(self, g: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
-        """Strip g through the levels from `start`; return the residue and the level it stopped at."""
+    def _sift(self, g: np.ndarray, start: int) -> tuple[np.ndarray, int]:
+        """Strip g through the levels from `start`; return the residue and the level it stopped at.
+
+        A level whose base point g fixes is passed without a product: its
+        representative there is the identity.
+        """
         levels = self.levels
         for i in range(start, len(levels)):
             t = levels[i]
-            inv = t.invs[g[t.point]]
+            q = g.item(t.point)
+            if q == t.point:
+                continue
+            inv = t.invs[q]
             if inv is None:
                 return g, i
-            g = _compose(inv, g)
+            g = inv[g]
         return g, len(levels)
 
-    def _add_strong(self, g: tuple[int, ...], level: int) -> None:
+    def _is_identity(self, residue: np.ndarray, level: int) -> bool:
+        """Whether a sift residue is the identity; one that stopped early moves a base point."""
+        return level == len(self.levels) and residue.tobytes() == self._identity_bytes
+
+    def _add_strong(self, g: np.ndarray, level: int) -> None:
         """Add a residue that fixes base[0..level-1] and moves base[level].
 
         At ``level == len(base)`` the residue fixes the whole base, and its
         first moved point becomes a new base point.
         """
         if level == len(self.levels):
-            moved = next(i for i, j in enumerate(g) if i != j)
+            moved = int(np.flatnonzero(g != self.identity)[0])
             self.levels.append(_Transversal(moved, self.degree))
         for t in self.levels[: level + 1]:
             t.add_generator(g)
 
-    def extend(self, g: tuple[int, ...]) -> bool:
+    def extend(self, g: np.ndarray) -> bool:
         """Add g to the group; return whether the group grew."""
         residue, level = self._sift(g, 0)
-        if residue == self.identity:
+        if self._is_identity(residue, level):
             return False
         self._add_strong(residue, level)
         i = level
         while i >= 0:
             for schreier in self.levels[i].schreier_generators():
                 residue, level = self._sift(schreier, i + 1)
-                if residue != self.identity:
+                if not self._is_identity(residue, level):
                     self._add_strong(residue, level)
                     i = level
                     break
@@ -251,8 +285,8 @@ class _StabilizerChain:
                 i -= 1
         return True
 
-    def contains(self, g: tuple[int, ...]) -> bool:
-        return self._sift(g, 0)[0] == self.identity
+    def contains(self, g: np.ndarray) -> bool:
+        return self._is_identity(*self._sift(g, 0))
 
 
 class PermutationGroup:
@@ -281,7 +315,7 @@ class PermutationGroup:
         if self._chain is None:
             chain = _StabilizerChain(self.degree)
             for g in self.generators:
-                chain.extend(g.images)
+                chain.extend(_as_array(g.images))
             self._chain = chain
         return self._chain
 
@@ -292,7 +326,7 @@ class PermutationGroup:
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             return False
-        return self.chain().contains(g.images)
+        return self.chain().contains(_as_array(g.images))
 
     def elements(self, element_limit: int = DEFAULT_ELEMENT_LIMIT) -> list[Permutation]:
         """All group elements by deterministic BFS over the generators.
@@ -355,6 +389,14 @@ def group_order(group: PermutationGroup) -> int:
     return group.order
 
 
+def _generator_transversal(group: PermutationGroup, point: int) -> _Transversal:
+    """The (still unexplored) transversal of `point` under the group's generators."""
+    transversal = _Transversal(point, group.degree)
+    for g in group.generators:
+        transversal.add_generator(_as_array(g.images))
+    return transversal
+
+
 def point_stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:
     """The stabilizer of `point`, generated by Schreier generators.
 
@@ -362,18 +404,17 @@ def point_stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:
     """
     if not 0 <= point < group.degree:
         raise InputError(f"point {point} out of range for degree {group.degree}")
-    transversal = _Transversal(point, group.degree)
-    for g in group.generators:
-        transversal.add_generator(g.images)
+    transversal = _generator_transversal(group, point)
     gens: list[Permutation] = []
     seen = set()
     probe = _StabilizerChain(group.degree)
     for schreier in transversal.schreier_generators():
-        if schreier in seen:
+        key = schreier.tobytes()
+        if key in seen:
             continue
-        seen.add(schreier)
+        seen.add(key)
         if probe.extend(schreier):
-            gens.append(Permutation._unchecked(schreier))
+            gens.append(Permutation._unchecked(tuple(schreier.tolist())))
     return PermutationGroup(group.degree, gens)
 
 

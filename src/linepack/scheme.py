@@ -6,6 +6,11 @@ matrices span the algebra of all group-stable matrices.  The whole
 structure is stored as one integer matrix ``orbital_of`` with
 ``orbital_of[x, y] = i``  iff  ``(A_i)[x, y] = 1``.
 
+Each orbital matches one suborbit, an orbit of the point stabilizer G_0:
+the orbital of (x, y) meets row 0 in the suborbit of t_x^-1(y), for any
+t_x in G with t_x(0) = x.  ``scheme_from_action`` labels the suborbits
+and reads the whole matrix off one transversal of 0.
+
 Orbital products are computed exactly through the integer structure
 constants, so commutativity (the Gelfand-pair test) is an exact check.
 """
@@ -15,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -23,6 +29,7 @@ from .permgroup import (
     DEFAULT_ELEMENT_LIMIT,
     GroupAction,
     PermutationGroup,
+    _generator_transversal,
     is_transitive,
 )
 
@@ -72,13 +79,22 @@ class SchurianScheme:
         return p
 
     def to_json_dict(self) -> dict:
-        orbitals = []
-        for i in range(self.n_orbitals):
-            rows = []
-            for x in range(self.point_count):
-                cols = np.nonzero(self.orbital_of[x] == i)[0]
-                rows.append([int(x), [int(c) for c in cols]])
-            orbitals.append(rows)
+        """Each orbital as its rows [x, columns y with (x, y) in it, ascending].
+
+        One stable argsort per row groups the columns by orbital in
+        ascending order; the per-row orbital counts cut it into runs.
+        """
+        n, c = self.point_count, self.n_orbitals
+        cols = np.argsort(self.orbital_of, axis=1, kind="stable").tolist()
+        counts = np.bincount(
+            (self.orbital_of + c * np.arange(n)[:, None]).ravel(), minlength=n * c
+        ).reshape(n, c)
+        ends = np.zeros((n, c + 1), dtype=np.int64)
+        np.cumsum(counts, axis=1, out=ends[:, 1:])
+        ends = ends.tolist()
+        orbitals = [
+            [[x, cols[x][ends[x][i] : ends[x][i + 1]]] for x in range(n)] for i in range(c)
+        ]
         return {
             "n": self.point_count,
             "orbitals": orbitals,
@@ -107,36 +123,56 @@ def _canonical_scheme(orbital_of: np.ndarray) -> SchurianScheme:
     )
 
 
+def _suborbits(generators: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """Least point of the orbit of each of the n points under the generators.
+
+    Min-label hooking with pointer jumping, one generator s at a time: a
+    round hooks the root of the larger label across every edge x -> s(x)
+    whose ends disagree onto the smaller one, then jumps pointers until
+    every point points at its root; rounds repeat until s agrees.  Later
+    hooks only merge trees, so every generator still agrees at the end.
+    A root is the least point of its tree, hence of its orbit.
+    """
+    label = np.arange(n, dtype=np.intp)
+    for s in generators:
+        while True:
+            ends = label[s]
+            split = ends != label
+            if not split.any():
+                break
+            ends, own = ends[split], label[split]
+            np.minimum.at(label, np.maximum(ends, own), np.minimum(ends, own))
+            while True:
+                jumped = label[label]
+                if np.array_equal(jumped, label):
+                    break
+                label = jumped
+    return label
+
+
 def scheme_from_action(action: GroupAction) -> SchurianScheme:
     """Orbital partition of X x X under the diagonal action.
 
-    Orbital 0 is the diagonal; the rest are ordered by (valency, least
-    column in row 0) so downstream indexing is reproducible.
+    Each orbital meets row 0 in one suborbit, an orbit of the stabilizer
+    G_0.  If t_x takes 0 to x, then (x, y) lies in the orbital of
+    (0, t_x^-1(y)); so the labelling is the suborbits, found from the
+    Schreier generators of one transversal of 0, gathered once through
+    the inverse transversal.  Orbital 0 is the diagonal; the rest are
+    ordered by (valency, least column in row 0) so downstream indexing is
+    reproducible.  The n x n orbital matrix is refused past
+    MAX_ARRAY_ENTRIES before anything of that size is allocated.
     """
     if not is_transitive(action):
         raise InputError("scheme construction requires a transitive action")
     n = action.point_count
-    gens = [g.images for g in action.group.generators]
-    orbital_of = np.full((n, n), -1, dtype=np.int64)
-    next_id = 0
-    for y0 in range(n):
-        if orbital_of[0, y0] >= 0:
-            continue
-        members = [(0, y0)]
-        orbital_of[0, y0] = next_id
-        while members:
-            new_members = []
-            for (x, y) in members:
-                for g in gens:
-                    gx, gy = g[x], g[y]
-                    if orbital_of[gx, gy] < 0:
-                        orbital_of[gx, gy] = next_id
-                        new_members.append((gx, gy))
-            members = new_members
-        next_id += 1
-    if np.any(orbital_of < 0):
-        raise InputError("pair orbits failed to cover X x X")
-    return _canonical_scheme(orbital_of)
+    if n * n > MAX_ARRAY_ENTRIES:
+        raise ResourceError(
+            f"the orbital matrix of {n} points needs {n * n} entries, "
+            f"above the limit of {MAX_ARRAY_ENTRIES}"
+        )
+    transversal = _generator_transversal(action.group, 0)
+    suborbit = _suborbits(transversal.schreier_generators(), n)
+    return _canonical_scheme(suborbit[np.stack(transversal.invs)])
 
 
 def is_commutative(scheme: SchurianScheme) -> bool:

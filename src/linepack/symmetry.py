@@ -130,6 +130,22 @@ def color_matrix_from_gram(gram: GramMatrix, tol: float = 1e-7) -> ColoredDigrap
     return ColoredDigraph(n, _colorize(gram.entries, _cluster_values(gram.entries.ravel(), tol)))
 
 
+def _rank_rows(rows: np.ndarray) -> np.ndarray:
+    """Rank of each row among the distinct rows in lexicographic order.
+
+    The ids ``np.unique(rows, axis=0, return_inverse=True)`` gives, from one
+    lexsort (first column most significant) and a neighbour difference.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    step = np.empty(len(rows), dtype=np.int64)
+    step[:1] = 0
+    step[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(step)
+    return ids
+
+
 def _joint_refine(
     ec_a: np.ndarray,
     vc_a: np.ndarray,
@@ -160,7 +176,7 @@ def _joint_refine(
             return np.concatenate([vc[:, None], sig], axis=1)
 
         rows = np.concatenate([signatures(ec_a, vc_a), signatures(ec_b, vc_b)], axis=0)
-        _, inverse = np.unique(rows, axis=0, return_inverse=True)
+        inverse = _rank_rows(rows)
         new_count = int(inverse.max()) + 1
         old_count = len(np.unique(np.concatenate([vc_a, vc_b])))
         vc_a = inverse[:na].astype(np.int64)

@@ -19,22 +19,33 @@ Q8 = PermutationGroup.from_cycles(8, ["(0 1 2 3)(4 6 5 7)", "(0 4 2 5)(1 7 3 6)"
 S4 = PermutationGroup.from_cycles(4, ["(0 1 2 3)", "(0 1)"])
 
 
+def build_fixture_actions():
+    """The transitive actions behind the battery's action schemes."""
+    return {
+        "s3_natural": GroupAction(S3),
+        "s4_natural": GroupAction(S4),
+        "d4_natural": GroupAction(D4),
+        "z3_regular": regular_action(cyclic_group(3)),
+        "z4_regular": regular_action(cyclic_group(4)),
+        "z7_regular": regular_action(cyclic_group(7)),
+        "s3_regular": regular_action(S3),
+        "s3_pairs": induced_pair_action(GroupAction(S3)),
+        "s4_pairs": induced_pair_action(GroupAction(S4)),
+        "z6_regular": regular_action(cyclic_group(6)),
+    }
+
+
 def build_fixture_schemes():
     """The scheme battery the property suites run over (>= 10 schemes)."""
-    return {
-        "s3_natural": scheme_from_action(GroupAction(S3)),
-        "s4_natural": scheme_from_action(GroupAction(S4)),
-        "d4_natural": scheme_from_action(GroupAction(D4)),
-        "z3_regular": scheme_from_action(regular_action(cyclic_group(3))),
-        "z4_regular": scheme_from_action(regular_action(cyclic_group(4))),
-        "z7_regular": scheme_from_action(regular_action(cyclic_group(7))),
-        "s3_regular": scheme_from_action(regular_action(S3)),
-        "s3_pairs": scheme_from_action(induced_pair_action(GroupAction(S3))),
-        "s4_pairs": scheme_from_action(induced_pair_action(GroupAction(S4))),
-        "s3_classes": conjugacy_class_scheme(S3),
-        "q8_classes": conjugacy_class_scheme(Q8),
-        "z6_regular": scheme_from_action(regular_action(cyclic_group(6))),
-    }
+    schemes = {name: scheme_from_action(action) for name, action in build_fixture_actions().items()}
+    schemes["s3_classes"] = conjugacy_class_scheme(S3)
+    schemes["q8_classes"] = conjugacy_class_scheme(Q8)
+    return schemes
+
+
+@pytest.fixture(scope="session")
+def fixture_actions():
+    return build_fixture_actions()
 
 
 @pytest.fixture(scope="session")

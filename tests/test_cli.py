@@ -333,3 +333,17 @@ def test_determinism_byte_identical(capsys, tmp_path):
     second = capsys.readouterr().out
     assert code1 == code2 == 0
     assert first == second
+
+
+def test_scheme_past_the_array_limit_exits_4_at_once(capsys, tmp_path):
+    # an 11586-cycle: its 11586 x 11586 orbital matrix would pass 2^27 entries
+    n = 11586
+    path = tmp_path / "z11586.json"
+    path.write_text(json.dumps({"degree": n, "generators": [[(i + 1) % n for i in range(n)]]}))
+    start = time.monotonic()
+    code = main(["scheme", str(path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "resource limit" in captured.err and "orbital matrix" in captured.err
+    assert time.monotonic() - start < 10.0

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -320,3 +321,31 @@ def test_chain_sifts_each_schreier_pair_at_most_once(monkeypatch):
     assert len(calls) <= pairs + len(group.generators)
     # one sift from level 0 per input generator; the rest are Schreier pairs
     assert calls.count(0) == len(group.generators)
+
+
+def python_int_images(perm):
+    return isinstance(perm.images, tuple) and all(type(v) is int for v in perm.images)
+
+
+def test_boundary_permutations_hold_python_ints():
+    from linepack.frames import GramMatrix
+    from linepack.symmetry import gram_symmetry_group
+
+    m11 = fixtures.m11_action().group
+    assert all(python_int_images(g) for g in m11.generators)
+    assert all(python_int_images(g) for g in point_stabilizer(m11, 5).generators)
+    # array input is converted at the boundary
+    group = PermutationGroup(4, [np.array([1, 2, 3, 0]), np.arange(4)[::-1]])
+    assert all(python_int_images(g) for g in group.generators)
+    assert all(python_int_images(g) for g in point_stabilizer(group, 0).generators)
+    n = 6
+    simplex = np.full((n, n), -1.0 / (n - 1))
+    np.fill_diagonal(simplex, 1.0)
+    sym = gram_symmetry_group(GramMatrix(n, simplex))
+    assert sym.order == math.factorial(n)
+    assert sym.generators and all(python_int_images(g) for g in sym.generators)
+
+
+def test_permutation_rejects_non_integer_images():
+    with pytest.raises(InputError):
+        Permutation((0.0, 1.0))
