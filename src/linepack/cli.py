@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -116,8 +116,88 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+# The emitter below writes exactly the bytes of
+# json.dumps(value, indent=2, sort_keys=True, default=_json_default), which
+# runs the standard library's pure-Python encoder.  It lays out the
+# containers itself and leaves the scalars to the C encoder, which runs when
+# `indent` is None; with "\x00" as item separator, which encoded JSON never
+# contains raw, the C output splits into items.  Values are encoded in
+# batches.  A batch's scalars take one C call.  Its containers are grouped
+# by shape (dicts by key sequence, lists by length).  A group of lists of
+# scalars takes one C call, cut into one body per list.  In any other group
+# the children, column by column, are the next batch, and each container
+# is filled into the one %-template of its shape.
+
+
+_NESTED = (list, tuple, dict)
+
+
+def _all_scalars(values: Iterable) -> bool:
+    return not any(issubclass(t, _NESTED) for t in set(map(type, values)))
+
+
+def _c_encode(value) -> str:
+    return json.dumps(value, separators=("\x00", ": "), default=_json_default)
+
+
+def _layout(bodies: list[str], depth: int, brackets: str) -> list[str]:
+    """Containers at `depth` around their item texts, joined by "\x00", as indent=2 lays them out."""
+    pad = "\n" + "  " * depth
+    opening, separator, closing = brackets[0] + pad + "  ", "," + pad + "  ", pad + brackets[1]
+    return [opening + body.replace("\x00", separator) + closing for body in bodies]
+
+
+def _same_shape(rows: list, depth: int) -> list[str]:
+    """Texts at `depth` of non-empty dicts with one key sequence, or lists of one length."""
+    if not isinstance(rows[0], dict):
+        if _all_scalars(itertools.chain.from_iterable(rows)):
+            # one body per list, cut from one C call, with no text per scalar
+            return _layout(_c_encode(rows)[2:-2].split("]\x00["), depth, "[]")
+        keys = range(len(rows[0]))
+        slots, brackets = ["%s"] * len(keys), "[]"
+    elif len(rows) > 1 and not all(type(k) is str for k in rows[0]):
+        # equal keys may encode differently (1, 1.0 and True), so one template per dict
+        return [_same_shape([row], depth)[0] for row in rows]
+    else:
+        keys = sorted(rows[0])
+        # keys converted and escaped as json.dumps does, each cut from `"key": 0`
+        items = _c_encode(dict.fromkeys(keys, 0))[1:-1].split("\x00")
+        slots, brackets = [item[:-1].replace("%", "%%") + "%s" for item in items], "{}"
+    [template] = _layout(["\x00".join(slots)], depth, brackets)
+    m = len(rows)
+    texts = _texts([row[k] for k in keys for row in rows], depth + 1)
+    columns = (texts[j : j + m] for j in range(0, len(texts), m))
+    return list(map(template.__mod__, zip(*columns)))
+
+
+def _texts(values: list, depth: int) -> list[str]:
+    """The JSON text of each value at `depth`."""
+    if _all_scalars(values):
+        return _c_encode(values)[1:-1].split("\x00") if values else []
+    texts = [""] * len(values)
+    scalar_at, shapes = [], {}
+    for i, v in enumerate(values):
+        if not isinstance(v, _NESTED):
+            scalar_at.append(i)
+        elif not v:
+            texts[i] = "{}" if isinstance(v, dict) else "[]"
+        else:
+            shapes.setdefault(tuple(v) if isinstance(v, dict) else len(v), []).append(i)
+    for i, text in zip(scalar_at, _texts([values[i] for i in scalar_at], depth)):
+        texts[i] = text
+    for at in shapes.values():
+        for i, text in zip(at, _same_shape([values[i] for i in at], depth)):
+            texts[i] = text
+    return texts
+
+
+def _dumps(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True, default=_json_default), byte for byte."""
+    return _texts([value], 0)[0]
+
+
 def _emit(payload: dict, output: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    text = _dumps(payload)
     if output:
         Path(output).write_text(text + "\n")
     else:

@@ -30,6 +30,11 @@ RANK_TOL = 1e-8  # eigenvalues above RANK_TOL * spectral radius count toward the
 _EPS = float(np.finfo(np.float64).eps)
 
 
+def complex_pairs(values: np.ndarray) -> list:
+    """The JSON form of a complex array: nested lists, each entry a [re, im] float pair."""
+    return np.stack((values.real, values.imag), -1).tolist()
+
+
 @dataclass(frozen=True)
 class OrbitalForm:
     """Entries of a Gram matrix that is constant on the orbitals of a scheme.
@@ -127,12 +132,7 @@ class GramMatrix:
         return GramMatrix.from_entries(self.entries * np.outer(scale, scale))
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "entries": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.entries
-            ],
-        }
+        return {"n": self.n, "entries": complex_pairs(self.entries)}
 
     @staticmethod
     def from_json_dict(data: dict) -> "GramMatrix":

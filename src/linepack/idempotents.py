@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, NumericError
-from .frames import GramMatrix, gap_clusters
+from .frames import GramMatrix, complex_pairs, gap_clusters
 from .scheme import SchurianScheme
 
 IDEMPOTENT_TOL = 1e-8
@@ -73,15 +73,12 @@ class IsotypicDecomposition:
             "ranks": list(self.ranks),
             "m": list(self.degrees),
             "n": list(self.multiplicities),
-            "coefficients": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.coefficients
-            ],
+            "coefficients": complex_pairs(self.coefficients),
             "trivial_index": self.trivial_index,
         }
         if include_projections:
             out["projections"] = [
-                [[[float(z.real), float(z.imag)] for z in row] for row in self.projection_matrix(j)]
-                for j in range(self.n_projections)
+                complex_pairs(self.projection_matrix(j)) for j in range(self.n_projections)
             ]
         return out
 

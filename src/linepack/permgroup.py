@@ -179,14 +179,17 @@ class _Transversal:
         self.gens.append(g)
         self.cursor.append(0)
 
-    def schreier_generators(self) -> Iterator[np.ndarray]:
+    def schreier_generators(self, release_reps: bool = False) -> Iterator[np.ndarray]:
         """Visit every new (orbit point, generator) pair once, point-major.
 
         A pair that reaches a new point extends the orbit (breadth-first,
         generators in the given order, so the result is reproducible); any
         other pair yields its Schreier generator ``invs[g(p)] * g * reps[p]``.
         Each pair is marked visited before it is yielded, so a caller may
-        stop at any yield and resume with a fresh call.
+        stop at any yield and resume with a fresh call.  With
+        `release_reps`, each representative is dropped once every generator
+        has passed its point, which leaves only ``invs``; the transversal
+        then takes no further generators.
         """
         k = min(self.cursor, default=len(self.orbit))
         while k < len(self.orbit):
@@ -204,6 +207,8 @@ class _Transversal:
                     self.invs[q] = _invert_array(moved)
                 else:
                     yield inv[moved]
+            if release_reps:
+                self.reps[self.orbit[k]] = rep = None
             k += 1
 
 

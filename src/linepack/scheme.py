@@ -108,13 +108,16 @@ def _canonical_scheme(orbital_of: np.ndarray) -> SchurianScheme:
     Orbitals are ordered by (valency, least column in row 0); the diagonal
     has the least key (1, 0), so it comes first.  Valencies are counted in
     row 0, which meets every orbital of a transitive action, and orbital i
-    pairs with the orbital of (y, 0) for any (0, y) in orbital i.
+    pairs with the orbital of (y, 0) for any (0, y) in orbital i.  The
+    given matrix is relabelled in place, row by row, so no second n x n
+    array is formed.
     """
     labels, first_col, valency = np.unique(orbital_of[0], return_index=True, return_counts=True)
     order = np.lexsort((first_col, valency))
     relabel = np.empty(int(labels[-1]) + 1, dtype=np.int64)
     relabel[labels[order]] = np.arange(len(order))
-    orbital_of = relabel[orbital_of]
+    for row in orbital_of:
+        row[...] = relabel[row]
     return SchurianScheme(
         point_count=len(orbital_of),
         orbital_of=orbital_of,
@@ -156,8 +159,8 @@ def scheme_from_action(action: GroupAction) -> SchurianScheme:
     Each orbital meets row 0 in one suborbit, an orbit of the stabilizer
     G_0.  If t_x takes 0 to x, then (x, y) lies in the orbital of
     (0, t_x^-1(y)); so the labelling is the suborbits, found from the
-    Schreier generators of one transversal of 0, gathered once through
-    the inverse transversal.  Orbital 0 is the diagonal; the rest are
+    Schreier generators of one transversal of 0, gathered row by row
+    through the inverse transversal.  Orbital 0 is the diagonal; the rest are
     ordered by (valency, least column in row 0) so downstream indexing is
     reproducible.  The n x n orbital matrix is refused past
     MAX_ARRAY_ENTRIES before anything of that size is allocated.
@@ -171,8 +174,15 @@ def scheme_from_action(action: GroupAction) -> SchurianScheme:
             f"above the limit of {MAX_ARRAY_ENTRIES}"
         )
     transversal = _generator_transversal(action.group, 0)
-    suborbit = _suborbits(transversal.schreier_generators(), n)
-    return _canonical_scheme(suborbit[np.stack(transversal.invs)])
+    suborbit = _suborbits(transversal.schreier_generators(release_reps=True), n)
+    # each inverse goes once its row is gathered, as each representative
+    # went once the scan passed it: n^2 entries of them at most, not 2 n^2
+    orbital_of = np.empty((n, n), dtype=np.int64)
+    invs = transversal.invs
+    for x in range(n):
+        orbital_of[x] = suborbit[invs[x]]
+        invs[x] = None
+    return _canonical_scheme(orbital_of)
 
 
 def is_commutative(scheme: SchurianScheme) -> bool:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from linepack.permgroup import (
     GroupAction,
@@ -7,6 +8,12 @@ from linepack.permgroup import (
     regular_action,
 )
 from linepack.scheme import conjugacy_class_scheme, scheme_from_action
+
+
+# Property suites draw the same examples on every run and take no deadline,
+# so their results and run times repeat on a shared, busy machine.
+settings.register_profile("linepack", derandomize=True, deadline=None)
+settings.load_profile("linepack")
 
 
 def cyclic_group(n):
