@@ -51,6 +51,7 @@ from .permgroup import (
     GroupAction,
     Permutation,
     PermutationGroup,
+    action_on,
     group_order,
     induced_pair_action,
     is_transitive,

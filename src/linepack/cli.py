@@ -62,8 +62,8 @@ class JobConfig:
     element_limit: int = 10**6
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise InputError("tolerances must be positive")
+        if self.seed < 0:
+            raise InputError(f"--seed must be non-negative, got {self.seed}")
         if self.max_subset_size is not None and self.max_subset_size < 1:
             raise InputError(f"--max-subset-size must be at least 1, got {self.max_subset_size}")
 
@@ -520,6 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        tol = getattr(args, "tol", None)
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
+            raise InputError(f"--tol must be positive and finite, got {tol}")
         if args.command in ("scheme", "idempotents", "scan-etf"):
             cfg = JobConfig(
                 group_path=args.group,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .frames import GramMatrix, matrix_group_closure, matrix_key
-from .permgroup import GroupAction, Permutation, PermutationGroup, parse_cycles
+from .permgroup import GroupAction, Permutation, PermutationGroup, action_on, parse_cycles
 
 
 def _load_data(name: str) -> dict:
@@ -75,7 +75,7 @@ def load_figure_gram(name: str) -> GramMatrix:
     tokens = [
         [(Fraction(re, den), Fraction(im, den)) for re, im in row] for row in data["entries"]
     ]
-    return GramMatrix(n, entries, "rational", tokens)
+    return GramMatrix(n, entries, tokens)
 
 
 def figure2_gram() -> GramMatrix:
@@ -163,7 +163,16 @@ def fiducial_vector() -> np.ndarray:
     return np.array([1 + 1j, 0, -1, 1, -1j, -1, 0, 0], dtype=np.complex128) / np.sqrt(6)
 
 
-def hoggar_heisenberg_action(include_order_check: bool = False) -> GroupAction:
+def _pauli_elements() -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The generators of the tensor-Pauli group K and its 256 elements, identity first."""
+    kgens = pauli_tensor_generators()
+    elements = matrix_group_closure(kgens, 512, CLOSURE_TOL)
+    if len(elements) != 256:
+        raise NumericError(f"tensor-Pauli closure has {len(elements)} elements, expected 256")
+    return kgens, elements
+
+
+def hoggar_heisenberg_action() -> GroupAction:
     """Permutation action behind the Hoggar scheme, on 256 points.
 
     The points are the elements of the 256-element tensor-Pauli group K.
@@ -171,32 +180,11 @@ def hoggar_heisenberg_action(include_order_check: bool = False) -> GroupAction:
     by the fiducial stabilizers U and V (which normalize K).  This is the
     coset action of the 1,548,288-element product group on K.
     """
-    kgens = pauli_tensor_generators()
-    elements = matrix_group_closure(kgens, 512, CLOSURE_TOL)
-    if len(elements) != 256:
-        raise NumericError(f"tensor-Pauli closure has {len(elements)} elements, expected 256")
-    index = {matrix_key(m): i for i, m in enumerate(elements)}
-    gens = []
-    for g in kgens:
-        images = tuple(index[matrix_key(g @ x)] for x in elements)
-        gens.append(Permutation(images))
-    u, v = hoggar_stabilizer_generators()
-    for h in (u, v):
-        h_inv = h.conj().T
-        images = []
-        for x in elements:
-            y = h @ x @ h_inv
-            key = matrix_key(y)
-            if key not in index:
-                raise NumericError("stabilizer generator does not normalize the group")
-            images.append(index[key])
-        gens.append(Permutation(tuple(images)))
-    group = PermutationGroup(256, gens)
-    if include_order_check:
-        stab = matrix_group_closure([u, v], 10_000, CLOSURE_TOL)
-        if len(stab) != 6048:
-            raise NumericError(f"stabilizer closure has {len(stab)} elements, expected 6048")
-    return GroupAction(group)
+    kgens, elements = _pauli_elements()
+    maps = [g.__matmul__ for g in kgens]
+    for h in hoggar_stabilizer_generators():
+        maps.append(lambda x, h=h, h_inv=h.conj().T: h @ x @ h_inv)
+    return action_on(elements, matrix_key, maps)
 
 
 def hoggar_central_element_indices() -> dict[str, int]:
@@ -205,9 +193,7 @@ def hoggar_central_element_indices() -> dict[str, int]:
     Keys name the element: scalars -1, i, -i times the identity and the
     four single-slot representatives used by the spherical value table.
     """
-    kgens = pauli_tensor_generators()
-    elements = matrix_group_closure(kgens, 512, CLOSURE_TOL)
-    index = {matrix_key(m): i for i, m in enumerate(elements)}
+    index = {matrix_key(m): i for i, m in enumerate(_pauli_elements()[1])}
     eye2 = np.eye(2, dtype=np.complex128)
     t = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
     m = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)

@@ -58,24 +58,19 @@ class OrbitalForm:
 class GramMatrix:
     """Hermitian PSD matrix of pairwise inner products.
 
-    `exactness` records how the entries were produced: plain floating
-    point, exact rationals, or rational multiples of roots of unity.  When
-    exact entries are available, `exact_entries` holds hashable per-entry
-    tokens (used for exact value-coloring in the symmetry module).  A Gram
-    made by `from_orbitals` holds its `orbital` form and forms the dense
-    `entries` only when they are read.
+    When exact entries are available, `exact_entries` holds hashable
+    per-entry tokens (used for exact value-coloring in the symmetry
+    module).  A Gram made by `from_orbitals` holds its `orbital` form and
+    forms the dense `entries` only when they are read.
     """
 
-    def __init__(self, n: int, entries, exactness: str = "float", exact_entries=None):
+    def __init__(self, n: int, entries, exact_entries=None):
         self.n = n
         self._entries = np.asarray(entries, dtype=np.complex128)
         if self._entries.shape != (self.n, self.n):
             raise InputError(f"entries shape {self._entries.shape} does not match n={self.n}")
         if np.abs(self._entries - self._entries.conj().T).max() > HERMITIAN_TOL:
             raise InputError("Gram matrix is not Hermitian within 1e-12")
-        if exactness not in ("float", "rational", "root_of_unity"):
-            raise InputError(f"unknown exactness {exactness!r}")
-        self.exactness = exactness
         # nested sequence of hashable per-entry tokens, same shape as entries
         self.exact_entries: Optional[Sequence[Sequence]] = exact_entries
         self.orbital: Optional[OrbitalForm] = None
@@ -91,7 +86,6 @@ class GramMatrix:
         gram = GramMatrix.__new__(GramMatrix)
         gram.n = len(form.orbital_of)
         gram._entries = None
-        gram.exactness = "float"
         gram.exact_entries = None
         gram.orbital = form
         return gram
@@ -116,9 +110,9 @@ class GramMatrix:
         return GramMatrix._of_form(OrbitalForm(orbital_of, x, columns=cols))
 
     @staticmethod
-    def from_entries(entries, exactness: str = "float", exact_entries=None) -> "GramMatrix":
+    def from_entries(entries, exact_entries=None) -> "GramMatrix":
         entries = np.asarray(entries, dtype=np.complex128)
-        return GramMatrix(entries.shape[0], entries, exactness, exact_entries)
+        return GramMatrix(entries.shape[0], entries, exact_entries)
 
     def is_real(self, tol: float = 1e-10) -> bool:
         return float(np.abs(self.entries.imag).max(initial=0.0)) <= tol

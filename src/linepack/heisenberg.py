@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 from numbers import Rational
 from typing import Sequence
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import MAX_ARRAY_ENTRIES, InputError, NumericError, ResourceError
 from .frames import GramMatrix
-from .permgroup import GroupAction, Permutation, PermutationGroup
+from .permgroup import GroupAction, action_on
 
 
 @dataclass(frozen=True)
@@ -339,7 +339,7 @@ class ExactGram:
         # the reduced vectors are canonical, so their bytes are exact tokens
         reduced = self.terms @ cyclotomic_basis(self.modulus)
         tokens = reduced.view(f"V{reduced.itemsize * reduced.shape[2]}")[..., 0].tolist()
-        return GramMatrix(self.n, entries, "root_of_unity", tokens)
+        return GramMatrix(self.n, entries, tokens)
 
     def single_term_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(coefficients doubled to integers, exponents) for one-term entries."""
@@ -493,6 +493,14 @@ def sp_membership(p: int, m) -> bool:
     return preserved
 
 
+def _sl2_map(p: int, m, e: HeisenbergElement) -> HeisenbergElement:
+    """The 2x2 matrix m mod p applied to the K-part (a, alpha) of e."""
+    a, alpha = e.a[0], e.alpha[0]
+    return HeisenbergElement(
+        ((m[0][0] * a + m[0][1] * alpha) % p,), ((m[1][0] * a + m[1][1] * alpha) % p,), e.z
+    )
+
+
 def heisenberg_permutation_action(p: int) -> GroupAction:
     """Permutation action of (Heisenberg) x| SL(2, p) on the p^3 group elements.
 
@@ -503,34 +511,14 @@ def heisenberg_permutation_action(p: int) -> GroupAction:
     if p not in (3, 5, 7):
         raise InputError(f"supported primes are 3, 5, 7; got {p}")
     spec = make_spec((p,))
-    elems = [
-        HeisenbergElement((a,), (alpha,), z)
-        for a in range(p)
-        for alpha in range(p)
-        for z in range(p)
+    triples = itertools.product(range(p), repeat=3)
+    elems = [HeisenbergElement((a,), (alpha,), z) for a, alpha, z in triples]
+    maps = [
+        partial(heisenberg_multiply, spec, HeisenbergElement(*translate))
+        for translate in (((1,), (0,), 0), ((0,), (1,), 0), ((0,), (0,), 1))
     ]
-    index = {(e.a, e.alpha, e.z): i for i, e in enumerate(elems)}
-    gens = []
-    for translate in (
-        HeisenbergElement((1,), (0,), 0),
-        HeisenbergElement((0,), (1,), 0),
-        HeisenbergElement((0,), (0,), 1),
-    ):
-        images = tuple(
-            index[
-                (lambda y: (y.a, y.alpha, y.z))(heisenberg_multiply(spec, translate, e))
-            ]
-            for e in elems
-        )
-        gens.append(Permutation(images))
     for mat in ([[0, p - 1], [1, 0]], [[1, 1], [0, 1]]):
         if not sp_membership(p, mat):
             raise NumericError("standard SL(2, p) generator failed the symplectic check")
-        images = []
-        for e in elems:
-            a, alpha = e.a[0], e.alpha[0]
-            a2 = (mat[0][0] * a + mat[0][1] * alpha) % p
-            alpha2 = (mat[1][0] * a + mat[1][1] * alpha) % p
-            images.append(index[((a2,), (alpha2,), e.z)])
-        gens.append(Permutation(tuple(images)))
-    return GroupAction(PermutationGroup(p**3, gens))
+        maps.append(partial(_sl2_map, p, mat))
+    return action_on(elems, lambda e: e, maps)

@@ -27,12 +27,12 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from functools import cached_property, partial
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, ResourceError
+from .errors import InputError, NumericError, ResourceError
 
 DEFAULT_ELEMENT_LIMIT = 10**6
 
@@ -413,7 +413,7 @@ def point_stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:
     gens: list[Permutation] = []
     seen = set()
     probe = _StabilizerChain(group.degree)
-    for schreier in transversal.schreier_generators():
+    for schreier in transversal.schreier_generators(release_reps=True):
         key = schreier.tobytes()
         if key in seen:
             continue
@@ -423,9 +423,23 @@ def point_stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:
     return PermutationGroup(group.degree, gens)
 
 
-def pair_index(n: int, i: int, j: int) -> int:
-    """Index of the ordered pair (i, j), i != j, in lexicographic order."""
-    return i * (n - 1) + (j if j < i else j - 1)
+def action_on(elements: Sequence, key: Callable, maps: Iterable[Callable]) -> GroupAction:
+    """The action on `elements`, one generator ``x -> f(x)`` per map f.
+
+    Point i is ``elements[i]``; an image is found by its `key`.  A map that
+    sends an element outside the set raises NumericError, and one that is
+    not injective on it raises InputError.
+    """
+    index = {key(e): i for i, e in enumerate(elements)}
+    if len(index) != len(elements):
+        raise InputError("the elements of an action must have distinct keys")
+    gens = []
+    for f in maps:
+        images = tuple(index.get(key(f(e))) for e in elements)
+        if None in images:
+            raise NumericError("a generator sends an element outside the acted-on set")
+        gens.append(Permutation(images))
+    return GroupAction(PermutationGroup(len(elements), gens))
 
 
 def induced_pair_action(action: GroupAction) -> GroupAction:
@@ -436,13 +450,8 @@ def induced_pair_action(action: GroupAction) -> GroupAction:
     if not is_transitive(action):
         raise InputError("pair action requires a transitive source action")
     pairs = [(i, j) for i in range(n) for j in range(n) if j != i]
-    gens = []
-    for g in action.group.generators:
-        images = [0] * len(pairs)
-        for idx, (i, j) in enumerate(pairs):
-            images[idx] = pair_index(n, g(i), g(j))
-        gens.append(Permutation(tuple(images)))
-    return GroupAction(PermutationGroup(n * (n - 1), gens))
+    maps = [partial(map, g.images.__getitem__) for g in action.group.generators]
+    return action_on(pairs, tuple, maps)
 
 
 def regular_action(group: PermutationGroup, element_limit: int = DEFAULT_ELEMENT_LIMIT) -> GroupAction:
@@ -452,9 +461,4 @@ def regular_action(group: PermutationGroup, element_limit: int = DEFAULT_ELEMENT
     :meth:`PermutationGroup.elements`, so point indexing is reproducible.
     """
     elems = group.elements(element_limit)
-    index = {p.images: i for i, p in enumerate(elems)}
-    gens = []
-    for g in group.generators:
-        images = tuple(index[(g * p).images] for p in elems)
-        gens.append(Permutation(images))
-    return GroupAction(PermutationGroup(len(elems), gens))
+    return action_on(elems, operator.attrgetter("images"), [g.__mul__ for g in group.generators])

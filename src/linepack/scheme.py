@@ -17,6 +17,7 @@ constants, so commutativity (the Gelfand-pair test) is an exact check.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -30,6 +31,7 @@ from .permgroup import (
     GroupAction,
     PermutationGroup,
     _generator_transversal,
+    action_on,
     is_transitive,
 )
 
@@ -196,37 +198,15 @@ def conjugacy_class_scheme(
 ) -> SchurianScheme:
     """Scheme on the group's elements whose orbitals are conjugacy class sums.
 
-    A pair (x, y) lies in orbital i exactly when x y^{-1} belongs to the
-    i-th conjugacy class; the result is always commutative.
+    It is the scheme of G x G acting on G by x -> g x h^-1: that action
+    takes (x, y) to (g x h^-1, g y h^-1) and x y^-1 to g x y^-1 g^-1, so a
+    pair (x, y) lies in orbital i exactly when x y^-1 belongs to the i-th
+    conjugacy class.  The result is always commutative.
     """
     elems = group.elements(element_limit)
-    index = {p.images: i for i, p in enumerate(elems)}
-    m = len(elems)
-    class_of = [-1] * m
-    n_classes = 0
-    for i, e in enumerate(elems):
-        if class_of[i] >= 0:
-            continue
-        frontier = [e]
-        class_of[i] = n_classes
-        while frontier:
-            x = frontier.pop()
-            for g in group.generators:
-                y = g * x * g.inverse()
-                j = index[y.images]
-                if class_of[j] < 0:
-                    class_of[j] = n_classes
-                    frontier.append(y)
-        n_classes += 1
-    inverses = [index[e.inverse().images] for e in elems]
-    class_of = np.asarray(class_of, dtype=np.int64)
-    orbital_of = np.empty((m, m), dtype=np.int64)
-    for y in range(m):
-        # column y: orbital_of[x, y] = class of x * y^{-1}
-        y_inv = elems[inverses[y]]
-        col = np.array([class_of[index[(x * y_inv).images]] for x in elems], dtype=np.int64)
-        orbital_of[:, y] = col
-    return _canonical_scheme(orbital_of)
+    left = [g.__mul__ for g in group.generators]
+    right = [lambda x, h=g.inverse(): x * h for g in group.generators]
+    return scheme_from_action(action_on(elems, operator.attrgetter("images"), left + right))
 
 
 def stable_matrix_check(scheme: SchurianScheme, matrix, tol: float = 1e-9) -> bool:

@@ -306,6 +306,39 @@ def test_scan_etf_rejects_max_subset_size_below_one(capsys, size):
     assert "--max-subset-size" in captured.err
 
 
+# each command that takes --tol, with "@g" standing for a written Gram file
+TOL_COMMANDS = {
+    "scheme": ["scheme", "fixture:sl2_f8"],
+    "idempotents": ["idempotents", "fixture:sl2_f8"],
+    "scan-etf": ["scan-etf", "fixture:sl2_f8"],
+    "reduce": ["reduce", "@g"],
+    "heisenberg": ["heisenberg", "--moduli", "3"],
+    "harmonic": ["harmonic", "--moduli", "7", "--subset", "1,2,4"],
+    "symmetry": ["symmetry", "@g"],
+}
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
+def test_tol_must_be_positive_and_finite(capsys, tmp_path, command, tol):
+    (tmp_path / "g").write_text(GRAM_I2)
+    argv = [str(tmp_path / "g") if a == "@g" else a for a in TOL_COMMANDS[command]]
+    code = main(argv + [f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("input error: --tol must be positive and finite")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["scheme", "idempotents", "scan-etf"])
+def test_seed_must_be_non_negative(capsys, command):
+    code = main([command, "fixture:sl2_f8", "--seed=-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("input error: --seed must be non-negative")
+    assert captured.out == ""
+
+
 def test_verify_figures_command(capsys):
     code, payload = run(capsys, ["verify-figures"])
     assert code == 0

@@ -1,6 +1,7 @@
 import numpy as np
 
 from linepack.fixtures import (
+    CLOSURE_TOL,
     agl_line_action,
     fiducial_vector,
     figure2_gram,
@@ -17,6 +18,7 @@ from linepack.frames import (
     gram_rank,
     is_etf,
     is_tight,
+    matrix_group_closure,
     naimark_complement,
     projective_reduce,
     vectors_from_gram,
@@ -172,8 +174,10 @@ def test_m11_66_lines_in_r11():
 
 
 def test_hoggar_group_order():
-    action = hoggar_heisenberg_action(include_order_check=True)
+    action = hoggar_heisenberg_action()
     assert group_order(action.group) == 1_548_288  # 256 * 6048
+    u, v = hoggar_stabilizer_generators()
+    assert len(matrix_group_closure([u, v], 10_000, CLOSURE_TOL)) == 6048
 
 
 def test_hoggar_stabilizers_are_unitary_and_fix_fiducial():

@@ -2,8 +2,11 @@
 
 The reference functions are the previous implementations, kept verbatim
 as oracles: the breadth-first orbital labelling of ``scheme_from_action``,
-the ``np.unique`` ranking inside ``symmetry._joint_refine`` and the
-per-(orbital, row) loop of ``SchurianScheme.to_json_dict``.
+the ``np.unique`` ranking inside ``symmetry._joint_refine``, the
+per-(orbital, row) loop of ``SchurianScheme.to_json_dict``, and the
+index-dict loop of each action builder (pairs, regular, Heisenberg and
+Hoggar) and of ``conjugacy_class_scheme``, which ``permgroup.action_on``
+and ``scheme_from_action`` replaced.
 """
 
 import json
@@ -16,11 +19,22 @@ from hypothesis import strategies as st
 
 from linepack import errors, fixtures
 from linepack import scheme as scheme_module
-from linepack.errors import InputError, ResourceError
+from linepack.errors import InputError, NumericError, ResourceError
+from linepack.fixtures import CLOSURE_TOL, hoggar_stabilizer_generators, pauli_tensor_generators
+from linepack.frames import matrix_group_closure, matrix_key
+from linepack.heisenberg import (
+    HeisenbergElement,
+    heisenberg_multiply,
+    heisenberg_permutation_action,
+    make_spec,
+    sp_membership,
+)
 from linepack.permgroup import (
+    DEFAULT_ELEMENT_LIMIT,
     GroupAction,
     Permutation,
     PermutationGroup,
+    action_on,
     induced_pair_action,
     is_transitive,
     orbit,
@@ -30,6 +44,7 @@ from linepack.scheme import (
     _canonical_scheme,
     _suborbits,
     conjugacy_class_scheme,
+    is_commutative,
     scheme_from_action,
 )
 from linepack.symmetry import _rank_rows
@@ -278,3 +293,262 @@ def test_rank_rows_edge_blocks():
         np.array([[1, 0], [0, 9], [0, 1], [1, 0]], dtype=np.int64),
     ):
         assert np.array_equal(_rank_rows(rows), reference_rank_rows(rows))
+
+
+# --- the action builders against the per-builder loops they replaced ----------
+
+
+def reference_pair_index(n: int, i: int, j: int) -> int:
+    """Index of the ordered pair (i, j), i != j, in lexicographic order."""
+    return i * (n - 1) + (j if j < i else j - 1)
+
+
+def reference_induced_pair_action(action: GroupAction) -> GroupAction:
+    """Action on ordered pairs of distinct points, indexed lexicographically."""
+    n = action.point_count
+    if n < 2:
+        raise InputError("pair action needs at least 2 points")
+    if not is_transitive(action):
+        raise InputError("pair action requires a transitive source action")
+    pairs = [(i, j) for i in range(n) for j in range(n) if j != i]
+    gens = []
+    for g in action.group.generators:
+        images = [0] * len(pairs)
+        for idx, (i, j) in enumerate(pairs):
+            images[idx] = reference_pair_index(n, g(i), g(j))
+        gens.append(Permutation(tuple(images)))
+    return GroupAction(PermutationGroup(n * (n - 1), gens))
+
+
+def reference_regular_action(
+    group: PermutationGroup, element_limit: int = DEFAULT_ELEMENT_LIMIT
+) -> GroupAction:
+    """Left-translation action of the group on its own elements.
+
+    Elements are enumerated by the deterministic BFS of
+    :meth:`PermutationGroup.elements`, so point indexing is reproducible.
+    """
+    elems = group.elements(element_limit)
+    index = {p.images: i for i, p in enumerate(elems)}
+    gens = []
+    for g in group.generators:
+        images = tuple(index[(g * p).images] for p in elems)
+        gens.append(Permutation(images))
+    return GroupAction(PermutationGroup(len(elems), gens))
+
+
+def reference_conjugacy_class_scheme(
+    group: PermutationGroup, element_limit: int = DEFAULT_ELEMENT_LIMIT
+):
+    """Scheme on the group's elements whose orbitals are conjugacy class sums.
+
+    A pair (x, y) lies in orbital i exactly when x y^{-1} belongs to the
+    i-th conjugacy class; the result is always commutative.
+    """
+    elems = group.elements(element_limit)
+    index = {p.images: i for i, p in enumerate(elems)}
+    m = len(elems)
+    class_of = [-1] * m
+    n_classes = 0
+    for i, e in enumerate(elems):
+        if class_of[i] >= 0:
+            continue
+        frontier = [e]
+        class_of[i] = n_classes
+        while frontier:
+            x = frontier.pop()
+            for g in group.generators:
+                y = g * x * g.inverse()
+                j = index[y.images]
+                if class_of[j] < 0:
+                    class_of[j] = n_classes
+                    frontier.append(y)
+        n_classes += 1
+    inverses = [index[e.inverse().images] for e in elems]
+    class_of = np.asarray(class_of, dtype=np.int64)
+    orbital_of = np.empty((m, m), dtype=np.int64)
+    for y in range(m):
+        # column y: orbital_of[x, y] = class of x * y^{-1}
+        y_inv = elems[inverses[y]]
+        col = np.array([class_of[index[(x * y_inv).images]] for x in elems], dtype=np.int64)
+        orbital_of[:, y] = col
+    return _canonical_scheme(orbital_of)
+
+
+def reference_heisenberg_permutation_action(p: int) -> GroupAction:
+    """Permutation action of (Heisenberg) x| SL(2, p) on the p^3 group elements.
+
+    Generators: left translations by the three standard Heisenberg
+    generators, plus the two standard SL(2, p) generators acting on the
+    K-part coordinatewise.  Supported at desk scale, p in {3, 5, 7}.
+    """
+    if p not in (3, 5, 7):
+        raise InputError(f"supported primes are 3, 5, 7; got {p}")
+    spec = make_spec((p,))
+    elems = [
+        HeisenbergElement((a,), (alpha,), z)
+        for a in range(p)
+        for alpha in range(p)
+        for z in range(p)
+    ]
+    index = {(e.a, e.alpha, e.z): i for i, e in enumerate(elems)}
+    gens = []
+    for translate in (
+        HeisenbergElement((1,), (0,), 0),
+        HeisenbergElement((0,), (1,), 0),
+        HeisenbergElement((0,), (0,), 1),
+    ):
+        images = tuple(
+            index[
+                (lambda y: (y.a, y.alpha, y.z))(heisenberg_multiply(spec, translate, e))
+            ]
+            for e in elems
+        )
+        gens.append(Permutation(images))
+    for mat in ([[0, p - 1], [1, 0]], [[1, 1], [0, 1]]):
+        if not sp_membership(p, mat):
+            raise NumericError("standard SL(2, p) generator failed the symplectic check")
+        images = []
+        for e in elems:
+            a, alpha = e.a[0], e.alpha[0]
+            a2 = (mat[0][0] * a + mat[0][1] * alpha) % p
+            alpha2 = (mat[1][0] * a + mat[1][1] * alpha) % p
+            images.append(index[((a2,), (alpha2,), e.z)])
+        gens.append(Permutation(tuple(images)))
+    return GroupAction(PermutationGroup(p**3, gens))
+
+
+def reference_hoggar_heisenberg_action(include_order_check: bool = False) -> GroupAction:
+    """Permutation action behind the Hoggar scheme, on 256 points.
+
+    The points are the elements of the 256-element tensor-Pauli group K.
+    Generators: left translation by each generator of K, plus conjugation
+    by the fiducial stabilizers U and V (which normalize K).  This is the
+    coset action of the 1,548,288-element product group on K.
+    """
+    kgens = pauli_tensor_generators()
+    elements = matrix_group_closure(kgens, 512, CLOSURE_TOL)
+    if len(elements) != 256:
+        raise NumericError(f"tensor-Pauli closure has {len(elements)} elements, expected 256")
+    index = {matrix_key(m): i for i, m in enumerate(elements)}
+    gens = []
+    for g in kgens:
+        images = tuple(index[matrix_key(g @ x)] for x in elements)
+        gens.append(Permutation(images))
+    u, v = hoggar_stabilizer_generators()
+    for h in (u, v):
+        h_inv = h.conj().T
+        images = []
+        for x in elements:
+            y = h @ x @ h_inv
+            key = matrix_key(y)
+            if key not in index:
+                raise NumericError("stabilizer generator does not normalize the group")
+            images.append(index[key])
+        gens.append(Permutation(tuple(images)))
+    group = PermutationGroup(256, gens)
+    if include_order_check:
+        stab = matrix_group_closure([u, v], 10_000, CLOSURE_TOL)
+        if len(stab) != 6048:
+            raise NumericError(f"stabilizer closure has {len(stab)} elements, expected 6048")
+    return GroupAction(group)
+
+
+def images_or_error(build, *args):
+    """The generator image tuples and point count, or the input error raised instead."""
+    try:
+        action = build(*args)
+    except InputError as exc:
+        return ("InputError", str(exc))
+    return action.point_count, [g.images for g in action.group.generators]
+
+
+def symmetric(n):
+    return PermutationGroup.from_cycles(n, ["(" + " ".join(map(str, range(n))) + ")", "(0 1)"])
+
+
+BUILDER_GROUPS = {
+    **{f"s{n}": (lambda n=n: symmetric(n)) for n in range(3, 7)},
+    "q8": lambda: PermutationGroup.from_cycles(8, ["(0 1 2 3)(4 6 5 7)", "(0 4 2 5)(1 7 3 6)"]),
+    "d20": lambda: PermutationGroup(
+        20, [[(i + 1) % 20 for i in range(20)], [(-i) % 20 for i in range(20)]]
+    ),
+    "z6": lambda: cyclic(6),
+    # Z_2 x Z_4 in its regular action
+    "z2xz4": lambda: PermutationGroup.from_cycles(
+        8, ["(0 1)(2 3)(4 5)(6 7)", "(0 2 4 6)(1 3 5 7)"]
+    ),
+    "sl2_f8": lambda: fixtures.sl2_f8_action().group,
+    "agl": lambda: fixtures.agl_line_action().group,
+    "trivial": lambda: PermutationGroup(1, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDER_GROUPS))
+def test_regular_and_pair_actions_match_reference(name):
+    group = BUILDER_GROUPS[name]()
+    assert images_or_error(regular_action, group) == images_or_error(
+        reference_regular_action, group
+    )
+    assert images_or_error(induced_pair_action, GroupAction(group)) == images_or_error(
+        reference_induced_pair_action, GroupAction(group)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(BUILDER_GROUPS))
+def test_class_schemes_match_reference(name):
+    group = BUILDER_GROUPS[name]()
+    got, want = conjugacy_class_scheme(group), reference_conjugacy_class_scheme(group)
+    assert got.orbital_of.dtype == want.orbital_of.dtype
+    assert np.array_equal(got.orbital_of, want.orbital_of)
+    assert got.valencies == want.valencies
+    assert got.transpose_pairing == want.transpose_pairing
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_heisenberg_action_matches_reference(p):
+    assert images_or_error(heisenberg_permutation_action, p) == images_or_error(
+        reference_heisenberg_permutation_action, p
+    )
+
+
+def test_hoggar_builder_matches_reference():
+    got = images_or_error(fixtures.hoggar_heisenberg_action)
+    assert got == images_or_error(reference_hoggar_heisenberg_action)
+
+
+def test_hoggar_central_indices_as_before():
+    # the indices the reference enumeration of K gives the named elements
+    assert fixtures.hoggar_central_element_indices() == {
+        "identity": 0,
+        "i_identity": 1,
+        "t_slot0": 2,
+        "m_slot0": 3,
+        "minus_identity": 8,
+        "tm_slot0": 20,
+        "tm_slot1": 28,
+        "minus_i_identity": 33,
+    }
+
+
+def test_action_on_refuses_a_map_that_leaves_the_set():
+    with pytest.raises(NumericError, match="outside the acted-on set"):
+        action_on([0, 1, 2], int, [lambda x: (x + 1) % 4])
+
+
+def test_action_on_refuses_a_map_that_is_not_injective():
+    with pytest.raises(InputError, match="not a permutation"):
+        action_on([0, 1, 2], int, [lambda x: min(x + 1, 2)])
+
+
+def test_action_on_refuses_repeated_keys():
+    with pytest.raises(InputError, match="distinct keys"):
+        action_on([0, 1, 3], lambda x: x % 2, [])
+
+
+def test_agl_class_scheme_is_commutative_with_eleven_classes():
+    sch = conjugacy_class_scheme(BUILDER_GROUPS["agl"]())
+    assert sch.point_count == 1344
+    assert sch.n_orbitals == 11
+    assert sum(sch.valencies) == 1344
+    assert is_commutative(sch)

@@ -165,7 +165,7 @@ def test_exact_color_path():
     n = 3
     entries = np.full((n, n), 1 / 3)
     exact = [[(Fraction(1, 3), 0)] * n for _ in range(n)]
-    gram = GramMatrix(n, np.array(entries), "rational", exact)
+    gram = GramMatrix(n, np.array(entries), exact)
     colored = color_matrix_from_gram(gram)
     assert len(np.unique(colored.color)) == 1
     assert gram_symmetry_group(gram).order == 6
