@@ -126,7 +126,9 @@ def _json_default(obj):
 # by shape (dicts by key sequence, lists by length).  A group of lists of
 # scalars takes one C call, cut into one body per list.  In any other group
 # the children, column by column, are the next batch, and each container
-# is filled into the one %-template of its shape.
+# is filled into the one %-template of its shape.  A batch sits at one
+# depth, so a container met more than once in a group has one text, and
+# it is made once.
 
 
 _NESTED = (list, tuple, dict)
@@ -149,10 +151,15 @@ def _layout(bodies: list[str], depth: int, brackets: str) -> list[str]:
 
 def _same_shape(rows: list, depth: int) -> list[str]:
     """Texts at `depth` of non-empty dicts with one key sequence, or lists of one length."""
-    if not isinstance(rows[0], dict):
-        if _all_scalars(itertools.chain.from_iterable(rows)):
-            # one body per list, cut from one C call, with no text per scalar
-            return _layout(_c_encode(rows)[2:-2].split("]\x00["), depth, "[]")
+    lists = not isinstance(rows[0], dict)
+    if lists and _all_scalars(itertools.chain.from_iterable(rows)):
+        # one body per list, cut from one C call, with no text per scalar
+        return _layout(_c_encode(rows)[2:-2].split("]\x00["), depth, "[]")
+    distinct = {id(row): row for row in rows}
+    if len(distinct) < len(rows):
+        texts = dict(zip(distinct, _same_shape(list(distinct.values()), depth)))
+        return [texts[id(row)] for row in rows]
+    if lists:
         keys = range(len(rows[0]))
         slots, brackets = ["%s"] * len(keys), "[]"
     elif len(rows) > 1 and not all(type(k) is str for k in rows[0]):
@@ -457,16 +464,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_group_opts(p):
+    def add_group_opts(p, idempotents=True):
         p.add_argument("group", help="group JSON path or fixture:{agl,sl2_f8,m11}")
         p.add_argument("--action", default="natural", choices=["natural", "pairs", "regular"])
         p.add_argument("--element-limit", type=int, default=10**6)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--seed", type=int, default=0)
+        if idempotents:  # knobs of central_primitive_idempotents
+            p.add_argument("--tol", type=float, default=JobConfig.tol)
+            p.add_argument("--seed", type=int, default=JobConfig.seed)
         p.add_argument("--output", default=None)
 
     p = sub.add_parser("scheme", help="orbital scheme of a transitive action")
-    add_group_opts(p)
+    add_group_opts(p, idempotents=False)
 
     p = sub.add_parser("idempotents", help="primitive central idempotents")
     add_group_opts(p)
@@ -527,8 +535,8 @@ def main(argv=None) -> int:
             cfg = JobConfig(
                 group_path=args.group,
                 action=args.action,
-                tol=args.tol,
-                seed=args.seed,
+                tol=getattr(args, "tol", JobConfig.tol),
+                seed=getattr(args, "seed", JobConfig.seed),
                 element_limit=args.element_limit,
                 multiplicity_free_only=getattr(args, "multiplicity_free_only", False),
                 max_subset_size=getattr(args, "max_subset_size", None),

@@ -59,9 +59,9 @@ class GramMatrix:
     """Hermitian PSD matrix of pairwise inner products.
 
     When exact entries are available, `exact_entries` holds hashable
-    per-entry tokens (used for exact value-coloring in the symmetry
-    module).  A Gram made by `from_orbitals` holds its `orbital` form and
-    forms the dense `entries` only when they are read.
+    per-entry values (the figure fixtures' rational pairs) for exact value
+    coloring in the symmetry module.  A Gram made by `from_orbitals` holds
+    its `orbital` form and forms the dense `entries` only when they are read.
     """
 
     def __init__(self, n: int, entries, exact_entries=None):
@@ -71,7 +71,7 @@ class GramMatrix:
             raise InputError(f"entries shape {self._entries.shape} does not match n={self.n}")
         if np.abs(self._entries - self._entries.conj().T).max() > HERMITIAN_TOL:
             raise InputError("Gram matrix is not Hermitian within 1e-12")
-        # nested sequence of hashable per-entry tokens, same shape as entries
+        # nested sequence of hashable per-entry values, same shape as entries
         self.exact_entries: Optional[Sequence[Sequence]] = exact_entries
         self.orbital: Optional[OrbitalForm] = None
 

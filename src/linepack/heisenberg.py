@@ -334,12 +334,9 @@ class ExactGram:
         return np.stack([row @ powers for row in self.terms]) / 2
 
     def to_gram_matrix(self) -> GramMatrix:
+        """The float Gram, made exactly Hermitian."""
         entries = self.to_complex()
-        entries = (entries + entries.conj().T) / 2
-        # the reduced vectors are canonical, so their bytes are exact tokens
-        reduced = self.terms @ cyclotomic_basis(self.modulus)
-        tokens = reduced.view(f"V{reduced.itemsize * reduced.shape[2]}")[..., 0].tolist()
-        return GramMatrix(self.n, entries, tokens)
+        return GramMatrix(self.n, (entries + entries.conj().T) / 2)
 
     def single_term_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(coefficients doubled to integers, exponents) for one-term entries."""
@@ -355,18 +352,20 @@ class ExactGram:
         return all(cyclotomic_zero(a - b, self.modulus) for a, b in zip(self.terms, other.terms))
 
     def export_entries(self) -> list[list[dict]]:
-        """JSON-friendly exact entries; single-term cells only."""
+        """JSON-friendly exact entries; single-term cells only.
+
+        Equal cells share one dict: the nested lists hold references to one
+        dict per distinct (coefficient, exponent) pair.
+        """
         coeff2, zexp = self.single_term_arrays()
-        even = coeff2 % 2 == 0
-        nums = np.where(even, coeff2 // 2, coeff2).tolist()
-        dens = np.where(even, 1, 2).tolist()
-        return [
-            [
-                {"coeff_num": c, "coeff_den": d, "zeta_num": e, "zeta_den": self.modulus}
-                for c, d, e in zip(*row)
-            ]
-            for row in zip(nums, dens, zexp.tolist())
-        ]
+        keys, inverse = np.unique((coeff2 * self.modulus + zexp).ravel(), return_inverse=True)
+        cells = np.empty(len(keys), dtype=object)
+        for k, key in enumerate(keys.tolist()):
+            c, e = divmod(key, self.modulus)  # a cell's coeff2 and zexp
+            q = Fraction(c, 2)
+            cells[k] = {"coeff_num": q.numerator, "coeff_den": q.denominator,
+                        "zeta_num": e, "zeta_den": self.modulus}
+        return cells[inverse.reshape(self.n, self.n)].tolist()
 
 
 def heis_etf_gram(spec: AbelianGroupSpec, gamma: GammaTwist, parity: str) -> ExactGram:
@@ -407,20 +406,27 @@ def heis_etf_gram_direct(spec: AbelianGroupSpec, gamma: GammaTwist, parity: str)
         raise ResourceError("direct Hilbert-Schmidt computation is capped at |A| <= 49")
     n_mod = spec.exponent
     gram = ExactGram.zeros(spec.order**2, n_mod)
-    ks = k_elements(spec)
     rev = np.array(reversal_matrix(spec).col)
     sign = 1 if parity == "even" else -1
-    mats = [schrodinger_matrix(spec, gamma, HeisenbergElement(a, alpha, 0)) for (a, alpha) in ks]
-    col = np.array([m.col for m in mats])
-    exp = np.array([m.exp for m in mats])
-    adjoints = [m.adjoint() for m in mats]
-    for i, adj in enumerate(adjoints):
-        adj_col, adj_exp = np.array(adj.col), np.array(adj.exp)
+    # row k = (a, alpha) of col/exp is pi(a, alpha, 0) (see `schrodinger_matrix`):
+    # row b goes to column b - a with exponent g <b - a/2, alpha>
+    moduli = np.array(spec.moduli)
+    elems = np.array(spec.elements())
+    shifted = np.moveaxis((elems - elems[:, None]) % moduli, -1, 0)  # [t, a, b] = (b - a)_t
+    col = np.repeat(np.ravel_multi_index(tuple(shifted), spec.moduli), len(elems), axis=0)
+    half_a = elems * ((moduli + 1) // 2)  # a/2, up to multiples of the moduli
+    phase = ((elems - half_a[:, None]) * (n_mod // moduli)) @ elems.T  # [a, b, alpha]
+    exp = (gamma.for_spec(spec) * phase.transpose(0, 2, 1).reshape(col.shape)) % n_mod
+    # the adjoint pi(u)* sends row col[r] to column r with exponent -exp[r]
+    adj_col, adj_exp = np.empty_like(col), np.empty_like(exp)
+    np.put_along_axis(adj_col, col, np.arange(col.shape[1]), axis=1)
+    np.put_along_axis(adj_exp, col, -exp % n_mod, axis=1)
+    for row, a_col, a_exp in zip(gram.terms, adj_col, adj_exp):
         # (M @ O)[r] has column O.col[M.col[r]] and exponent M.exp[r] + O.exp[M.col[r]];
         # O is pi(u_i)* for the identity half of P P* and R pi(u_i)* for the other.
-        for o_col, o_exp, weight in ((adj_col, adj_exp, 1), (adj_col[rev], adj_exp[rev], sign)):
+        for o_col, o_exp, weight in ((a_col, a_exp, 1), (a_col[rev], a_exp[rev], sign)):
             counts = _fixed_point_counts(o_col[col], (exp + o_exp[col]) % n_mod, n_mod)
-            gram.terms[i] += weight * counts
+            row += weight * counts
     return gram
 
 

@@ -104,8 +104,8 @@ def _colorize(entries: np.ndarray, lookup: dict[complex, int]) -> np.ndarray:
 def color_matrix_from_gram(gram: GramMatrix, tol: float = 1e-7) -> ColoredDigraph:
     """Entry-value coloring of a Gram matrix.
 
-    Exact entries (rational or root-of-unity backed) use exact equality;
-    floating entries are clustered at the given tolerance.
+    Exact entries (`gram.exact_entries`, e.g. rational pairs) use exact
+    equality; floating entries are clustered at the given tolerance.
     """
     n = gram.n
     if gram.exact_entries is not None:

@@ -308,7 +308,6 @@ def test_scan_etf_rejects_max_subset_size_below_one(capsys, size):
 
 # each command that takes --tol, with "@g" standing for a written Gram file
 TOL_COMMANDS = {
-    "scheme": ["scheme", "fixture:sl2_f8"],
     "idempotents": ["idempotents", "fixture:sl2_f8"],
     "scan-etf": ["scan-etf", "fixture:sl2_f8"],
     "reduce": ["reduce", "@g"],
@@ -330,12 +329,25 @@ def test_tol_must_be_positive_and_finite(capsys, tmp_path, command, tol):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("command", ["scheme", "idempotents", "scan-etf"])
+@pytest.mark.parametrize("command", ["idempotents", "scan-etf"])
 def test_seed_must_be_non_negative(capsys, command):
     code = main([command, "fixture:sl2_f8", "--seed=-1"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("input error: --seed must be non-negative")
+    assert captured.out == ""
+
+
+# `scheme` builds no idempotents, so it has no --tol or --seed to ignore
+@pytest.mark.parametrize(
+    "flag", ["--tol=1e-3", "--tol=-1", "--tol=0", "--tol=nan", "--tol=inf", "--seed=5", "--seed=-1"]
+)
+def test_scheme_refuses_tol_and_seed(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["scheme", "fixture:agl", flag])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in captured.err
     assert captured.out == ""
 
 

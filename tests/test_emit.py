@@ -7,6 +7,7 @@ for byte, on generated payloads and on the stdout of every command.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,37 @@ def test_emitter_matches_oracle(value):
     assert_same_as_oracle(value)
 
 
+@st.composite
+def shared_payloads(draw):
+    """Payloads that hold one container object at several positions and depths.
+
+    `inner` sits twice at depth 1 and once at depth 2, beside `outer`, which
+    may hold `inner` too; a random body holds either at any depth.
+    """
+    inner = draw(containers(scalars).filter(bool))
+    outer = draw(st.lists(st.one_of(st.just(inner), scalars), min_size=1, max_size=4))
+    body = draw(st.recursive(st.one_of(st.sampled_from([inner, outer]), scalars), containers))
+    return [body, inner, inner, [inner, outer, outer]]
+
+
+CELL = {"coeff_num": -1, "coeff_den": 2, "zeta_num": 3, "zeta_den": 7}
+ROW = [CELL, CELL, dict(CELL), {"other": [CELL]}]
+
+
+@given(shared_payloads())
+@example([ROW, ROW, [ROW, CELL], {"x": CELL, "y": ROW}])
+@example({"rows": [[CELL] * 3] * 2, "cell": CELL, "deeper": [[[CELL]]]})
+@example([[1.5, "%s"]] * 3 + [[[1.5, "%s"]]])
+def test_emitter_matches_oracle_on_shared_objects(value):
+    assert_same_as_oracle(value)
+
+
+def test_shared_object_is_encoded_once():
+    texts = cli._texts([CELL, [CELL], CELL, dict(CELL)], 1)
+    assert texts[0] is texts[2]
+    assert texts[3] == texts[0]
+
+
 @pytest.mark.parametrize(
     "value",
     [
@@ -125,6 +157,7 @@ CLI_CASES = {
     "scan-etf-pairs": ["scan-etf", "fixture:m11", "--action", "pairs"],
     "reduce": ["reduce", "{doubled}"],
     "heisenberg-exact": ["heisenberg", "--moduli", "3,3", "--parity", "even", "--verify"],
+    "heisenberg-exact-z13": ["heisenberg", "--moduli", "13", "--verify"],
     "heisenberg-float": ["heisenberg", "--moduli", "5", "--float"],
     "harmonic": ["harmonic", "--moduli", "7", "--subset", "1,2,4"],
     "harmonic-2d": ["harmonic", "--moduli", "3,3", "--subset", "[[0,1],[1,0],[1,1],[2,2]]"],
@@ -147,3 +180,14 @@ def test_cli_stdout_matches_oracle(case, gram_files, monkeypatch, capsys, tmp_pa
     assert cli.main([*argv, "--output", str(out_file)]) == 0
     assert capsys.readouterr().out == ""
     assert out_file.read_bytes() == stdout.encode()
+
+
+def test_exact_heisenberg_dump_stays_within_three_times_its_text():
+    # Z_13: 28 561 exact cells with 14 distinct values, shared and encoded once
+    tracemalloc.start()
+    try:
+        text = cli._dumps(cli.cmd_heisenberg("13", "odd", 1, True, True, 1e-8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)

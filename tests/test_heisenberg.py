@@ -265,6 +265,26 @@ def test_closed_equals_direct(moduli):
             assert closed.equals(direct)
 
 
+# (3, 3) indexes A in mixed radix; gamma 2 twists every exponent
+@pytest.mark.parametrize("moduli, g", [((5,), 2), ((3, 3), 1), ((3, 3), 2)])
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_direct_terms_match_per_element_monomial_products(moduli, g, parity):
+    # terms[i, j] = tr(pi_j pi_i*) +- tr(pi_j R pi_i*), each a fixed-point
+    # count by exponent, from one `schrodinger_matrix` per element of K
+    spec, gamma = make_spec(moduli), GammaTwist(g)
+    sign = 1 if parity == "even" else -1
+    rev = reversal_matrix(spec)
+    ks = k_elements(spec)
+    mats = [schrodinger_matrix(spec, gamma, HeisenbergElement(a, al, 0)) for a, al in ks]
+    expected = np.array(
+        [
+            [(mj @ adj).trace_terms() + sign * (mj @ rev @ adj).trace_terms() for mj in mats]
+            for adj in (mi.adjoint() for mi in mats)
+        ]
+    )
+    assert np.array_equal(heis_etf_gram_direct(spec, gamma, parity).terms, expected)
+
+
 def test_direct_diagonal_is_projector_rank():
     for parity, rank in (("even", 2), ("odd", 1)):
         direct = heis_etf_gram_direct(Z3, GAMMA1, parity)
