@@ -64,6 +64,8 @@ class JobConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise InputError(f"--seed must be non-negative, got {self.seed}")
+        if self.element_limit < 0:
+            raise InputError(f"--element-limit must be non-negative, got {self.element_limit}")
         if self.max_subset_size is not None and self.max_subset_size < 1:
             raise InputError(f"--max-subset-size must be at least 1, got {self.max_subset_size}")
 
@@ -346,13 +348,16 @@ def cmd_heisenberg(
 def _parse_dual_subset(text: str, n_moduli: int) -> list[tuple[int, ...]]:
     text = text.strip()
     if text.startswith("["):
+        error = InputError(f"--subset is not a JSON list of integer dual elements: {text!r}")
         try:
-            return [
-                (int(item),) if isinstance(item, (int, float)) else tuple(int(x) for x in item)
-                for item in json.loads(text)
-            ]
-        except (ValueError, TypeError):
-            raise InputError(f"--subset is not a JSON list of dual elements: {text!r}") from None
+            items = json.loads(text)
+        except ValueError:
+            raise error from None
+        dual = [item if isinstance(item, list) else [item] for item in items]
+        # JSON integers only: a float, a boolean or a string is no dual coordinate
+        if not all(type(a) is int for alpha in dual for a in alpha):
+            raise error
+        return [tuple(alpha) for alpha in dual]
     if n_moduli != 1:
         raise InputError("comma-separated subsets require a single modulus; use JSON lists")
     return [(a,) for a in _parse_ints(text, "--subset")]
@@ -560,6 +565,8 @@ def main(argv=None) -> int:
         elif args.command == "harmonic":
             _emit(cmd_harmonic(args.moduli, args.subset, args.tol), args.output)
         elif args.command == "symmetry":
+            if args.node_cap < 0:
+                raise InputError(f"--node-cap must be non-negative, got {args.node_cap}")
             _emit(
                 cmd_symmetry(args.gram, args.tol, args.node_cap, args.assume_colors),
                 args.output,

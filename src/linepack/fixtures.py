@@ -9,7 +9,6 @@ and the fiducial vector are constructed in code.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -64,18 +63,14 @@ def m11_action() -> GroupAction:
 
 
 def load_figure_gram(name: str) -> GramMatrix:
-    """Exact Gram fixture: Gaussian-integer entries over a denominator."""
+    """Gram fixture stored as Gaussian-integer entries over a denominator."""
     data = _load_data(name)
     den = int(data["denominator"])
-    n = int(data["n"])
     entries = np.array(
         [[complex(re, im) / den for re, im in row] for row in data["entries"]],
         dtype=np.complex128,
     )
-    tokens = [
-        [(Fraction(re, den), Fraction(im, den)) for re, im in row] for row in data["entries"]
-    ]
-    return GramMatrix(n, entries, tokens)
+    return GramMatrix(int(data["n"]), entries)
 
 
 def figure2_gram() -> GramMatrix:
@@ -94,9 +89,6 @@ def figure4_gram() -> GramMatrix:
 
 
 # --- three-qubit Heisenberg-type group and the Hoggar fiducial ---------------
-
-# unitarity slack of the matrix closures below; their entries are exact up to rounding
-CLOSURE_TOL = 1e-9
 
 
 def _tensor3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -166,7 +158,7 @@ def fiducial_vector() -> np.ndarray:
 def _pauli_elements() -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The generators of the tensor-Pauli group K and its 256 elements, identity first."""
     kgens = pauli_tensor_generators()
-    elements = matrix_group_closure(kgens, 512, CLOSURE_TOL)
+    elements = matrix_group_closure(kgens, 512)
     if len(elements) != 256:
         raise NumericError(f"tensor-Pauli closure has {len(elements)} elements, expected 256")
     return kgens, elements

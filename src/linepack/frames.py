@@ -19,14 +19,21 @@ from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from functools import cached_property
 from math import sqrt
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import InputError, NumericError, ResourceError
 
+if TYPE_CHECKING:
+    from .scheme import SchurianScheme
+
+# Tolerances that more than one decision must share, one name each.
 HERMITIAN_TOL = 1e-12
 RANK_TOL = 1e-8  # eigenvalues above RANK_TOL * spectral radius count toward the rank
+REAL_TOL = 1e-10  # a Gram whose imaginary parts stay within it is real
+MODULI_GAP = 1e-7  # off-diagonal moduli closer than this are one distinct modulus
+CLOSURE_TOL = 1e-9  # unitarity slack of matrix group closures
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -40,39 +47,35 @@ class OrbitalForm:
     """Entries of a Gram matrix that is constant on the orbitals of a scheme.
 
     Entry (a, b) is x[orbital_of[a, b]].  A whole form labels X x X with
-    the orbitals of a transitive scheme (`SchurianScheme.orbital_of`), so
-    row 0 meets every label and one pair (0, v) of orbital i stands for all
-    of it; `columns[i]` is the first such v.  A form that
-    `projective_reduce` cut down to class representatives keeps their rows
-    and columns of the whole form's labels, has no `columns`, and carries
-    `certificate` = (c, bound): max |G^2 - c G| <= bound, inherited from
-    the whole form, which measures its own (`_square_certificate`).
+    the orbitals of its transitive `scheme`, so row 0 meets every label and
+    one pair (0, v) of orbital i stands for all of it; `scheme.columns[i]`
+    is the first such v.  A form that `projective_reduce` cut down to class
+    representatives keeps their rows and columns of the whole form's
+    labels, has no `scheme`, and carries `certificate` = (c, bound):
+    max |G^2 - c G| <= bound, inherited from the whole form, which measures
+    its own (`_square_certificate`).  Label 0 is the diagonal in both.
     """
 
     orbital_of: np.ndarray
     x: np.ndarray
-    columns: Optional[np.ndarray] = None
+    scheme: Optional["SchurianScheme"] = None
     certificate: Optional[tuple[float, float]] = None
 
 
 class GramMatrix:
     """Hermitian PSD matrix of pairwise inner products.
 
-    When exact entries are available, `exact_entries` holds hashable
-    per-entry values (the figure fixtures' rational pairs) for exact value
-    coloring in the symmetry module.  A Gram made by `from_orbitals` holds
-    its `orbital` form and forms the dense `entries` only when they are read.
+    A Gram made by `from_orbitals` holds its `orbital` form and forms the
+    dense `entries` only when they are read.
     """
 
-    def __init__(self, n: int, entries, exact_entries=None):
+    def __init__(self, n: int, entries):
         self.n = n
         self._entries = np.asarray(entries, dtype=np.complex128)
         if self._entries.shape != (self.n, self.n):
             raise InputError(f"entries shape {self._entries.shape} does not match n={self.n}")
         if np.abs(self._entries - self._entries.conj().T).max() > HERMITIAN_TOL:
             raise InputError("Gram matrix is not Hermitian within 1e-12")
-        # nested sequence of hashable per-entry values, same shape as entries
-        self.exact_entries: Optional[Sequence[Sequence]] = exact_entries
         self.orbital: Optional[OrbitalForm] = None
 
     @property
@@ -86,36 +89,30 @@ class GramMatrix:
         gram = GramMatrix.__new__(GramMatrix)
         gram.n = len(form.orbital_of)
         gram._entries = None
-        gram.exact_entries = None
         gram.orbital = form
         return gram
 
     @staticmethod
-    def from_orbitals(orbital_of: np.ndarray, x) -> "GramMatrix":
-        """The Gram x[orbital_of] of a whole orbital form, held without dense entries.
+    def from_orbitals(scheme: "SchurianScheme", x) -> "GramMatrix":
+        """The Gram x[scheme.orbital_of], held without dense entries.
 
-        orbital_of must be a transitive scheme's orbital matrix with labels
-        0..len(x)-1; Hermitian symmetry is checked on the coefficients,
-        pairing orbital i with the orbital of (v, 0) for (0, v) in orbital i.
+        Hermitian symmetry is checked on the coefficients, through
+        `scheme.adjoint`.
         """
-        orbital_of = np.asarray(orbital_of)
         x = np.asarray(x, dtype=np.complex128)
-        if orbital_of.ndim != 2 or orbital_of.shape[0] != orbital_of.shape[1]:
-            raise InputError(f"orbital matrix shape {orbital_of.shape} is not square")
-        labels, cols = np.unique(orbital_of[0], return_index=True)
-        if not np.array_equal(labels, np.arange(len(x))):
-            raise InputError("a whole orbital form needs every label 0..c-1 in row 0")
-        if np.abs(x - np.conj(x[orbital_of[cols, 0]])).max() > HERMITIAN_TOL:
+        if x.shape != (scheme.n_orbitals,):
+            raise InputError(f"{x.shape} coefficients for a scheme of {scheme.n_orbitals} orbitals")
+        if np.abs(x - scheme.adjoint(x)).max() > HERMITIAN_TOL:
             raise InputError("Gram matrix is not Hermitian within 1e-12")
-        return GramMatrix._of_form(OrbitalForm(orbital_of, x, columns=cols))
+        return GramMatrix._of_form(OrbitalForm(scheme.orbital_of, x, scheme=scheme))
 
     @staticmethod
-    def from_entries(entries, exact_entries=None) -> "GramMatrix":
+    def from_entries(entries) -> "GramMatrix":
         entries = np.asarray(entries, dtype=np.complex128)
-        return GramMatrix(entries.shape[0], entries, exact_entries)
+        return GramMatrix(entries.shape[0], entries)
 
-    def is_real(self, tol: float = 1e-10) -> bool:
-        return float(np.abs(self.entries.imag).max(initial=0.0)) <= tol
+    def is_real(self) -> bool:
+        return float(np.abs(self.entries.imag).max(initial=0.0)) <= REAL_TOL
 
     def normalized(self) -> "GramMatrix":
         """Rescale to unit diagonal (unit-norm frame vectors)."""
@@ -154,23 +151,24 @@ class FrameVectors:
     def gram(self) -> GramMatrix:
         return GramMatrix.from_entries(self.synthesis.conj().T @ self.synthesis)
 
-    def is_real(self, tol: float = 1e-9) -> bool:
-        return float(np.abs(self.synthesis.imag).max(initial=0.0)) <= tol
+    def is_real(self) -> bool:
+        return float(np.abs(self.synthesis.imag).max(initial=0.0)) <= 1e-9
 
 
-def vectors_from_gram(gram: GramMatrix, tol: float = 1e-9) -> FrameVectors:
+def vectors_from_gram(gram: GramMatrix) -> FrameVectors:
     """Recover a d x n synthesis matrix from the Gram matrix.
 
-    d is the numerical rank; the synthesis is sqrt(Lambda) V* restricted
-    to the nonzero eigenpairs, determined up to left unitary equivalence.
+    d is the number of eigenvalues above 1e-9 times the spectral radius;
+    the synthesis is sqrt(Lambda) V* restricted to those eigenpairs,
+    determined up to left unitary equivalence.
     """
     eigvals, eigvecs = np.linalg.eigh(gram.entries)
     radius = float(np.abs(eigvals).max(initial=0.0))
     if radius == 0.0:
         return FrameVectors(0, gram.n, np.zeros((0, gram.n), dtype=np.complex128))
-    if eigvals.min() < -tol * radius:
+    if eigvals.min() < -1e-9 * radius:
         raise InputError(f"matrix is not PSD: min eigenvalue {eigvals.min():.3e}")
-    keep = eigvals > tol * radius
+    keep = eigvals > 1e-9 * radius
     vals = eigvals[keep]
     vecs = eigvecs[:, keep]
     synthesis = np.sqrt(vals)[:, None] * vecs.conj().T
@@ -180,12 +178,13 @@ def vectors_from_gram(gram: GramMatrix, tol: float = 1e-9) -> FrameVectors:
     return FrameVectors(int(keep.sum()), gram.n, synthesis)
 
 
-def gram_rank(gram: GramMatrix, tol: float = RANK_TOL) -> int:
+def gram_rank(gram: GramMatrix) -> int:
+    """Number of eigenvalues above RANK_TOL times the spectral radius."""
     eigvals = np.linalg.eigvalsh(gram.entries)
     radius = float(np.abs(eigvals).max(initial=0.0))
     if radius == 0.0:
         return 0
-    return int((eigvals > tol * radius).sum())
+    return int((eigvals > RANK_TOL * radius).sum())
 
 
 def coherence(gram: GramMatrix) -> float:
@@ -273,19 +272,19 @@ def _trace_rank(gram: GramMatrix, c: Optional[float], residual: float) -> Option
     return round(float(np.real(np.trace(gram.entries))) / c)
 
 
-def is_tight(gram: GramMatrix, tol: float = 1e-8) -> bool:
-    """True iff the Gram matrix is a (nonzero) scalar multiple of a projection."""
-    return _tightness(gram, tol)[0] is not None
+def is_tight(gram: GramMatrix) -> bool:
+    """True iff the Gram matrix is a (nonzero) scalar multiple of a projection, within 1e-8."""
+    return _tightness(gram, 1e-8)[0] is not None
 
 
-def is_etf(gram: GramMatrix, tol: float = 1e-8) -> bool:
+def is_etf(gram: GramMatrix) -> bool:
     """Equiangular tight frame test on a Gram matrix.
 
-    Three features, all within tol: scalar multiple of a projection,
+    Three features, all within 1e-8: scalar multiple of a projection,
     constant diagonal, constant modulus off the diagonal.  An identity
     matrix (orthonormal basis) passes with off-diagonal modulus 0.
     """
-    return _tightness(gram, tol)[2]
+    return _tightness(gram, 1e-8)[2]
 
 
 def naimark_complement(gram: GramMatrix) -> GramMatrix:
@@ -314,7 +313,7 @@ def projective_reduce(gram: GramMatrix, tol: float = 1e-7) -> tuple[GramMatrix, 
     Returns the reduced Gram and the map point -> representative index.
     Unequal class sizes break the group-frame pattern and raise a warning.
     """
-    if gram.orbital is not None and gram.orbital.columns is not None:
+    if gram.orbital is not None and gram.orbital.scheme is not None:
         reduced = _reduce_orbitals(gram.orbital, tol)
         if reduced is not None:
             return reduced
@@ -376,10 +375,9 @@ def _square_certificate(form: OrbitalForm) -> tuple[float, float]:
     (Cauchy-Schwarz), which the bound adds four times over.
     """
     of, x = form.orbital_of, form.x
-    sq = x[of[0]] @ x[of[:, form.columns]]
-    diag = of[0, 0]
-    norm = float(sq[diag].real)
-    c = norm / float(x[diag].real)
+    sq = x[of[0]] @ x[of[:, form.scheme.columns]]
+    norm = float(sq[0].real)
+    c = norm / float(x[0].real)
     return c, float(np.abs(sq - c * x).max()) + 4 * len(of) * _EPS * norm
 
 
@@ -405,13 +403,12 @@ def _reduce_orbitals(form: OrbitalForm, tol: float) -> Optional[tuple[GramMatrix
     n = len(of)
     moduli = np.abs(x)
     scale = max(1.0, float(moduli.max()))
-    diag = of[0, 0]
     anchor = int(np.argmax(moduli[of[:, 0]]))
     anchor_mod = moduli[of[anchor, 0]]
     if not anchor_mod > 10 * tol * scale:
         return None
-    labels = np.delete(np.arange(len(x)), diag)
-    v = form.columns[labels]
+    labels = np.arange(1, len(x))
+    v = form.scheme.columns[labels]
     close = _decisive(np.abs(anchor_mod - moduli[of[anchor, v]]), tol * scale)
     if close is None:
         return None
@@ -430,7 +427,7 @@ def _reduce_orbitals(form: OrbitalForm, tol: float) -> Optional[tuple[GramMatrix
     if not parallel.any():
         return GramMatrix._of_form(form), list(range(n))
     collapsed = np.zeros(len(x), dtype=bool)
-    collapsed[diag] = True
+    collapsed[0] = True
     collapsed[labels[parallel]] = True
     same = collapsed[of]
     class_map = np.argmax(same, axis=0)
@@ -442,7 +439,7 @@ def _reduce_orbitals(form: OrbitalForm, tol: float) -> Optional[tuple[GramMatrix
         return None
     c, bound = _square_certificate(form)
     phase, resid = float(phase[parallel].max()), float(resid[parallel].max())
-    x0 = float(x[diag].real)
+    x0 = float(x[0].real)
     dropped = n * ((2 * phase + phase**2) * x0**2 + 2 * (1 + phase) * resid * x0 + resid**2)
     reduced = OrbitalForm(of[np.ix_(reps, reps)], x, certificate=(c / k, (bound + dropped) / k))
     return GramMatrix._of_form(reduced), class_map.tolist()
@@ -521,13 +518,12 @@ def matrix_key(m: np.ndarray) -> bytes:
     return (np.round(m.real, 7) + 0.0).tobytes() + (np.round(m.imag, 7) + 0.0).tobytes()
 
 
-def matrix_group_closure(
-    generators: Sequence[np.ndarray], cap: int, tol: float
-) -> list[np.ndarray]:
+def matrix_group_closure(generators: Sequence[np.ndarray], cap: int) -> list[np.ndarray]:
     """Elements of the group generated by one or more unitary matrices, identity first.
 
     Breadth-first closure deduplicated by `matrix_key`; every new element
-    must stay unitary within 100*tol, and more than `cap` elements raise.
+    must stay unitary within 100 * CLOSURE_TOL, and more than `cap`
+    elements raise.
     """
     dim = generators[0].shape[0]
     ident = np.eye(dim, dtype=np.complex128)
@@ -543,7 +539,7 @@ def matrix_group_closure(
                 if k not in seen:
                     if len(elements) >= cap:
                         raise ResourceError(f"matrix group closure exceeded cap {cap}")
-                    if np.abs(y.conj().T @ y - ident).max() > 100 * tol:
+                    if np.abs(y.conj().T @ y - ident).max() > 100 * CLOSURE_TOL:
                         raise NumericError("closure element lost unitarity")
                     seen.add(k)
                     elements.append(y)
@@ -553,10 +549,7 @@ def matrix_group_closure(
 
 
 def matrix_group_orbit_gram(
-    generators: Sequence[np.ndarray],
-    v: np.ndarray,
-    order_cap: int = 100_000,
-    tol: float = 1e-9,
+    generators: Sequence[np.ndarray], v: np.ndarray, order_cap: int = 100_000
 ) -> GramMatrix:
     """Gram matrix of the orbit of v under the group generated by unitaries.
 
@@ -569,18 +562,14 @@ def matrix_group_orbit_gram(
     for g in gens:
         if g.shape != (dim, dim):
             raise InputError("generator shape does not match the vector dimension")
-        if np.abs(g.conj().T @ g - np.eye(dim)).max() > tol:
+        if np.abs(g.conj().T @ g - np.eye(dim)).max() > CLOSURE_TOL:
             raise InputError("generator is not unitary within tolerance")
-    vectors = []
-    vec_seen = set()
+    vectors: dict[bytes, np.ndarray] = {}
     # no generators means the trivial group
-    for g in matrix_group_closure(gens or [np.eye(dim, dtype=np.complex128)], order_cap, tol):
+    for g in matrix_group_closure(gens or [np.eye(dim, dtype=np.complex128)], order_cap):
         w = g @ v
-        k = matrix_key(w)
-        if k not in vec_seen:
-            vec_seen.add(k)
-            vectors.append(w)
-    synthesis = np.column_stack(vectors)
+        vectors.setdefault(matrix_key(w), w)
+    synthesis = np.column_stack(list(vectors.values()))
     entries = synthesis.conj().T @ synthesis
     entries = (entries + entries.conj().T) / 2
     return GramMatrix.from_entries(entries)
@@ -597,13 +586,13 @@ def gap_clusters(values: np.ndarray, threshold: float) -> list[np.ndarray]:
     return [order[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def distinct_moduli(gram: GramMatrix, gap: float = 1e-7) -> list[float]:
-    """Sorted distinct off-diagonal entry moduli, clustered at the given gap."""
+def distinct_moduli(gram: GramMatrix) -> list[float]:
+    """Sorted distinct off-diagonal entry moduli, clustered at MODULI_GAP."""
     n = gram.n
     if n < 2:
         return []
     off = np.abs(gram.entries)[~np.eye(n, dtype=bool)]
-    return [float(off[idx].mean()) for idx in gap_clusters(off, gap)]
+    return [float(off[idx].mean()) for idx in gap_clusters(off, MODULI_GAP)]
 
 
 @dataclass
@@ -669,20 +658,17 @@ def _orbital_facts(gram: GramMatrix, tol: float) -> Optional[tuple]:
     form = gram.orbital
     of, x = form.orbital_of, form.x
     n = gram.n
-    diag = of[0, 0]
-    if np.any(np.diagonal(of) != diag):
-        return None
-    if form.columns is not None:
-        counts = n * np.bincount(of[0], minlength=len(x))
+    if form.scheme is not None:
+        counts = n * np.array(form.scheme.valencies)
         c, bound = _square_certificate(form)
     else:
         counts = np.bincount(of.ravel(), minlength=len(x))
         c, bound = form.certificate
-    counts[diag] -= n
+    counts[0] -= n
     off = np.flatnonzero(counts)
     absx = np.abs(x)
-    scale = max(1.0, float(absx[off].max(initial=absx[diag])))
-    x0 = float(x[diag].real)
+    scale = max(1.0, float(absx[off].max(initial=absx[0])))
+    x0 = float(x[0].real)
     if not (x0 > 0 and c > 0 and n * x0 > 10 * tol):
         return None
     residual = 2 * (bound + 4 * n * _EPS * c * x0)
@@ -693,7 +679,7 @@ def _orbital_facts(gram: GramMatrix, tol: float) -> Optional[tuple]:
         return None
     off_moduli = absx[off]
     etf = off.size == 0 or bool(off_moduli.max() - off_moduli.min() <= tol * scale)
-    real = float(np.abs(x[np.append(off, diag)].imag).max()) <= 1e-10
+    real = float(np.abs(x[np.append(off, 0)].imag).max()) <= REAL_TOL
     if n < 2:
         return round(rank), etf, real, 0.0, lambda: []
     inv = 1.0 / np.sqrt(np.float64(x0))
@@ -705,13 +691,13 @@ def _orbital_facts(gram: GramMatrix, tol: float) -> Optional[tuple]:
         weights = counts[off]
         return [
             float(np.repeat(off_moduli[idx], weights[idx]).mean())
-            for idx in gap_clusters(off_moduli, 1e-7)
+            for idx in gap_clusters(off_moduli, MODULI_GAP)
         ]
 
     return round(rank), etf, real, coh, moduli
 
 
-def packing_report(gram: GramMatrix, field: Optional[str] = None, tol: float = 1e-8) -> PackingReport:
+def packing_report(gram: GramMatrix, tol: float = 1e-8) -> PackingReport:
     """Evaluate a Gram matrix as a line packing.
 
     The ambient dimension d is the numerical rank (`gram_rank`).  The tight
@@ -734,14 +720,13 @@ def packing_report(gram: GramMatrix, field: Optional[str] = None, tol: float = 1
         d = _trace_rank(gram, c, residual)
         if d is None:
             d = gram_rank(gram)
-        real = field is None and gram.is_real()
+        real = gram.is_real()
         coh = coherence(gram) if n >= 2 else 0.0
 
         def moduli() -> list[float]:
             return distinct_moduli(gram)
 
-    if field is None:
-        field = "real" if real else "complex"
+    field = "real" if real else "complex"
     welch = welch_bound(n, d) if n >= 2 and d >= 1 else 0.0
     orthoplex, lev = secondary_bounds(n, d, field) if n >= 2 and d >= 1 else (None, None)
     return PackingReport(

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, NumericError
-from .frames import GramMatrix, complex_pairs, gap_clusters
+from .frames import HERMITIAN_TOL, GramMatrix, complex_pairs, gap_clusters
 from .scheme import SchurianScheme
 
 IDEMPOTENT_TOL = 1e-8
@@ -137,16 +137,9 @@ class _DecompositionFailure(Exception):
 
 
 def _hermitian_center_basis(scheme: SchurianScheme, center: np.ndarray) -> list[np.ndarray]:
-    pairing = np.asarray(scheme.transpose_pairing)
-
-    def adjoint(x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        out[pairing] = np.conj(x)
-        return out
-
     herm = []
     for b in center:
-        for cand in (b + adjoint(b), 1j * (b - adjoint(b))):
+        for cand in (b + scheme.adjoint(b), 1j * (b - scheme.adjoint(b))):
             norm = np.abs(cand).max()
             if norm > 1e-12:
                 herm.append(cand / norm)
@@ -184,30 +177,23 @@ def _decompose_once(
     sym = root_k[:, None] * _left_multiplication(p_flat, generic) / root_k[None, :]
     eigvals, eigvecs = np.linalg.eigh((sym + sym.conj().T) / 2)
     radius = max(float(np.abs(eigvals).max()), 1.0)
-    pairing = np.asarray(scheme.transpose_pairing)
     projectors = []
     for idx in gap_clusters(eigvals, tol * radius):
         vecs = eigvecs[:, idx]
-        e = vecs @ vecs[scheme.diagonal_index].conj() / root_k
-        projectors.append((e + np.conj(e[pairing])) / 2)
+        e = vecs @ vecs[0].conj() / root_k
+        projectors.append((e + scheme.adjoint(e)) / 2)
     return projectors
-
-
-def _trace_from_coeffs(scheme: SchurianScheme, coeffs: np.ndarray) -> complex:
-    # only the diagonal orbital contributes to the trace
-    return coeffs[scheme.diagonal_index] * scheme.point_count
 
 
 def _verify(scheme: SchurianScheme, p_flat: np.ndarray, coeff_list: list[np.ndarray]) -> None:
     """Certify the projectors with the exact structure constants, one L_E at a time."""
     stack = np.array(coeff_list)
     identity = np.zeros(scheme.n_orbitals, dtype=np.complex128)
-    identity[scheme.diagonal_index] = 1.0
-    pairing = np.asarray(scheme.transpose_pairing)
+    identity[0] = 1.0
     for a, e in enumerate(coeff_list):
-        if np.real(_trace_from_coeffs(scheme, e)) < 0.5:
+        if np.real(scheme.trace(e)) < 0.5:
             raise _DecompositionFailure("projector has rank zero")
-        if np.abs(e - np.conj(e[pairing])).max() > 1e-12:
+        if np.abs(e - scheme.adjoint(e)).max() > HERMITIAN_TOL:
             raise _DecompositionFailure("projector is not Hermitian")
         products = stack @ _left_multiplication(p_flat, e).T  # row b is E_a E_b
         if np.abs(products[a] - e).max() > IDEMPOTENT_TOL:
@@ -264,7 +250,7 @@ def _assemble(scheme: SchurianScheme, coeff_list: list[np.ndarray]) -> IsotypicD
     n = scheme.point_count
     items = []
     for e in coeff_list:
-        tr = np.real(_trace_from_coeffs(scheme, e))
+        tr = np.real(scheme.trace(e))
         if abs(tr - round(tr)) > 1e-6:
             raise NumericError(f"projector trace {tr} is not close to an integer")
         items.append((int(round(tr)), e))
@@ -296,7 +282,7 @@ def _assemble(scheme: SchurianScheme, coeff_list: list[np.ndarray]) -> IsotypicD
             continue
         degree = rank // mult
         # the diagonal coefficient must agree with multiplicity * degree / n
-        if abs(n * e[scheme.diagonal_index].real - mult * degree) > 1e-6:
+        if abs(n * e[0].real - mult * degree) > 1e-6:
             degrees.append(None)
             multiplicities.append(None)
             continue
@@ -325,7 +311,7 @@ def spherical_function_values(dec: IsotypicDecomposition, j: int) -> np.ndarray:
     """
     if not 0 <= j < dec.n_projections:
         raise InputError(f"projection index {j} out of range")
-    c0 = dec.coefficients[j][dec.scheme.diagonal_index]
+    c0 = dec.coefficients[j][0]
     return dec.coefficients[j] / c0
 
 
@@ -334,12 +320,12 @@ def projection_from_subset(dec: IsotypicDecomposition, subset) -> GramMatrix:
 
     The complement subset yields I minus the result (Naimark pairing).
     The Gram is held in its orbital form: the coefficients, symmetrised as
-    x <- (x + conj(x[transpose_pairing])) / 2, over the scheme's orbitals.
+    x <- (x + adjoint(x)) / 2, over the scheme's orbitals.
     """
     indices = sorted(set(int(j) for j in subset))
     for j in indices:
         if not 0 <= j < dec.n_projections:
             raise InputError(f"projection index {j} out of range")
     coeffs = dec.coefficients[indices].sum(axis=0)
-    coeffs = (coeffs + np.conj(coeffs[list(dec.scheme.transpose_pairing)])) / 2
-    return GramMatrix.from_orbitals(dec.scheme.orbital_of, coeffs)
+    coeffs = (coeffs + dec.scheme.adjoint(coeffs)) / 2
+    return GramMatrix.from_orbitals(dec.scheme, coeffs)

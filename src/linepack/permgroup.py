@@ -370,20 +370,39 @@ class GroupAction:
         return self.group.degree
 
 
+def _suborbits(generators: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """Least point of the orbit of each of the n points under the generators.
+
+    Min-label hooking with pointer jumping, one generator s at a time: a
+    round hooks the root of the larger label across every edge x -> s(x)
+    whose ends disagree onto the smaller one, then jumps pointers until
+    every point points at its root; rounds repeat until s agrees.  Later
+    hooks only merge trees, so every generator still agrees at the end.
+    A root is the least point of its tree, hence of its orbit.
+    """
+    label = np.arange(n, dtype=np.intp)
+    for s in generators:
+        while True:
+            ends = label[s]
+            split = ends != label
+            if not split.any():
+                break
+            ends, own = ends[split], label[split]
+            np.minimum.at(label, np.maximum(ends, own), np.minimum(ends, own))
+            while True:
+                jumped = label[label]
+                if np.array_equal(jumped, label):
+                    break
+                label = jumped
+    return label
+
+
 def orbit(group: PermutationGroup, point: int) -> set[int]:
-    """Smallest generator-closed subset of the point set containing `point`."""
+    """The orbit of `point`: the points that `_suborbits` gives its label."""
     if not 0 <= point < group.degree:
         raise InputError(f"point {point} out of range for degree {group.degree}")
-    seen = {point}
-    frontier = [point]
-    while frontier:
-        p = frontier.pop()
-        for g in group.generators:
-            q = g(p)
-            if q not in seen:
-                seen.add(q)
-                frontier.append(q)
-    return seen
+    label = _suborbits((_as_array(g.images) for g in group.generators), group.degree)
+    return set(np.flatnonzero(label == label[point]).tolist())
 
 
 def is_transitive(action: GroupAction) -> bool:

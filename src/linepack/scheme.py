@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -31,6 +29,7 @@ from .permgroup import (
     GroupAction,
     PermutationGroup,
     _generator_transversal,
+    _suborbits,
     action_on,
     is_transitive,
 )
@@ -38,15 +37,41 @@ from .permgroup import (
 
 @dataclass
 class SchurianScheme:
+    """The orbitals of a transitive action, with their coefficient space.
+
+    Orbital 0 is the diagonal.  A coefficient vector x of length c stands
+    for the group-stable matrix x[orbital_of]; the scheme owns the facts
+    that read such a vector: `columns`, `adjoint` and `trace`.
+    """
+
     point_count: int
     orbital_of: np.ndarray  # (n, n) int matrix of orbital indices
     valencies: tuple[int, ...]
     transpose_pairing: tuple[int, ...]
-    diagonal_index: int = 0
 
     @property
     def n_orbitals(self) -> int:
         return len(self.valencies)
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """columns[i] is the least y with (0, y) in orbital i."""
+        labels, first = np.unique(self.orbital_of[0], return_index=True)
+        if not np.array_equal(labels, np.arange(self.n_orbitals)):
+            raise InputError("row 0 of the orbital matrix must meet every label 0..c-1")
+        return first
+
+    @cached_property
+    def _pairing(self) -> np.ndarray:
+        return np.asarray(self.transpose_pairing, dtype=np.intp)
+
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        """Coefficients of the conjugate transpose of x[orbital_of]."""
+        return np.conj(x[self._pairing])
+
+    def trace(self, x: np.ndarray):
+        """Trace of x[orbital_of]: only the diagonal orbital contributes."""
+        return x[0] * self.point_count
 
     def orbital_matrix(self, i: int) -> np.ndarray:
         return (self.orbital_of == i).astype(np.int64)
@@ -70,12 +95,11 @@ class SchurianScheme:
             )
         row0 = self.orbital_of[0]
         onehot = (row0[:, None] == np.arange(c1)).astype(np.float64)  # [z, i] = A_i[0, z]
-        present, first_col = np.unique(row0, return_index=True)
         p = np.zeros((c1, c1, c1), dtype=np.int64)
         for j in range(c1):
             a_j = (self.orbital_of == j).astype(np.float64)
             counts = (onehot.T @ a_j).astype(np.int64)  # [i, y] = (A_i A_j)[0, y]
-            p[:, j, present] = counts[:, first_col]
+            p[:, j] = counts[:, self.columns]
             if not np.array_equal(counts, p[:, j, row0]):
                 raise InputError("orbital products do not close over the orbitals")
         return p
@@ -126,33 +150,6 @@ def _canonical_scheme(orbital_of: np.ndarray) -> SchurianScheme:
         valencies=tuple(int(k) for k in valency[order]),
         transpose_pairing=tuple(int(i) for i in orbital_of[first_col[order], 0]),
     )
-
-
-def _suborbits(generators: Iterable[np.ndarray], n: int) -> np.ndarray:
-    """Least point of the orbit of each of the n points under the generators.
-
-    Min-label hooking with pointer jumping, one generator s at a time: a
-    round hooks the root of the larger label across every edge x -> s(x)
-    whose ends disagree onto the smaller one, then jumps pointers until
-    every point points at its root; rounds repeat until s agrees.  Later
-    hooks only merge trees, so every generator still agrees at the end.
-    A root is the least point of its tree, hence of its orbit.
-    """
-    label = np.arange(n, dtype=np.intp)
-    for s in generators:
-        while True:
-            ends = label[s]
-            split = ends != label
-            if not split.any():
-                break
-            ends, own = ends[split], label[split]
-            np.minimum.at(label, np.maximum(ends, own), np.minimum(ends, own))
-            while True:
-                jumped = label[label]
-                if np.array_equal(jumped, label):
-                    break
-                label = jumped
-    return label
 
 
 def scheme_from_action(action: GroupAction) -> SchurianScheme:
@@ -209,33 +206,19 @@ def conjugacy_class_scheme(
     return scheme_from_action(action_on(elems, operator.attrgetter("images"), left + right))
 
 
-def stable_matrix_check(scheme: SchurianScheme, matrix, tol: float = 1e-9) -> bool:
+def stable_matrix_check(scheme: SchurianScheme, matrix) -> bool:
     """True iff the matrix is constant on every orbital.
 
-    Exact for Fraction entries, tolerance-bounded (absolute) otherwise.
+    Exact for an object array (Fraction or int entries), within an absolute
+    1e-9 otherwise.  Each orbital is compared with its entry in row 0.
     """
     n = scheme.point_count
-    if isinstance(matrix, np.ndarray) and matrix.dtype != object:
-        if matrix.shape != (n, n):
-            raise InputError(f"matrix shape {matrix.shape} does not match point count {n}")
-        for i in range(scheme.n_orbitals):
-            vals = matrix[scheme.orbital_of == i]
-            if np.abs(vals - vals.flat[0]).max() > tol:
-                return False
-        return True
-    rows = list(matrix)
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise InputError("matrix dimensions do not match point count")
-    ref: dict[int, object] = {}
-    for x in range(n):
-        for y in range(n):
-            i = int(scheme.orbital_of[x, y])
-            v = rows[x][y]
-            if i not in ref:
-                ref[i] = v
-            elif isinstance(v, (int, Fraction)) and isinstance(ref[i], (int, Fraction)):
-                if v != ref[i]:
-                    return False
-            elif abs(complex(v) - complex(ref[i])) > tol:
-                return False
-    return True
+    try:
+        values = np.asarray(matrix)
+    except ValueError:
+        raise InputError("matrix rows must all have the same length") from None
+    if values.shape != (n, n):
+        raise InputError(f"matrix shape {values.shape} does not match point count {n}")
+    slack = 0 if values.dtype == object else 1e-9
+    reference = values[0, scheme.columns][scheme.orbital_of]
+    return bool(np.all(abs(values - reference) <= slack))

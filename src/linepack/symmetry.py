@@ -102,32 +102,9 @@ def _colorize(entries: np.ndarray, lookup: dict[complex, int]) -> np.ndarray:
 
 
 def color_matrix_from_gram(gram: GramMatrix, tol: float = 1e-7) -> ColoredDigraph:
-    """Entry-value coloring of a Gram matrix.
-
-    Exact entries (`gram.exact_entries`, e.g. rational pairs) use exact
-    equality; floating entries are clustered at the given tolerance.
-    """
-    n = gram.n
-    if gram.exact_entries is not None:
-        tokens = {}
-        for x in range(n):
-            for y in range(n):
-                tokens.setdefault(gram.exact_entries[x][y], []).append((x, y))
-        keyed = sorted(
-            tokens,
-            key=lambda t: (
-                float(np.real(complex(gram.entries[tokens[t][0][0], tokens[t][0][1]]))),
-                float(np.imag(complex(gram.entries[tokens[t][0][0], tokens[t][0][1]]))),
-                repr(t),
-            ),
-        )
-        color_id = {t: c for c, t in enumerate(keyed)}
-        colors = np.empty((n, n), dtype=np.int64)
-        for t, cells_t in tokens.items():
-            for (x, y) in cells_t:
-                colors[x, y] = color_id[t]
-        return ColoredDigraph(n, colors)
-    return ColoredDigraph(n, _colorize(gram.entries, _cluster_values(gram.entries.ravel(), tol)))
+    """Entry-value coloring of a Gram matrix, its entries clustered at the given tolerance."""
+    lookup = _cluster_values(gram.entries.ravel(), tol)
+    return ColoredDigraph(gram.n, _colorize(gram.entries, lookup))
 
 
 def _rank_rows(rows: np.ndarray) -> np.ndarray:
@@ -310,31 +287,22 @@ def gram_symmetry_group(
     return group
 
 
-def is_homogeneous(gram: GramMatrix, tol: float = 1e-7, node_cap: int = DEFAULT_NODE_CAP) -> bool:
+def is_homogeneous(gram: GramMatrix) -> bool:
     """True iff the symmetry group of the Gram matrix is transitive."""
-    group = gram_symmetry_group(gram, tol, node_cap)
-    return len(orbit(group, 0)) == gram.n
+    return len(orbit(gram_symmetry_group(gram), 0)) == gram.n
 
 
-def find_gram_isomorphism(
-    gram_a: GramMatrix,
-    gram_b: GramMatrix,
-    tol: float = 1e-7,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> Optional[Permutation]:
+def find_gram_isomorphism(gram_a: GramMatrix, gram_b: GramMatrix) -> Optional[Permutation]:
     """A permutation carrying gram_a onto gram_b entrywise, or None.
 
-    Colors are clustered over the union of both entry sets so the color
-    ids align; the search then looks for a color isomorphism.
+    Colors are clustered at 1e-7 over the union of both entry sets so the
+    color ids align; the search then looks for a color isomorphism.
     """
     if gram_a.n != gram_b.n:
         return None
-    lookup = _cluster_values(
-        np.concatenate([gram_a.entries.ravel(), gram_b.entries.ravel()]), tol
-    )
+    lookup = _cluster_values(np.concatenate([gram_a.entries.ravel(), gram_b.entries.ravel()]), 1e-7)
     ec_a, ec_b = _colorize(gram_a.entries, lookup), _colorize(gram_b.entries, lookup)
-    budget = _Budget(node_cap)
-    return _search_isomorphism(ec_a, ec_b, [], [], budget)
+    return _search_isomorphism(ec_a, ec_b, [], [], _Budget(DEFAULT_NODE_CAP))
 
 
 def regular_subgroup_check(action: GroupAction, subgroup_generators: Sequence[Permutation]) -> bool:

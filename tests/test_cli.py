@@ -174,11 +174,14 @@ def test_heisenberg_oversized_gram_is_refused_at_once(capsys):
 
 
 def test_harmonic_command(capsys):
-    code, payload = run(capsys, ["harmonic", "--moduli", "7", "--subset", "1,2,4"])
-    assert code == 0
-    assert payload["difference_set"] is True
-    assert payload["lambda"] == 1
-    assert payload["report"]["is_etf"] is True
+    # the comma form and the flat and nested JSON forms name the same subset
+    for subset in ("1,2,4", "[1, 2, 4]", "[[1], [2], [4]]"):
+        code, payload = run(capsys, ["harmonic", "--moduli", "7", "--subset", subset])
+        assert code == 0
+        assert payload["subset"] == [[1], [2], [4]]
+        assert payload["difference_set"] is True
+        assert payload["lambda"] == 1
+        assert payload["report"]["is_etf"] is True
     code, payload = run(capsys, ["harmonic", "--moduli", "4", "--subset", "0,1"])
     assert code == 0
     assert payload["difference_set"] is False
@@ -270,6 +273,13 @@ GRAM_I2 = json.dumps(GramMatrix.from_entries(np.eye(2)).to_json_dict())
         ({}, ["heisenberg", "--moduli", "x"]),
         ({}, ["harmonic", "--moduli", "7", "--subset", "a"]),
         ({}, ["harmonic", "--moduli", "7", "--subset", "[[1, 2"]),
+        ({}, ["harmonic", "--moduli", "7", "--subset", "[1.5, 2, 4]"]),
+        ({}, ["harmonic", "--moduli", "7", "--subset", "[true, 2, 4]"]),
+        ({}, ["harmonic", "--moduli", "7", "--subset", '["1", 2, 4]']),
+        ({}, ["harmonic", "--moduli", "7", "--subset", "[[1.0], [2], [4]]"]),
+        ({}, ["harmonic", "--moduli", "3,3", "--subset", "[[0, 1], [false, 2]]"]),
+        ({"g": GRAM_I2}, ["symmetry", "@g", "--node-cap=-1"]),
+        ({}, ["idempotents", "fixture:agl", "--action", "regular", "--element-limit=-5"]),
     ],
     ids=[
         "missing-group",
@@ -285,6 +295,13 @@ GRAM_I2 = json.dumps(GramMatrix.from_entries(np.eye(2)).to_json_dict())
         "bad-moduli",
         "bad-subset",
         "bad-json-subset",
+        "float-subset",
+        "bool-subset",
+        "string-subset",
+        "nested-float-subset",
+        "nested-bool-subset",
+        "negative-node-cap",
+        "negative-element-limit",
     ],
 )
 def test_missing_file_is_input_error(capsys, tmp_path, files, argv):
@@ -336,6 +353,14 @@ def test_seed_must_be_non_negative(capsys, command):
     assert code == 2
     assert captured.err.startswith("input error: --seed must be non-negative")
     assert captured.out == ""
+
+
+def test_zero_node_cap_is_a_resource_limit(capsys, tmp_path):
+    # a cap of 0 is in range, and the identity Gram's search spends a node
+    (tmp_path / "g").write_text(GRAM_I2)
+    code = main(["symmetry", str(tmp_path / "g"), "--node-cap", "0"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("resource limit: ")
 
 
 # `scheme` builds no idempotents, so it has no --tol or --seed to ignore

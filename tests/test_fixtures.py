@@ -1,7 +1,6 @@
 import numpy as np
 
 from linepack.fixtures import (
-    CLOSURE_TOL,
     agl_line_action,
     fiducial_vector,
     figure2_gram,
@@ -177,7 +176,7 @@ def test_hoggar_group_order():
     action = hoggar_heisenberg_action()
     assert group_order(action.group) == 1_548_288  # 256 * 6048
     u, v = hoggar_stabilizer_generators()
-    assert len(matrix_group_closure([u, v], 10_000, CLOSURE_TOL)) == 6048
+    assert len(matrix_group_closure([u, v], 10_000)) == 6048
 
 
 def test_hoggar_stabilizers_are_unitary_and_fix_fiducial():

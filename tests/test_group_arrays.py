@@ -2,7 +2,8 @@
 
 The reference functions are the previous implementations, kept verbatim
 as oracles: the breadth-first orbital labelling of ``scheme_from_action``,
-the ``np.unique`` ranking inside ``symmetry._joint_refine``, the
+the set-based point orbit that ``permgroup.orbit`` replaced with the
+suborbit labelling, the ``np.unique`` ranking inside ``symmetry._joint_refine``, the
 per-(orbital, row) loop of ``SchurianScheme.to_json_dict``, and the
 index-dict loop of each action builder (pairs, regular, Heisenberg and
 Hoggar) and of ``conjugacy_class_scheme``, which ``permgroup.action_on``
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from linepack import errors, fixtures
 from linepack import scheme as scheme_module
 from linepack.errors import InputError, NumericError, ResourceError
-from linepack.fixtures import CLOSURE_TOL, hoggar_stabilizer_generators, pauli_tensor_generators
+from linepack.fixtures import hoggar_stabilizer_generators, pauli_tensor_generators
 from linepack.frames import matrix_group_closure, matrix_key
 from linepack.heisenberg import (
     HeisenbergElement,
@@ -36,18 +37,31 @@ from linepack.permgroup import (
     PermutationGroup,
     action_on,
     induced_pair_action,
+    _suborbits,
     is_transitive,
-    orbit,
     regular_action,
 )
 from linepack.scheme import (
     _canonical_scheme,
-    _suborbits,
     conjugacy_class_scheme,
     is_commutative,
     scheme_from_action,
 )
 from linepack.symmetry import _rank_rows
+
+
+def reference_orbit(group, point):
+    """The set-based breadth-first orbit of `point` that `permgroup.orbit` replaced."""
+    seen = {point}
+    frontier = [point]
+    while frontier:
+        p = frontier.pop()
+        for g in group.generators:
+            q = g(p)
+            if q not in seen:
+                seen.add(q)
+                frontier.append(q)
+    return seen
 
 
 def reference_scheme_from_action(action):
@@ -230,7 +244,7 @@ def permutation_lists(draw):
 def test_suborbits_are_the_least_orbit_points(case):
     n, gens = case
     group = PermutationGroup(n, [Permutation(tuple(g)) for g in gens])
-    want = [min(orbit(group, x)) for x in range(n)]
+    want = [min(reference_orbit(group, x)) for x in range(n)]
     arrays = [np.array(g, dtype=np.intp) for g in gens]
     assert _suborbits(arrays, n).tolist() == want
 
@@ -427,7 +441,7 @@ def reference_hoggar_heisenberg_action(include_order_check: bool = False) -> Gro
     coset action of the 1,548,288-element product group on K.
     """
     kgens = pauli_tensor_generators()
-    elements = matrix_group_closure(kgens, 512, CLOSURE_TOL)
+    elements = matrix_group_closure(kgens, 512)
     if len(elements) != 256:
         raise NumericError(f"tensor-Pauli closure has {len(elements)} elements, expected 256")
     index = {matrix_key(m): i for i, m in enumerate(elements)}
@@ -448,7 +462,7 @@ def reference_hoggar_heisenberg_action(include_order_check: bool = False) -> Gro
         gens.append(Permutation(tuple(images)))
     group = PermutationGroup(256, gens)
     if include_order_check:
-        stab = matrix_group_closure([u, v], 10_000, CLOSURE_TOL)
+        stab = matrix_group_closure([u, v], 10_000)
         if len(stab) != 6048:
             raise NumericError(f"stabilizer closure has {len(stab)} elements, expected 6048")
     return GroupAction(group)

@@ -140,7 +140,7 @@ def test_orbital_modulus_near_tolerance_falls_back_and_matches(decompositions, m
     i = 1
     x[i] *= 1 - offset * REDUCE_TOL / abs(x[i])
     x[pairing[i]] = np.conj(x[i])
-    near = GramMatrix.from_orbitals(dec.scheme.orbital_of, x)
+    near = GramMatrix.from_orbitals(dec.scheme, x)
     assert abs(abs(x[i]) - x[0].real) == pytest.approx(offset * REDUCE_TOL, rel=1e-6)
     fallbacks = _Fallbacks(monkeypatch)
     with warnings.catch_warnings():
@@ -174,7 +174,7 @@ def test_orbital_form_that_is_no_projection_is_read_densely(decompositions, monk
     i = next(i for i in range(1, len(pairing)) if pairing[i] == i)
     x = np.zeros(len(pairing), dtype=complex)
     x[0], x[i] = 1.0, 0.25
-    gram = GramMatrix.from_orbitals(dec.scheme.orbital_of, x)
+    gram = GramMatrix.from_orbitals(dec.scheme, x)
     fallbacks = _Fallbacks(monkeypatch)
     report = packing_report(gram, tol=SCAN_TOL)
     assert fallbacks.report == 1 and not report.is_tight
@@ -186,7 +186,7 @@ def test_square_certificate_bounds_the_dense_residual(decompositions):
     x = np.zeros(dec.scheme.n_orbitals, dtype=complex)
     x[0], x[1:] = 1.0, 0.2
     forms = [projection_from_subset(dec, s) for s in _subsets(dec.n_projections)]
-    forms.append(GramMatrix.from_orbitals(dec.scheme.orbital_of, x))
+    forms.append(GramMatrix.from_orbitals(dec.scheme, x))
     for gram in forms:
         c, bound = frames._square_certificate(gram.orbital)
         g = gram.entries
@@ -204,7 +204,7 @@ def test_equal_anchor_moduli_without_parallel_columns_stay_apart(decompositions,
     i = next(i for i in range(1, scheme.n_orbitals) if scheme.valencies[i] == 1 and pairing[i] == i)
     x = np.array([0.1 * min(j, pairing[j]) for j in range(scheme.n_orbitals)], dtype=complex)
     x[0] = x[i] = 1.0
-    gram = GramMatrix.from_orbitals(scheme.orbital_of, x)
+    gram = GramMatrix.from_orbitals(scheme, x)
     fallbacks = _Fallbacks(monkeypatch)
     red, class_map = projective_reduce(gram, REDUCE_TOL)
     assert fallbacks.reduce == 0
@@ -217,9 +217,9 @@ def test_from_orbitals_checks_its_form(decompositions):
     asymmetric = next(i for i, j in enumerate(dec.scheme.transpose_pairing) if i != j)
     x[asymmetric] += 1e-3
     with pytest.raises(InputError):
-        GramMatrix.from_orbitals(dec.scheme.orbital_of, x)
+        GramMatrix.from_orbitals(dec.scheme, x)
     with pytest.raises(InputError):
-        GramMatrix.from_orbitals(dec.scheme.orbital_of, np.append(x, 0.0))
+        GramMatrix.from_orbitals(dec.scheme, np.append(x, 0.0))
 
 
 def _gerzon(row):

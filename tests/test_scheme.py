@@ -209,6 +209,11 @@ def test_stable_matrix_check():
     assert stable_matrix_check(sch, j)
     j[0][1] = Fraction(1, 4)
     assert not stable_matrix_check(sch, j)
+    # Fractions are compared exactly, with no float slack
+    j[0][1] = Fraction(1, 3) + Fraction(1, 10**12)
+    assert not stable_matrix_check(sch, j)
+    with pytest.raises(InputError):
+        stable_matrix_check(sch, [[1, 1, 1], [1, 1], [1, 1, 1]])
 
 
 def test_one_point_degenerate_scheme():

@@ -10,6 +10,13 @@ The exact Heisenberg export is integer-only too, but ``heisenberg`` also
 prints a float report, so its cases pin the digest of
 ``json.dumps(payload["exact_entries"], sort_keys=True)`` alone.  They were
 recorded before equal exact cells came to share one exported dict.
+
+Three more guards are integer-only as well.  ``scan-etf`` rows also print
+floats, so the scan cases pin the digest of each row's integer, boolean and
+string fields alone, rows in printed order.  The colour cases pin the bytes
+of the entry colouring of each figure fixture, and ``verify-figures`` prints
+booleans only, so its whole stdout is pinned.  They were recorded before the
+scheme came to own its coefficient space and the exact colouring path went.
 """
 
 import hashlib
@@ -18,8 +25,9 @@ from pathlib import Path
 
 import pytest
 
-from linepack import cli
+from linepack import cli, fixtures
 from linepack.cli import main
+from linepack.symmetry import color_matrix_from_gram
 
 DIGESTS = Path(__file__).parent / "data" / "cli_stdout_sha256.json"
 
@@ -38,6 +46,7 @@ CASES = {
     "scheme_m11_pairs": ["scheme", "fixture:m11", "--action", "pairs"],
     "scheme_d20_regular": ["scheme", "@d20", "--action", "regular"],
     "scheme_z7_regular": ["scheme", "@z7", "--action", "regular"],
+    "verify_figures": ["verify-figures"],
 }
 
 EXPORT_CASES = {
@@ -45,6 +54,38 @@ EXPORT_CASES = {
     "heisenberg_exact_z3xz3_even": ["heisenberg", "--moduli", "3,3", "--parity", "even"],
     "heisenberg_exact_z3xz9": ["heisenberg", "--moduli", "3,9"],
 }
+
+
+SCAN_CASES = {
+    "scan_rows_agl": ["scan-etf", "fixture:agl"],
+    "scan_rows_agl_no_reduce": ["scan-etf", "fixture:agl", "--no-reduce"],
+    "scan_rows_sl2_f8_pairs": ["scan-etf", "fixture:sl2_f8", "--action", "pairs"],
+    "scan_rows_m11_pairs": ["scan-etf", "fixture:m11", "--action", "pairs"],
+}
+
+# the fields of a scan row that hold no float, in printed order
+SCAN_FIELDS = (
+    "subset",
+    "rank",
+    "n",
+    "reduced",
+    "class_size",
+    "is_etf",
+    "welch_met",
+    "orthoplex_met",
+    "levenstein_met",
+    "field",
+)
+
+COLOR_CASES = {
+    "colors_figure2": fixtures.figure2_gram,
+    "colors_figure3": fixtures.figure3_gram,
+    "colors_figure4": fixtures.figure4_gram,
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def resolve(argv, directory):
@@ -60,7 +101,8 @@ def resolve(argv, directory):
 
 
 def test_digest_file_covers_every_case():
-    assert sorted(json.loads(DIGESTS.read_text())) == sorted([*CASES, *EXPORT_CASES])
+    cases = [*CASES, *EXPORT_CASES, *SCAN_CASES, *COLOR_CASES]
+    assert sorted(json.loads(DIGESTS.read_text())) == sorted(cases)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -82,3 +124,22 @@ def test_exact_export_is_byte_identical(case, capsys, monkeypatch):
     text = json.dumps(payloads[0]["exact_entries"], sort_keys=True)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == json.loads(DIGESTS.read_text())[case]
+
+
+def scan_fingerprint(stdout: str) -> str:
+    rows = json.loads(stdout)["results"]
+    fields = [[[k, row[k]] for k in SCAN_FIELDS if k in row] for row in rows]
+    return sha256(json.dumps(fields).encode("utf-8"))
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_scan_row_fields_are_identical(case, capsys):
+    assert main(SCAN_CASES[case]) == 0
+    digest = scan_fingerprint(capsys.readouterr().out)
+    assert digest == json.loads(DIGESTS.read_text())[case]
+
+
+@pytest.mark.parametrize("case", sorted(COLOR_CASES))
+def test_figure_colors_are_identical(case):
+    color = color_matrix_from_gram(COLOR_CASES[case]()).color
+    assert sha256(color.tobytes()) == json.loads(DIGESTS.read_text())[case]

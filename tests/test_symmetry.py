@@ -160,12 +160,9 @@ def test_ambiguous_values_raise():
 
 
 def test_exact_color_path():
-    from fractions import Fraction
-
+    # J/3 has one entry value, so one colour and the whole symmetric group
     n = 3
-    entries = np.full((n, n), 1 / 3)
-    exact = [[(Fraction(1, 3), 0)] * n for _ in range(n)]
-    gram = GramMatrix(n, np.array(entries), exact)
+    gram = GramMatrix(n, np.full((n, n), 1 / 3))
     colored = color_matrix_from_gram(gram)
     assert len(np.unique(colored.color)) == 1
     assert gram_symmetry_group(gram).order == 6
