@@ -11,8 +11,8 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -21,6 +21,9 @@ import numpy as np
 from . import fixtures
 from .errors import InputError, NumericError, ResourceError
 from .frames import (
+    COLOR_TOL,
+    REDUCE_TOL,
+    REPORT_TOL,
     GramMatrix,
     coherence,
     difference_set_check,
@@ -36,9 +39,9 @@ from .idempotents import (
     multiplicity_free,
     projection_from_subset,
 )
-from .permgroup import GroupAction, induced_pair_action, orbit, regular_action
-from .scheme import is_commutative, scheme_from_action
-from .symmetry import ColoredDigraph, gram_symmetry_group, find_gram_isomorphism
+from .permgroup import DEFAULT_ELEMENT_LIMIT, GroupAction, induced_pair_action, orbit, regular_action
+from .scheme import SchurianScheme, is_commutative, scheme_from_action
+from .symmetry import DEFAULT_NODE_CAP, ColoredDigraph, find_gram_isomorphism, gram_symmetry_group
 
 MAX_SUBSET_BITS = 20
 
@@ -47,27 +50,6 @@ _FIXTURE_GROUPS = {
     "sl2_f8": "sl2_f8_projective.json",
     "m11": "m11_on_12_points.json",
 }
-
-
-@dataclass
-class JobConfig:
-    """Parsed invocation: what to run, on what, and under which knobs."""
-
-    group_path: str
-    action: str = "natural"
-    multiplicity_free_only: bool = False
-    max_subset_size: Optional[int] = None
-    tol: float = 1e-8
-    seed: int = 0
-    element_limit: int = 10**6
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise InputError(f"--seed must be non-negative, got {self.seed}")
-        if self.element_limit < 0:
-            raise InputError(f"--element-limit must be non-negative, got {self.element_limit}")
-        if self.max_subset_size is not None and self.max_subset_size < 1:
-            raise InputError(f"--max-subset-size must be at least 1, got {self.max_subset_size}")
 
 
 def _read_json(path_str: str, what: str):
@@ -92,16 +74,6 @@ def _load_group(spec: str):
         name = spec.split(":", 1)[1]
         return fixtures.load_group_fixture(_FIXTURE_GROUPS.get(name, name))
     return fixtures.group_from_json(_read_json(spec, "group"))
-
-
-def _build_action(group, action_label: str, element_limit: int) -> GroupAction:
-    if action_label == "natural":
-        return GroupAction(group)
-    if action_label == "pairs":
-        return induced_pair_action(GroupAction(group))
-    if action_label == "regular":
-        return regular_action(group, element_limit)
-    raise InputError(f"unknown action {action_label!r} (use natural, pairs, or regular)")
 
 
 def _load_gram(path_str: str) -> GramMatrix:
@@ -209,25 +181,38 @@ def _emit(payload: dict, output: Optional[str]) -> None:
     text = _dumps(payload)
     if output:
         Path(output).write_text(text + "\n")
-    else:
+        return
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone, as with `| head`: whatever is still buffered
+        # goes to devnull, so the exit flush raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def cmd_scheme(cfg: JobConfig) -> dict:
-    group = _load_group(cfg.group_path)
-    action = _build_action(group, cfg.action, cfg.element_limit)
-    sch = scheme_from_action(action)
+def _scheme(args) -> SchurianScheme:
+    """The orbital scheme of the command's group under its --action."""
+    group = _load_group(args.group)
+    if args.action == "regular":
+        return scheme_from_action(regular_action(group, args.element_limit))
+    action = GroupAction(group)
+    if args.action == "pairs":
+        action = induced_pair_action(action)
+    return scheme_from_action(action)
+
+
+def cmd_scheme(args) -> dict:
+    sch = _scheme(args)
     payload = sch.to_json_dict()
     payload["commutative"] = is_commutative(sch)
     return payload
 
 
-def cmd_idempotents(cfg: JobConfig, include_projections: bool = False) -> dict:
-    group = _load_group(cfg.group_path)
-    action = _build_action(group, cfg.action, cfg.element_limit)
-    sch = scheme_from_action(action)
-    dec = central_primitive_idempotents(sch, seed=cfg.seed, tol=cfg.tol)
-    payload = dec.to_json_dict(include_projections=include_projections)
+def cmd_idempotents(args) -> dict:
+    sch = _scheme(args)
+    dec = central_primitive_idempotents(sch, seed=args.seed)
+    payload = dec.to_json_dict(include_projections=args.projections)
     payload["multiplicity_free"] = multiplicity_free(dec)
     payload["commutative"] = is_commutative(sch)
     return payload
@@ -240,16 +225,16 @@ def _iter_subsets(indices: list[int], max_size: Optional[int]):
         yield from itertools.combinations(indices, r)
 
 
-def scan_row(subset, rank: int, gram: GramMatrix, reduce: bool, tol: float) -> dict:
+def scan_row(subset, rank: int, gram: GramMatrix, reduce: bool) -> dict:
     """The `scan-etf` row of one subset's projection Gram, reduced when asked."""
     entry = {"subset": list(subset), "rank": rank, "n": gram.n, "reduced": False}
     if reduce:
-        gram, class_map = projective_reduce(gram, tol=max(tol, 1e-9) * 10)
+        gram, class_map = projective_reduce(gram)
         entry["reduced"] = True
         entry["n"] = gram.n
         entry["class_size"] = len(class_map) // gram.n if gram.n else 0
     if gram.n >= 2 and rank >= 1:
-        report = packing_report(gram, tol=tol)
+        report = packing_report(gram)
         entry.update(
             {
                 "coherence": report.coherence,
@@ -266,15 +251,12 @@ def scan_row(subset, rank: int, gram: GramMatrix, reduce: bool, tol: float) -> d
     return entry
 
 
-def cmd_scan_etf(cfg: JobConfig, reduce: bool = True) -> dict:
-    group = _load_group(cfg.group_path)
-    action = _build_action(group, cfg.action, cfg.element_limit)
-    sch = scheme_from_action(action)
-    dec = central_primitive_idempotents(sch, seed=cfg.seed, tol=cfg.tol)
+def cmd_scan_etf(args) -> dict:
+    dec = central_primitive_idempotents(_scheme(args), seed=args.seed)
     pool = list(range(dec.n_projections))
-    if cfg.multiplicity_free_only:
+    if args.multiplicity_free_only:
         pool = [j for j in pool if dec.multiplicities[j] == 1]
-    largest = len(pool) if cfg.max_subset_size is None else min(cfg.max_subset_size, len(pool))
+    largest = len(pool) if args.max_subset_size is None else min(args.max_subset_size, len(pool))
     n_subsets = sum(math.comb(len(pool), k) for k in range(1, largest + 1))
     if n_subsets > 2**MAX_SUBSET_BITS:
         raise ResourceError(
@@ -286,16 +268,16 @@ def cmd_scan_etf(cfg: JobConfig, reduce: bool = True) -> dict:
             subset,
             sum(dec.ranks[j] for j in subset),
             projection_from_subset(dec, subset),
-            reduce,
-            cfg.tol,
+            args.reduce,
         )
-        for subset in _iter_subsets(pool, cfg.max_subset_size)
+        for subset in _iter_subsets(pool, args.max_subset_size)
     ]
-    # coherences within tol of each other tie, so rows that are equal in
-    # exact arithmetic are ordered by subset and not by rounding noise
+    # coherences within REPORT_TOL of each other tie, so rows that are equal
+    # in exact arithmetic are ordered by subset and not by rounding noise
     level = np.zeros(len(rows), dtype=np.int64)
     if rows:
-        for rank, idx in enumerate(gap_clusters(np.array([e["coherence"] for e in rows]), cfg.tol)):
+        coherences = np.array([e["coherence"] for e in rows])
+        for rank, idx in enumerate(gap_clusters(coherences, REPORT_TOL)):
             level[idx] = rank
     ranked = sorted(zip(level, rows), key=lambda t: (not t[1]["is_etf"], t[0], t[1]["subset"]))
     rows = [row for _, row in ranked]
@@ -307,9 +289,8 @@ def cmd_scan_etf(cfg: JobConfig, reduce: bool = True) -> dict:
     }
 
 
-def cmd_reduce(gram_path: str, tol: float) -> dict:
-    gram = _load_gram(gram_path)
-    reduced, class_map = projective_reduce(gram, tol=tol)
+def cmd_reduce(args) -> dict:
+    reduced, class_map = projective_reduce(_load_gram(args.gram), tol=args.tol)
     sizes = np.bincount(class_map)
     sizes = sizes[sizes > 0]
     payload = reduced.to_json_dict()
@@ -319,26 +300,24 @@ def cmd_reduce(gram_path: str, tol: float) -> dict:
     return payload
 
 
-def cmd_heisenberg(
-    moduli: str, parity: str, gamma: int, exact: bool, verify: bool, tol: float
-) -> dict:
-    spec = make_spec(_parse_ints(moduli, "--moduli"))
-    twist = GammaTwist(gamma)
-    exact_gram = heis_etf_gram(spec, twist, parity)
+def cmd_heisenberg(args) -> dict:
+    spec = make_spec(_parse_ints(args.moduli, "--moduli"))
+    twist = GammaTwist(args.gamma)
+    exact_gram = heis_etf_gram(spec, twist, args.parity)
     gram = exact_gram.to_gram_matrix()
     payload: dict = {
         "moduli": list(spec.moduli),
-        "parity": parity,
+        "parity": args.parity,
         "gamma": twist.for_spec(spec),
         "n": gram.n,
-        "report": packing_report(gram, tol=tol).to_json_dict(),
+        "report": packing_report(gram).to_json_dict(),
     }
-    if exact:
+    if args.exact:
         payload["exact_entries"] = exact_gram.export_entries()
     else:
         payload["gram"] = gram.to_json_dict()
-    if verify:
-        direct = heis_etf_gram_direct(spec, twist, parity)
+    if args.verify:
+        direct = heis_etf_gram_direct(spec, twist, args.parity)
         payload["closed_equals_direct"] = exact_gram.equals(direct)
         if not payload["closed_equals_direct"]:
             raise NumericError("closed-form Gram disagrees with the direct computation")
@@ -363,9 +342,9 @@ def _parse_dual_subset(text: str, n_moduli: int) -> list[tuple[int, ...]]:
     return [(a,) for a in _parse_ints(text, "--subset")]
 
 
-def cmd_harmonic(moduli: str, subset: str, tol: float) -> dict:
-    mods = _parse_ints(moduli, "--moduli")
-    dual = _parse_dual_subset(subset, len(mods))
+def cmd_harmonic(args) -> dict:
+    mods = _parse_ints(args.moduli, "--moduli")
+    dual = _parse_dual_subset(args.subset, len(mods))
     gram = harmonic_gram(mods, dual)
     flag, lam = difference_set_check(mods, dual)
     return {
@@ -374,19 +353,27 @@ def cmd_harmonic(moduli: str, subset: str, tol: float) -> dict:
         "gram": gram.to_json_dict(),
         "difference_set": flag,
         "lambda": lam,
-        "report": packing_report(gram, tol=tol).to_json_dict(),
+        "report": packing_report(gram).to_json_dict(),
     }
 
 
-def cmd_symmetry(gram_path: str, tol: float, node_cap: int, colors_path: Optional[str]) -> dict:
-    gram = _load_gram(gram_path)
+def cmd_symmetry(args) -> dict:
+    gram = _load_gram(args.gram)
     colors = None
-    if colors_path:
-        data = _read_json(colors_path, "colors")
-        if not isinstance(data, dict) or "color" not in data:
-            raise InputError(f"colors file {colors_path} needs a 'color' matrix")
-        colors = ColoredDigraph(gram.n, np.asarray(data["color"], dtype=np.int64))
-    group = gram_symmetry_group(gram, tol=tol, node_cap=node_cap, colors=colors)
+    if args.assume_colors:
+        data = _read_json(args.assume_colors, "colors")
+        rows = data.get("color") if isinstance(data, dict) else None
+        # a square list of rows of JSON integers: no float, boolean or string
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and len(row) == len(rows) and all(type(c) is int for c in row)
+            for row in rows
+        ):
+            raise InputError(
+                f"colors file {args.assume_colors} needs a 'color' matrix: "
+                "a square list of rows of integers"
+            )
+        colors = ColoredDigraph(gram.n, np.array(rows, dtype=np.int64))
+    group = gram_symmetry_group(gram, tol=args.tol, node_cap=args.node_cap, colors=colors)
     return {
         "order": group.order,
         "generators": [g.cycle_string() for g in group.generators],
@@ -450,7 +437,7 @@ def _verify_mub_figure(load, n: int, d: int, coherence_name: str, coh: float, fi
     return checks
 
 
-def cmd_verify_figures() -> dict:
+def cmd_verify_figures(args=None) -> dict:
     results = {"figure2": _verify_figure2()}
     for name, spec in _MUB_FIGURES.items():
         results[name] = _verify_mub_figure(*spec)
@@ -469,25 +456,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_group_opts(p, idempotents=True):
-        p.add_argument("group", help="group JSON path or fixture:{agl,sl2_f8,m11}")
-        p.add_argument("--action", default="natural", choices=["natural", "pairs", "regular"])
-        p.add_argument("--element-limit", type=int, default=10**6)
-        if idempotents:  # knobs of central_primitive_idempotents
-            p.add_argument("--tol", type=float, default=JobConfig.tol)
-            p.add_argument("--seed", type=int, default=JobConfig.seed)
+    def command(name, run, help, group=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--output", default=None)
+        if group:
+            p.add_argument("group", help="group JSON path or fixture:{agl,sl2_f8,m11}")
+            p.add_argument("--action", default="natural", choices=["natural", "pairs", "regular"])
+            p.add_argument("--element-limit", type=int, default=DEFAULT_ELEMENT_LIMIT)
+        return p
 
-    p = sub.add_parser("scheme", help="orbital scheme of a transitive action")
-    add_group_opts(p, idempotents=False)
+    command("scheme", cmd_scheme, "orbital scheme of a transitive action", group=True)
 
-    p = sub.add_parser("idempotents", help="primitive central idempotents")
-    add_group_opts(p)
+    p = command("idempotents", cmd_idempotents, "primitive central idempotents", group=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--projections", action="store_true", help="include dense matrices")
 
-    p = sub.add_parser("scan-etf", help="rank every projection subset as a packing")
-    add_group_opts(p)
-    p.add_argument("--reduce", dest="reduce", action="store_true", default=True)
+    p = command("scan-etf", cmd_scan_etf, "rank every projection subset as a packing", group=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-reduce", dest="reduce", action="store_false")
     p.add_argument("--max-subset-size", type=int, default=None)
     p.add_argument(
@@ -496,83 +482,49 @@ def build_parser() -> argparse.ArgumentParser:
         help="only multiplicity-one constituents enter subsets",
     )
 
-    p = sub.add_parser("reduce", help="projective reduction of a Gram matrix")
+    # reduce and symmetry alone take --tol: only a Gram read from a file brings its own rounding
+    p = command("reduce", cmd_reduce, "projective reduction of a Gram matrix")
     p.add_argument("gram", help="Gram JSON path")
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--output", default=None)
+    p.add_argument("--tol", type=float, default=REDUCE_TOL)
 
-    p = sub.add_parser("heisenberg", help="parity ETF of a Heisenberg group")
+    p = command("heisenberg", cmd_heisenberg, "parity ETF of a Heisenberg group")
     p.add_argument("--moduli", required=True, help="comma-separated odd moduli, e.g. 3 or 3,9")
     p.add_argument("--parity", choices=["even", "odd"], default="odd")
     p.add_argument("--gamma", type=int, default=1)
-    p.add_argument("--exact", dest="exact", action="store_true", default=True)
     p.add_argument("--float", dest="exact", action="store_false")
     p.add_argument("--verify", action="store_true", help="check closed form against direct traces")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--output", default=None)
 
-    p = sub.add_parser("harmonic", help="harmonic frame from a dual subset")
+    p = command("harmonic", cmd_harmonic, "harmonic frame from a dual subset")
     p.add_argument("--moduli", required=True)
     p.add_argument("--subset", required=True, help='e.g. "1,2,4" or "[[0,1],[2,0]]"')
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--output", default=None)
 
-    p = sub.add_parser("symmetry", help="symmetry group of a Gram matrix")
+    p = command("symmetry", cmd_symmetry, "symmetry group of a Gram matrix")
     p.add_argument("gram", help="Gram JSON path")
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--node-cap", type=int, default=10**7)
+    p.add_argument("--tol", type=float, default=COLOR_TOL)
+    p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
     p.add_argument("--assume-colors", default=None, help='JSON file with a "color" matrix')
-    p.add_argument("--output", default=None)
 
-    p = sub.add_parser("verify-figures", help="check the shipped figure fixtures")
-    p.add_argument("--output", default=None)
-
+    command("verify-figures", cmd_verify_figures, "check the shipped figure fixtures")
     return parser
+
+
+def _check_ranges(args) -> None:
+    """Refuse a flag value outside its range, before any input is read."""
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"--tol must be positive and finite, got {tol}")
+    for name, least in (("seed", 0), ("element_limit", 0), ("max_subset_size", 1), ("node_cap", 0)):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            bound = "at least 1" if least else "non-negative"
+            raise InputError(f"--{name.replace('_', '-')} must be {bound}, got {value}")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        tol = getattr(args, "tol", None)
-        if tol is not None and not (math.isfinite(tol) and tol > 0):
-            raise InputError(f"--tol must be positive and finite, got {tol}")
-        if args.command in ("scheme", "idempotents", "scan-etf"):
-            cfg = JobConfig(
-                group_path=args.group,
-                action=args.action,
-                tol=getattr(args, "tol", JobConfig.tol),
-                seed=getattr(args, "seed", JobConfig.seed),
-                element_limit=args.element_limit,
-                multiplicity_free_only=getattr(args, "multiplicity_free_only", False),
-                max_subset_size=getattr(args, "max_subset_size", None),
-            )
-            if args.command == "scheme":
-                payload = cmd_scheme(cfg)
-            elif args.command == "idempotents":
-                payload = cmd_idempotents(cfg, include_projections=args.projections)
-            else:
-                payload = cmd_scan_etf(cfg, reduce=args.reduce)
-            _emit(payload, args.output)
-        elif args.command == "reduce":
-            _emit(cmd_reduce(args.gram, args.tol), args.output)
-        elif args.command == "heisenberg":
-            _emit(
-                cmd_heisenberg(
-                    args.moduli, args.parity, args.gamma, args.exact, args.verify, args.tol
-                ),
-                args.output,
-            )
-        elif args.command == "harmonic":
-            _emit(cmd_harmonic(args.moduli, args.subset, args.tol), args.output)
-        elif args.command == "symmetry":
-            if args.node_cap < 0:
-                raise InputError(f"--node-cap must be non-negative, got {args.node_cap}")
-            _emit(
-                cmd_symmetry(args.gram, args.tol, args.node_cap, args.assume_colors),
-                args.output,
-            )
-        elif args.command == "verify-figures":
-            _emit(cmd_verify_figures(), args.output)
+        _check_ranges(args)
+        _emit(args.run(args), args.output)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -32,14 +32,13 @@ def group_from_json(data: dict) -> PermutationGroup:
     """
     if not isinstance(data, dict) or "degree" not in data or "generators" not in data:
         raise InputError("group JSON needs 'degree' and 'generators'")
-    try:
-        degree = int(data["degree"])
-        gens = [
-            parse_cycles(g, degree) if isinstance(g, str) else Permutation(tuple(int(x) for x in g))
-            for g in data["generators"]
-        ]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed group JSON: {exc}") from None
+    degree, gens = data["degree"], data["generators"]
+    # JSON integers only: a float, a boolean or a string is no degree or image
+    if type(degree) is not int or not isinstance(gens, list) or not all(
+        isinstance(g, str) or (isinstance(g, list) and all(type(x) is int for x in g)) for g in gens
+    ):
+        raise InputError("group JSON needs an integer degree and generators of integer images")
+    gens = [parse_cycles(g, degree) if isinstance(g, str) else Permutation(tuple(g)) for g in gens]
     return PermutationGroup(degree, gens)
 
 

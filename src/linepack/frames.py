@@ -28,12 +28,20 @@ from .errors import InputError, NumericError, ResourceError
 if TYPE_CHECKING:
     from .scheme import SchurianScheme
 
-# Tolerances that more than one decision must share, one name each.
+# Tolerances that more than one decision shares or that the command line
+# sets, one name each.  Only `reduce` and `symmetry`, whose Gram comes from
+# a file, take a --tol (defaulting to REDUCE_TOL and COLOR_TOL); every other
+# command's input is exact.
 HERMITIAN_TOL = 1e-12
 RANK_TOL = 1e-8  # eigenvalues above RANK_TOL * spectral radius count toward the rank
 REAL_TOL = 1e-10  # a Gram whose imaginary parts stay within it is real
 MODULI_GAP = 1e-7  # off-diagonal moduli closer than this are one distinct modulus
 CLOSURE_TOL = 1e-9  # unitarity slack of matrix group closures
+REPORT_TOL = 1e-8  # tight, ETF and bound-met tests of a packing report; scan coherence ties
+REDUCE_TOL = 1e-7  # moduli and phases that `projective_reduce` takes as equal
+COLOR_TOL = 1e-7  # entry values that share a color in the symmetry search
+CLUSTER_TOL = 1e-8  # eigenvalue gap, relative to the spectral radius, between idempotents
+IDEMPOTENT_TOL = 1e-8  # residual of the exact idempotent, orthogonality and sum checks
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -129,15 +137,22 @@ class GramMatrix:
     def from_json_dict(data: dict) -> "GramMatrix":
         if not isinstance(data, dict) or "n" not in data or "entries" not in data:
             raise InputError("Gram JSON needs 'n' and 'entries'")
+        if type(data["n"]) is not int:
+            raise InputError(f"Gram JSON 'n' must be an integer, got {data['n']!r}")
         try:
-            n = int(data["n"])
             entries = np.array(
                 [[complex(re, im) for re, im in row] for row in data["entries"]],
                 dtype=np.complex128,
             )
+            # complex() reads a JSON boolean as 0 or 1, but it is no number
+            if any(type(v) is bool for row in data["entries"] for pair in row for v in pair):
+                raise TypeError("an entry is a boolean")
         except (TypeError, ValueError) as exc:
             raise InputError(f"malformed Gram JSON: {exc}") from None
-        return GramMatrix(n, entries)
+        # json.loads reads NaN and Infinity, which no comparison below would catch
+        if not np.isfinite(entries).all():
+            raise InputError("Gram JSON entries must be finite")
+        return GramMatrix(data["n"], entries)
 
 
 @dataclass
@@ -229,30 +244,31 @@ def secondary_bounds(n: int, d: int, field: str) -> tuple[Optional[float], Optio
     return orthoplex, lev
 
 
-def _tightness(gram: GramMatrix, tol: float) -> tuple[Optional[float], float, bool]:
+def _tightness(gram: GramMatrix) -> tuple[Optional[float], float, bool]:
     """(c, residual, etf): the tight and ETF tests, sharing one G @ G.
 
-    c is the scalar with G^2 = c G within tol, recovered from trace ratios,
-    or None when G is not a nonzero multiple of a projection; residual is
-    max |G^2 - c G| (inf when tr G is below tol).  etf adds to tightness a
-    constant positive diagonal and a constant off-diagonal modulus, within tol.
+    c is the scalar with G^2 = c G within REPORT_TOL, recovered from trace
+    ratios, or None when G is not a nonzero multiple of a projection;
+    residual is max |G^2 - c G| (inf when tr G is below REPORT_TOL).  etf
+    adds to tightness a constant positive diagonal and a constant
+    off-diagonal modulus, within REPORT_TOL.
     """
     entries = gram.entries
     moduli = np.abs(entries)
     scale = max(1.0, float(moduli.max()))
     tr = float(np.real(np.trace(entries)))
-    if abs(tr) < tol:
+    if abs(tr) < REPORT_TOL:
         return None, np.inf, False
     sq = entries @ entries
     c = float(np.real(np.trace(sq))) / tr
     residual = float(np.abs(sq - c * entries).max())
-    if residual > tol * max(1.0, abs(c)) * scale:
+    if residual > REPORT_TOL * max(1.0, abs(c)) * scale:
         return None, residual, False
     diag = np.real(np.diag(entries))
-    if np.abs(diag - diag[0]).max() > tol * scale or diag[0] <= 0:
+    if np.abs(diag - diag[0]).max() > REPORT_TOL * scale or diag[0] <= 0:
         return c, residual, False
     off = moduli[~np.eye(gram.n, dtype=bool)]
-    return c, residual, bool(off.size == 0 or off.max() - off.min() <= tol * scale)
+    return c, residual, bool(off.size == 0 or off.max() - off.min() <= REPORT_TOL * scale)
 
 
 def _trace_rank(gram: GramMatrix, c: Optional[float], residual: float) -> Optional[int]:
@@ -273,18 +289,18 @@ def _trace_rank(gram: GramMatrix, c: Optional[float], residual: float) -> Option
 
 
 def is_tight(gram: GramMatrix) -> bool:
-    """True iff the Gram matrix is a (nonzero) scalar multiple of a projection, within 1e-8."""
-    return _tightness(gram, 1e-8)[0] is not None
+    """True iff the Gram matrix is a nonzero scalar multiple of a projection, within REPORT_TOL."""
+    return _tightness(gram)[0] is not None
 
 
 def is_etf(gram: GramMatrix) -> bool:
     """Equiangular tight frame test on a Gram matrix.
 
-    Three features, all within 1e-8: scalar multiple of a projection,
+    Three features, all within REPORT_TOL: scalar multiple of a projection,
     constant diagonal, constant modulus off the diagonal.  An identity
     matrix (orthonormal basis) passes with off-diagonal modulus 0.
     """
-    return _tightness(gram, 1e-8)[2]
+    return _tightness(gram)[2]
 
 
 def naimark_complement(gram: GramMatrix) -> GramMatrix:
@@ -295,7 +311,7 @@ def naimark_complement(gram: GramMatrix) -> GramMatrix:
     return GramMatrix.from_entries(np.eye(gram.n) - entries)
 
 
-def projective_reduce(gram: GramMatrix, tol: float = 1e-7) -> tuple[GramMatrix, list[int]]:
+def projective_reduce(gram: GramMatrix, tol: float = REDUCE_TOL) -> tuple[GramMatrix, list[int]]:
     """Collapse frame vectors that agree up to a unimodular scalar.
 
     Columns x and y are equivalent when column y is a unimodular multiple
@@ -639,7 +655,7 @@ class PackingReport:
         }
 
 
-def _orbital_facts(gram: GramMatrix, tol: float) -> Optional[tuple]:
+def _orbital_facts(gram: GramMatrix) -> Optional[tuple]:
     """(d, etf, real, coherence, moduli) of an orbital-form Gram, or None.
 
     Coherence, realness, the equal-modulus test and moduli(), the distinct
@@ -669,16 +685,16 @@ def _orbital_facts(gram: GramMatrix, tol: float) -> Optional[tuple]:
     absx = np.abs(x)
     scale = max(1.0, float(absx[off].max(initial=absx[0])))
     x0 = float(x[0].real)
-    if not (x0 > 0 and c > 0 and n * x0 > 10 * tol):
+    if not (x0 > 0 and c > 0 and n * x0 > 10 * REPORT_TOL):
         return None
     residual = 2 * (bound + 4 * n * _EPS * c * x0)
-    if residual > tol * scale / 10 or n * residual / c > 0.1 * RANK_TOL * c:
+    if residual > REPORT_TOL * scale / 10 or n * residual / c > 0.1 * RANK_TOL * c:
         return None
     rank = n * x0 / c
     if abs(rank - round(rank)) > 0.05:
         return None
     off_moduli = absx[off]
-    etf = off.size == 0 or bool(off_moduli.max() - off_moduli.min() <= tol * scale)
+    etf = off.size == 0 or bool(off_moduli.max() - off_moduli.min() <= REPORT_TOL * scale)
     real = float(np.abs(x[np.append(off, 0)].imag).max()) <= REAL_TOL
     if n < 2:
         return round(rank), etf, real, 0.0, lambda: []
@@ -697,7 +713,7 @@ def _orbital_facts(gram: GramMatrix, tol: float) -> Optional[tuple]:
     return round(rank), etf, real, coh, moduli
 
 
-def packing_report(gram: GramMatrix, tol: float = 1e-8) -> PackingReport:
+def packing_report(gram: GramMatrix) -> PackingReport:
     """Evaluate a Gram matrix as a line packing.
 
     The ambient dimension d is the numerical rank (`gram_rank`).  The tight
@@ -705,17 +721,17 @@ def packing_report(gram: GramMatrix, tol: float = 1e-8) -> PackingReport:
     with a margin that certifies the rank, d is read off tr G / c, and
     only Grams without that certificate pay for the eigenvalues.
     Coherence is taken after unit normalization, and a bound counts as met
-    when coherence sits within tol of it.  A Gram with an orbital form is
-    read in coefficient space (`_orbital_facts`) when its certificate
-    decides tightness with a 10x margin.
+    when coherence sits within REPORT_TOL of it.  A Gram with an orbital
+    form is read in coefficient space (`_orbital_facts`) when its
+    certificate decides tightness with a 10x margin.
     """
     n = gram.n
-    facts = _orbital_facts(gram, tol) if gram.orbital is not None else None
+    facts = _orbital_facts(gram) if gram.orbital is not None else None
     if facts is not None:
         d, etf, real, coh, moduli = facts
         tight = True
     else:
-        c, residual, etf = _tightness(gram, tol)
+        c, residual, etf = _tightness(gram)
         tight = c is not None
         d = _trace_rank(gram, c, residual)
         if d is None:
@@ -734,11 +750,11 @@ def packing_report(gram: GramMatrix, tol: float = 1e-8) -> PackingReport:
         d=d,
         coherence=coh,
         welch=welch,
-        welch_met=bool(abs(coh - welch) <= tol),
+        welch_met=bool(abs(coh - welch) <= REPORT_TOL),
         orthoplex_applicable=orthoplex is not None,
-        orthoplex_met=bool(orthoplex is not None and abs(coh - orthoplex) <= tol),
+        orthoplex_met=bool(orthoplex is not None and abs(coh - orthoplex) <= REPORT_TOL),
         levenstein_applicable=lev is not None,
-        levenstein_met=bool(lev is not None and abs(coh - lev) <= tol),
+        levenstein_met=bool(lev is not None and abs(coh - lev) <= REPORT_TOL),
         is_etf=etf,
         is_tight=tight,
         field=field,

@@ -32,10 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, NumericError
-from .frames import HERMITIAN_TOL, GramMatrix, complex_pairs, gap_clusters
+from .frames import CLUSTER_TOL, HERMITIAN_TOL, IDEMPOTENT_TOL, GramMatrix, complex_pairs, gap_clusters
 from .scheme import SchurianScheme
-
-IDEMPOTENT_TOL = 1e-8
 
 
 @dataclass
@@ -161,7 +159,6 @@ def _decompose_once(
     p_flat: np.ndarray,
     herm: list[np.ndarray],
     seed: int,
-    tol: float,
 ) -> list[np.ndarray]:
     """Spectral projectors of a seeded generic Hermitian central element x.
 
@@ -178,7 +175,7 @@ def _decompose_once(
     eigvals, eigvecs = np.linalg.eigh((sym + sym.conj().T) / 2)
     radius = max(float(np.abs(eigvals).max()), 1.0)
     projectors = []
-    for idx in gap_clusters(eigvals, tol * radius):
+    for idx in gap_clusters(eigvals, CLUSTER_TOL * radius):
         vecs = eigvecs[:, idx]
         e = vecs @ vecs[0].conj() / root_k
         projectors.append((e + scheme.adjoint(e)) / 2)
@@ -219,12 +216,10 @@ def _item_cmp(a, b):
     return 0
 
 
-def central_primitive_idempotents(
-    scheme: SchurianScheme, seed: int = 0, tol: float = 1e-8
-) -> IsotypicDecomposition:
+def central_primitive_idempotents(scheme: SchurianScheme, seed: int = 0) -> IsotypicDecomposition:
     """Primitive central idempotents, ordered by (rank, coefficient fingerprint).
 
-    Deterministic given (scheme, seed, tol); the projector set itself is
+    Deterministic given (scheme, seed); the projector set itself is
     seed-independent.  Up to three reseeds are attempted before giving up
     with a numeric error.
     """
@@ -234,7 +229,7 @@ def central_primitive_idempotents(
     failures = []
     for attempt in range(3):
         try:
-            coeff_list = _decompose_once(scheme, p_flat, herm, seed + attempt, tol)
+            coeff_list = _decompose_once(scheme, p_flat, herm, seed + attempt)
             if len(coeff_list) != len(center):
                 raise _DecompositionFailure(
                     f"found {len(coeff_list)} projectors, center dimension is {len(center)}"

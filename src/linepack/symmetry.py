@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError, NumericError, ResourceError
-from .frames import GramMatrix
+from .frames import COLOR_TOL, GramMatrix
 from .permgroup import GroupAction, Permutation, PermutationGroup, orbit
 
 DEFAULT_NODE_CAP = 10**7
@@ -101,7 +101,7 @@ def _colorize(entries: np.ndarray, lookup: dict[complex, int]) -> np.ndarray:
     return ids[inverse].reshape(entries.shape)
 
 
-def color_matrix_from_gram(gram: GramMatrix, tol: float = 1e-7) -> ColoredDigraph:
+def color_matrix_from_gram(gram: GramMatrix, tol: float = COLOR_TOL) -> ColoredDigraph:
     """Entry-value coloring of a Gram matrix, its entries clustered at the given tolerance."""
     lookup = _cluster_values(gram.entries.ravel(), tol)
     return ColoredDigraph(gram.n, _colorize(gram.entries, lookup))
@@ -262,7 +262,7 @@ def colored_graph_automorphisms(
 
 def gram_symmetry_group(
     gram: GramMatrix,
-    tol: float = 1e-7,
+    tol: float = COLOR_TOL,
     node_cap: int = DEFAULT_NODE_CAP,
     colors: Optional[ColoredDigraph] = None,
 ) -> PermutationGroup:
@@ -295,12 +295,13 @@ def is_homogeneous(gram: GramMatrix) -> bool:
 def find_gram_isomorphism(gram_a: GramMatrix, gram_b: GramMatrix) -> Optional[Permutation]:
     """A permutation carrying gram_a onto gram_b entrywise, or None.
 
-    Colors are clustered at 1e-7 over the union of both entry sets so the
+    Colors are clustered at COLOR_TOL over the union of both entry sets so the
     color ids align; the search then looks for a color isomorphism.
     """
     if gram_a.n != gram_b.n:
         return None
-    lookup = _cluster_values(np.concatenate([gram_a.entries.ravel(), gram_b.entries.ravel()]), 1e-7)
+    values = np.concatenate([gram_a.entries.ravel(), gram_b.entries.ravel()])
+    lookup = _cluster_values(values, COLOR_TOL)
     ec_a, ec_b = _colorize(gram_a.entries, lookup), _colorize(gram_b.entries, lookup)
     return _search_isomorphism(ec_a, ec_b, [], [], _Budget(DEFAULT_NODE_CAP))
 

@@ -255,6 +255,7 @@ def test_heisenberg_direct_cap_is_resource_error(capsys):
 
 
 GRAM_I2 = json.dumps(GramMatrix.from_entries(np.eye(2)).to_json_dict())
+COLORS = ["symmetry", "@g", "--assume-colors", "@c"]
 
 
 @pytest.mark.parametrize(
@@ -268,7 +269,24 @@ GRAM_I2 = json.dumps(GramMatrix.from_entries(np.eye(2)).to_json_dict())
         ({"g": '{"n": 1}'}, ["symmetry", "@g"]),
         ({"g": '{"n": 2, "entries": [1, 2]}'}, ["symmetry", "@g"]),
         ({"g": GRAM_I2}, ["symmetry", "@g", "--assume-colors", "/nonexistent/colors.json"]),
-        ({"g": GRAM_I2, "c": "{}"}, ["symmetry", "@g", "--assume-colors", "@c"]),
+        ({"g": GRAM_I2, "c": "{}"}, COLORS),
+        ({"g": GRAM_I2, "c": '{"color": [[0, 1], [1]]}'}, COLORS),
+        ({"g": GRAM_I2, "c": '{"color": [[0, "1"], [1, 0]]}'}, COLORS),
+        ({"g": GRAM_I2, "c": '{"color": [[0, 1.5], [1.5, 0]]}'}, COLORS),
+        ({"g": GRAM_I2, "c": '{"color": [[0, true], [true, 0]]}'}, COLORS),
+        ({"g": GRAM_I2, "c": '{"color": [[0, 1], [1, 0], [1, 1]]}'}, COLORS),
+        ({"g": '{"degree": 3.9, "generators": [[1, 2, 0]]}'}, ["scheme", "@g"]),
+        ({"g": '{"degree": 3, "generators": [[1.7, 2, 0]]}'}, ["scheme", "@g"]),
+        ({"g": '{"degree": 3, "generators": [[true, 2, 0]]}'}, ["scheme", "@g"]),
+        ({"g": '{"degree": 3, "generators": "(0 1 2)"}'}, ["scheme", "@g"]),
+        ({"g": '{"n": 2.5, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}'}, ["reduce", "@g"]),
+        ({"g": '{"n": true, "entries": [[[1, 0]]]}'}, ["symmetry", "@g"]),
+        ({"g": GRAM_I2.replace("1.0", "true", 1)}, ["reduce", "@g"]),
+        # json.loads reads the non-standard literals NaN and Infinity as floats
+        ({"g": GRAM_I2.replace("1.0", "NaN", 1)}, ["reduce", "@g"]),
+        ({"g": GRAM_I2.replace("1.0", "NaN", 1)}, ["symmetry", "@g"]),
+        ({"g": GRAM_I2.replace("1.0", "Infinity", 1)}, ["reduce", "@g"]),
+        ({"g": GRAM_I2.replace("1.0", "Infinity", 1)}, ["symmetry", "@g"]),
         ({}, ["scheme", "fixture:nosuch"]),
         ({}, ["heisenberg", "--moduli", "x"]),
         ({}, ["harmonic", "--moduli", "7", "--subset", "a"]),
@@ -291,6 +309,22 @@ GRAM_I2 = json.dumps(GramMatrix.from_entries(np.eye(2)).to_json_dict())
         "gram-bad-entries",
         "missing-colors",
         "colors-without-color",
+        "ragged-colors",
+        "string-colors",
+        "float-colors",
+        "bool-colors",
+        "non-square-colors",
+        "float-degree",
+        "float-image",
+        "bool-image",
+        "generators-not-a-list",
+        "float-gram-n",
+        "bool-gram-n",
+        "bool-gram-entry",
+        "nan-gram-reduce",
+        "nan-gram-symmetry",
+        "infinite-gram-reduce",
+        "infinite-gram-symmetry",
         "unknown-fixture",
         "bad-moduli",
         "bad-subset",
@@ -323,7 +357,8 @@ def test_scan_etf_rejects_max_subset_size_below_one(capsys, size):
     assert "--max-subset-size" in captured.err
 
 
-# each command that takes --tol, with "@g" standing for a written Gram file
+# every command that once took --tol, with "@g" standing for a written Gram file;
+# only reduce and symmetry, whose Gram comes from a file, still take it
 TOL_COMMANDS = {
     "idempotents": ["idempotents", "fixture:sl2_f8"],
     "scan-etf": ["scan-etf", "fixture:sl2_f8"],
@@ -339,11 +374,45 @@ TOL_COMMANDS = {
 def test_tol_must_be_positive_and_finite(capsys, tmp_path, command, tol):
     (tmp_path / "g").write_text(GRAM_I2)
     argv = [str(tmp_path / "g") if a == "@g" else a for a in TOL_COMMANDS[command]]
-    code = main(argv + [f"--tol={tol}"])
-    captured = capsys.readouterr()
+    argv.append(f"--tol={tol}")
+    if command in ("reduce", "symmetry"):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: --tol must be positive and finite")
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        code, captured = exc.value.code, capsys.readouterr()
+        assert f"unrecognized arguments: --tol={tol}" in captured.err
     assert code == 2
-    assert captured.err.startswith("input error: --tol must be positive and finite")
     assert captured.out == ""
+
+
+def test_parsed_defaults_are_the_library_constants():
+    from linepack import frames, permgroup, symmetry
+    from linepack.cli import build_parser
+
+    parse = build_parser().parse_args
+    assert parse(["scheme", "g.json"]).element_limit == permgroup.DEFAULT_ELEMENT_LIMIT
+    assert parse(["symmetry", "g.json"]).node_cap == symmetry.DEFAULT_NODE_CAP
+    assert parse(["reduce", "g.json"]).tol == frames.REDUCE_TOL
+    assert parse(["symmetry", "g.json"]).tol == frames.COLOR_TOL
+
+
+def test_closed_stdout_ends_quietly():
+    import subprocess
+    import sys
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "linepack.cli", "heisenberg", "--moduli", "13"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{\n  "exact'
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 @pytest.mark.parametrize("command", ["idempotents", "scan-etf"])

@@ -186,7 +186,8 @@ def test_exact_heisenberg_dump_stays_within_three_times_its_text():
     # Z_13: 28 561 exact cells with 14 distinct values, shared and encoded once
     tracemalloc.start()
     try:
-        text = cli._dumps(cli.cmd_heisenberg("13", "odd", 1, True, True, 1e-8))
+        args = cli.build_parser().parse_args(["heisenberg", "--moduli", "13", "--verify"])
+        text = cli._dumps(cli.cmd_heisenberg(args))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

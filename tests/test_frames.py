@@ -306,12 +306,14 @@ def test_packing_report_rank_and_flags_match_public_tests(fixture_schemes, monke
 
 
 def test_packing_report_rank_needs_a_certifying_margin():
-    # a loose tol accepts G as tight, and tr G / c lies within 1e-6 of 2,
-    # but the third eigenvalue 1e-7 is above gram_rank's threshold
+    # REPORT_TOL accepts G as tight, and tr G / c rounds to 2, but the
+    # third eigenvalue 1.5e-8 is above gram_rank's threshold
     q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 6)))
-    g = GramMatrix.from_entries(q @ np.diag([1.0, 1.0, 1e-7, 0.0, 0.0, 0.0]) @ q.T)
-    rep = packing_report(g, tol=1e-3)
+    g = GramMatrix.from_entries(q @ np.diag([1.0, 1.0, 1.5e-8, 0.0, 0.0, 0.0]) @ q.T)
+    rep = packing_report(g)
     assert rep.is_tight
+    tr, tr_sq = np.trace(g.entries).real, np.trace(g.entries @ g.entries).real
+    assert round(tr / (tr_sq / tr)) == 2
     assert rep.d == gram_rank(g) == 3
 
 

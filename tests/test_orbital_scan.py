@@ -13,15 +13,13 @@ import numpy as np
 import pytest
 
 from linepack import fixtures, frames
-from linepack.cli import JobConfig, cmd_scan_etf, main, scan_row
+from linepack.cli import build_parser, cmd_scan_etf, main, scan_row
 from linepack.errors import InputError, ResourceError
-from linepack.frames import GramMatrix, packing_report, projective_reduce
+from linepack.frames import REDUCE_TOL, REPORT_TOL, GramMatrix, packing_report, projective_reduce
 from linepack.idempotents import central_primitive_idempotents, projection_from_subset
 from linepack.permgroup import induced_pair_action
 from linepack.scheme import SchurianScheme, scheme_from_action
 
-SCAN_TOL = 1e-8
-REDUCE_TOL = 1e-7  # the scan reduces at 10 * max(tol, 1e-9)
 
 
 def _shipped_schemes():
@@ -88,22 +86,19 @@ def test_coefficient_scan_matches_dense_scan(decompositions, monkeypatch):
                 warnings.simplefilter("ignore")
                 gram = projection_from_subset(dec, subset)
                 red, class_map = projective_reduce(gram, REDUCE_TOL)
-                report = packing_report(red, tol=SCAN_TOL) if red.n >= 2 else None
+                report = packing_report(red) if red.n >= 2 else None
                 # scored without forming a dense matrix
                 assert gram._entries is None and red._entries is None
                 dense_red, dense_map = projective_reduce(_dense(gram), REDUCE_TOL)
                 assert class_map == dense_map, (name, subset)
                 assert red.entries.tobytes() == dense_red.entries.tobytes(), (name, subset)
                 if report is not None:
-                    dense_report = packing_report(dense_red, tol=SCAN_TOL)
+                    dense_report = packing_report(dense_red)
                     assert report.to_json_dict() == dense_report.to_json_dict(), (name, subset)
                 for reduce in (True, False):
-                    row = scan_row(subset, rank, gram, reduce, SCAN_TOL)
-                    assert row == scan_row(subset, rank, _dense(gram), reduce, SCAN_TOL), (
-                        name,
-                        subset,
-                        reduce,
-                    )
+                    row = scan_row(subset, rank, gram, reduce)
+                    dense_row = scan_row(subset, rank, _dense(gram), reduce)
+                    assert row == dense_row, (name, subset, reduce)
             scored += 1
     assert scored > 800
     # every decision was clear of its tolerance, so none of them fell back
@@ -120,10 +115,8 @@ def test_z7_collapsed_phases_do_not_reach_the_field(decompositions):
         assert red.n == 1 and class_map == [0] * 7
     complex_rows = 0
     for subset in _subsets(dec.n_projections):
-        row = scan_row(subset, len(subset), projection_from_subset(dec, subset), True, SCAN_TOL)
-        dense = scan_row(
-            subset, len(subset), _dense(projection_from_subset(dec, subset)), True, SCAN_TOL
-        )
+        row = scan_row(subset, len(subset), projection_from_subset(dec, subset), True)
+        dense = scan_row(subset, len(subset), _dense(projection_from_subset(dec, subset)), True)
         assert row == dense
         complex_rows += row["field"] == "complex"
     assert complex_rows > 0
@@ -147,8 +140,8 @@ def test_orbital_modulus_near_tolerance_falls_back_and_matches(decompositions, m
         warnings.simplefilter("ignore")
         red, class_map = projective_reduce(near, REDUCE_TOL)
         dense_red, dense_map = projective_reduce(_dense(near), REDUCE_TOL)
-        row = scan_row([1], 1, near, True, SCAN_TOL)
-        assert row == scan_row([1], 1, _dense(near), True, SCAN_TOL)
+        row = scan_row([1], 1, near, True)
+        assert row == scan_row([1], 1, _dense(near), True)
     assert fallbacks.reduce == 2
     assert class_map == dense_map
     assert red.entries.tobytes() == dense_red.entries.tobytes()
@@ -159,12 +152,12 @@ def test_report_falls_back_when_the_certificate_is_loose(decompositions, monkeyp
     gram = projection_from_subset(dec, [0, 1])
     form = gram.orbital
     loose = GramMatrix._of_form(
-        frames.OrbitalForm(form.orbital_of, form.x, certificate=(1.0, SCAN_TOL / 5))
+        frames.OrbitalForm(form.orbital_of, form.x, certificate=(1.0, REPORT_TOL / 5))
     )
     fallbacks = _Fallbacks(monkeypatch)
-    report = packing_report(loose, tol=SCAN_TOL)
+    report = packing_report(loose)
     assert fallbacks.report == 1
-    assert report.to_json_dict() == packing_report(_dense(gram), tol=SCAN_TOL).to_json_dict()
+    assert report.to_json_dict() == packing_report(_dense(gram)).to_json_dict()
 
 
 def test_orbital_form_that_is_no_projection_is_read_densely(decompositions, monkeypatch):
@@ -176,9 +169,9 @@ def test_orbital_form_that_is_no_projection_is_read_densely(decompositions, monk
     x[0], x[i] = 1.0, 0.25
     gram = GramMatrix.from_orbitals(dec.scheme, x)
     fallbacks = _Fallbacks(monkeypatch)
-    report = packing_report(gram, tol=SCAN_TOL)
+    report = packing_report(gram)
     assert fallbacks.report == 1 and not report.is_tight
-    assert report.to_json_dict() == packing_report(_dense(gram), tol=SCAN_TOL).to_json_dict()
+    assert report.to_json_dict() == packing_report(_dense(gram)).to_json_dict()
 
 
 def test_square_certificate_bounds_the_dense_residual(decompositions):
@@ -238,7 +231,8 @@ def _gerzon(row):
     ],
 )
 def test_scan_etf_rows_obey_the_gerzon_bound(group, action):
-    rows = cmd_scan_etf(JobConfig(group_path=group, action=action))["results"]
+    args = build_parser().parse_args(["scan-etf", group, "--action", action])
+    rows = cmd_scan_etf(args)["results"]
     etfs = [row for row in rows if row["is_etf"]]
     assert etfs
     assert all(_gerzon(row) for row in etfs), [r for r in etfs if not _gerzon(r)]
@@ -251,7 +245,7 @@ def test_fixture_scheme_etf_rows_obey_the_gerzon_bound(decompositions):
             rank = sum(dec.ranks[j] for j in subset)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                row = scan_row(subset, rank, projection_from_subset(dec, subset), True, SCAN_TOL)
+                row = scan_row(subset, rank, projection_from_subset(dec, subset), True)
             if row["is_etf"]:
                 etfs += 1
                 assert _gerzon(row), row
