@@ -11,7 +11,6 @@ infinite family of equiangular tight frames.
 
 from .errors import InputError, LinepackError, NumericError, ResourceError
 from .frames import (
-    FrameVectors,
     GramMatrix,
     PackingReport,
     coherence,
@@ -23,7 +22,6 @@ from .frames import (
     packing_report,
     projective_reduce,
     secondary_bounds,
-    vectors_from_gram,
     welch_bound,
 )
 from .heisenberg import (
@@ -52,12 +50,10 @@ from .permgroup import (
     Permutation,
     PermutationGroup,
     action_on,
-    group_order,
     induced_pair_action,
     is_transitive,
     orbit,
     parse_cycles,
-    point_stabilizer,
     regular_action,
 )
 from .scheme import (
@@ -67,10 +63,6 @@ from .scheme import (
     scheme_from_action,
     stable_matrix_check,
 )
-from .symmetry import (
-    gram_symmetry_group,
-    is_homogeneous,
-    regular_subgroup_check,
-)
+from .symmetry import gram_symmetry_group
 
 __version__ = "0.1.0"

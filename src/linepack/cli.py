@@ -41,7 +41,7 @@ from .idempotents import (
 )
 from .permgroup import DEFAULT_ELEMENT_LIMIT, GroupAction, induced_pair_action, orbit, regular_action
 from .scheme import SchurianScheme, is_commutative, scheme_from_action
-from .symmetry import DEFAULT_NODE_CAP, ColoredDigraph, find_gram_isomorphism, gram_symmetry_group
+from .symmetry import DEFAULT_NODE_CAP, find_gram_isomorphism, gram_symmetry_group
 
 MAX_SUBSET_BITS = 20
 
@@ -254,8 +254,6 @@ def scan_row(subset, rank: int, gram: GramMatrix, reduce: bool) -> dict:
 def cmd_scan_etf(args) -> dict:
     dec = central_primitive_idempotents(_scheme(args), seed=args.seed)
     pool = list(range(dec.n_projections))
-    if args.multiplicity_free_only:
-        pool = [j for j in pool if dec.multiplicities[j] == 1]
     largest = len(pool) if args.max_subset_size is None else min(args.max_subset_size, len(pool))
     n_subsets = sum(math.comb(len(pool), k) for k in range(1, largest + 1))
     if n_subsets > 2**MAX_SUBSET_BITS:
@@ -359,21 +357,7 @@ def cmd_harmonic(args) -> dict:
 
 def cmd_symmetry(args) -> dict:
     gram = _load_gram(args.gram)
-    colors = None
-    if args.assume_colors:
-        data = _read_json(args.assume_colors, "colors")
-        rows = data.get("color") if isinstance(data, dict) else None
-        # a square list of rows of JSON integers: no float, boolean or string
-        if not isinstance(rows, list) or not all(
-            isinstance(row, list) and len(row) == len(rows) and all(type(c) is int for c in row)
-            for row in rows
-        ):
-            raise InputError(
-                f"colors file {args.assume_colors} needs a 'color' matrix: "
-                "a square list of rows of integers"
-            )
-        colors = ColoredDigraph(gram.n, np.array(rows, dtype=np.int64))
-    group = gram_symmetry_group(gram, tol=args.tol, node_cap=args.node_cap, colors=colors)
+    group = gram_symmetry_group(gram, tol=args.tol, node_cap=args.node_cap)
     return {
         "order": group.order,
         "generators": [g.cycle_string() for g in group.generators],
@@ -476,11 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-reduce", dest="reduce", action="store_false")
     p.add_argument("--max-subset-size", type=int, default=None)
-    p.add_argument(
-        "--multiplicity-free-only",
-        action="store_true",
-        help="only multiplicity-one constituents enter subsets",
-    )
 
     # reduce and symmetry alone take --tol: only a Gram read from a file brings its own rounding
     p = command("reduce", cmd_reduce, "projective reduction of a Gram matrix")
@@ -502,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gram", help="Gram JSON path")
     p.add_argument("--tol", type=float, default=COLOR_TOL)
     p.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
-    p.add_argument("--assume-colors", default=None, help='JSON file with a "color" matrix')
 
     command("verify-figures", cmd_verify_figures, "check the shipped figure fixtures")
     return parser

@@ -1,8 +1,7 @@
 """Frames, Gram matrices, coherence bounds, and projective reduction.
 
-Everything on the continuous side of the pipeline: recovering synthesis
-matrices from Gram matrices, certifying equiangular tight frames,
-evaluating the Welch / orthoplex / Levenstein bounds, Naimark
+Everything on the continuous side of the pipeline: certifying equiangular
+tight frames, evaluating the Welch / orthoplex / Levenstein bounds, Naimark
 complements, harmonic frames from dual subsets, and Gram matrices of
 matrix-group orbits.
 
@@ -83,7 +82,7 @@ class GramMatrix:
         if self._entries.shape != (self.n, self.n):
             raise InputError(f"entries shape {self._entries.shape} does not match n={self.n}")
         if np.abs(self._entries - self._entries.conj().T).max() > HERMITIAN_TOL:
-            raise InputError("Gram matrix is not Hermitian within 1e-12")
+            raise InputError(f"Gram matrix is not Hermitian within {HERMITIAN_TOL:g}")
         self.orbital: Optional[OrbitalForm] = None
 
     @property
@@ -111,7 +110,7 @@ class GramMatrix:
         if x.shape != (scheme.n_orbitals,):
             raise InputError(f"{x.shape} coefficients for a scheme of {scheme.n_orbitals} orbitals")
         if np.abs(x - scheme.adjoint(x)).max() > HERMITIAN_TOL:
-            raise InputError("Gram matrix is not Hermitian within 1e-12")
+            raise InputError(f"Gram matrix is not Hermitian within {HERMITIAN_TOL:g}")
         return GramMatrix._of_form(OrbitalForm(scheme.orbital_of, x, scheme=scheme))
 
     @staticmethod
@@ -153,44 +152,6 @@ class GramMatrix:
         if not np.isfinite(entries).all():
             raise InputError("Gram JSON entries must be finite")
         return GramMatrix(data["n"], entries)
-
-
-@dataclass
-class FrameVectors:
-    """Synthesis matrix whose columns are the frame vectors."""
-
-    d: int
-    n: int
-    synthesis: np.ndarray
-
-    def gram(self) -> GramMatrix:
-        return GramMatrix.from_entries(self.synthesis.conj().T @ self.synthesis)
-
-    def is_real(self) -> bool:
-        return float(np.abs(self.synthesis.imag).max(initial=0.0)) <= 1e-9
-
-
-def vectors_from_gram(gram: GramMatrix) -> FrameVectors:
-    """Recover a d x n synthesis matrix from the Gram matrix.
-
-    d is the number of eigenvalues above 1e-9 times the spectral radius;
-    the synthesis is sqrt(Lambda) V* restricted to those eigenpairs,
-    determined up to left unitary equivalence.
-    """
-    eigvals, eigvecs = np.linalg.eigh(gram.entries)
-    radius = float(np.abs(eigvals).max(initial=0.0))
-    if radius == 0.0:
-        return FrameVectors(0, gram.n, np.zeros((0, gram.n), dtype=np.complex128))
-    if eigvals.min() < -1e-9 * radius:
-        raise InputError(f"matrix is not PSD: min eigenvalue {eigvals.min():.3e}")
-    keep = eigvals > 1e-9 * radius
-    vals = eigvals[keep]
-    vecs = eigvecs[:, keep]
-    synthesis = np.sqrt(vals)[:, None] * vecs.conj().T
-    residual = np.abs(synthesis.conj().T @ synthesis - gram.entries).max()
-    if residual > 1e-9 * max(1.0, radius):
-        raise NumericError(f"Gram factorization residual {residual:.3e}")
-    return FrameVectors(int(keep.sum()), gram.n, synthesis)
 
 
 def gram_rank(gram: GramMatrix) -> int:
@@ -306,7 +267,8 @@ def is_etf(gram: GramMatrix) -> bool:
 def naimark_complement(gram: GramMatrix) -> GramMatrix:
     """I - G for a projection G: the Gram of the complementary Parseval frame."""
     entries = gram.entries
-    if np.abs(entries @ entries - entries).max() > 1e-8 * max(1.0, float(np.abs(entries).max())):
+    scale = max(1.0, float(np.abs(entries).max()))
+    if np.abs(entries @ entries - entries).max() > REPORT_TOL * scale:
         raise InputError("Naimark complement requires a projection Gram matrix")
     return GramMatrix.from_entries(np.eye(gram.n) - entries)
 

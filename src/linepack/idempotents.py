@@ -12,8 +12,8 @@ certified against exact structure constants:
      left multiplication L_x; symmetrized by the valencies, one
      eigendecomposition gives its spectral projectors, and each applied
      to the identity is one primitive idempotent, whose eigenvalue
-     cluster has size multiplicity^2 (Bannai-Ito, Algebraic Combinatorics
-     I, 2.2-2.3);
+     cluster is its block of the algebra, of size multiplicity^2
+     (Bannai-Ito, Algebraic Combinatorics I, 2.2-2.3);
   3. the projectors are verified with exact products: idempotent,
      Hermitian, pairwise orthogonal and summing to the identity, with
      integral traces.
@@ -24,10 +24,10 @@ coefficient norms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Optional
 
 import numpy as np
 
@@ -42,15 +42,14 @@ class IsotypicDecomposition:
 
     coefficients[j, i] expands E_j over the orbital matrices; rank_j is
     the (integer) trace.  degrees[j] (the dimension of the irreducible
-    constituent) and multiplicities[j] satisfy rank = multiplicity * degree;
-    either is None when integer recovery fails its tolerance.
+    constituent) and multiplicities[j] satisfy rank = multiplicity * degree.
     """
 
     scheme: SchurianScheme
     coefficients: np.ndarray  # (r+1, c+1) complex
     ranks: tuple[int, ...]
-    degrees: tuple[Optional[int], ...]
-    multiplicities: tuple[Optional[int], ...]
+    degrees: tuple[int, ...]
+    multiplicities: tuple[int, ...]
     trivial_index: int
 
     @property
@@ -139,7 +138,7 @@ def _hermitian_center_basis(scheme: SchurianScheme, center: np.ndarray) -> list[
     for b in center:
         for cand in (b + scheme.adjoint(b), 1j * (b - scheme.adjoint(b))):
             norm = np.abs(cand).max()
-            if norm > 1e-12:
+            if norm > HERMITIAN_TOL:
                 herm.append(cand / norm)
     return herm
 
@@ -159,8 +158,8 @@ def _decompose_once(
     p_flat: np.ndarray,
     herm: list[np.ndarray],
     seed: int,
-) -> list[np.ndarray]:
-    """Spectral projectors of a seeded generic Hermitian central element x.
+) -> list[tuple[np.ndarray, int]]:
+    """Spectral projectors of a seeded generic Hermitian central element x, with cluster sizes.
 
     L_x is self-adjoint for the inner product <A_i, A_j> = k_i delta_ij, so
     S = D^(1/2) L_x D^(-1/2) with D = diag(valencies) is Hermitian.  An
@@ -178,7 +177,7 @@ def _decompose_once(
     for idx in gap_clusters(eigvals, CLUSTER_TOL * radius):
         vecs = eigvecs[:, idx]
         e = vecs @ vecs[0].conj() / root_k
-        projectors.append((e + scheme.adjoint(e)) / 2)
+        projectors.append(((e + scheme.adjoint(e)) / 2, len(idx)))
     return projectors
 
 
@@ -203,10 +202,10 @@ def _verify(scheme: SchurianScheme, p_flat: np.ndarray, coeff_list: list[np.ndar
 
 
 def _item_cmp(a, b):
-    """Order (rank, coefficient vector) pairs with a 1e-6 equality slack,
+    """Order (rank, coefficient vector, ...) items with a 1e-6 equality slack,
     so the canonical order is stable across seeds."""
-    ra, ca = a
-    rb, cb = b
+    ra, ca = a[:2]
+    rb, cb = b[:2]
     if ra != rb:
         return -1 if ra < rb else 1
     for x, y in zip(ca, cb):
@@ -229,66 +228,55 @@ def central_primitive_idempotents(scheme: SchurianScheme, seed: int = 0) -> Isot
     failures = []
     for attempt in range(3):
         try:
-            coeff_list = _decompose_once(scheme, p_flat, herm, seed + attempt)
-            if len(coeff_list) != len(center):
+            projectors = _decompose_once(scheme, p_flat, herm, seed + attempt)
+            if len(projectors) != len(center):
                 raise _DecompositionFailure(
-                    f"found {len(coeff_list)} projectors, center dimension is {len(center)}"
+                    f"found {len(projectors)} projectors, center dimension is {len(center)}"
                 )
-            _verify(scheme, p_flat, coeff_list)
-            return _assemble(scheme, coeff_list)
+            _verify(scheme, p_flat, [e for e, _ in projectors])
+            return _assemble(scheme, projectors)
         except _DecompositionFailure as exc:
             failures.append(f"seed {seed + attempt}: {exc}")
     raise NumericError("idempotent decomposition failed: " + "; ".join(failures))
 
 
-def _assemble(scheme: SchurianScheme, coeff_list: list[np.ndarray]) -> IsotypicDecomposition:
+def _assemble(
+    scheme: SchurianScheme, projectors: list[tuple[np.ndarray, int]]
+) -> IsotypicDecomposition:
+    """The decomposition of certified projectors, each with its eigenvalue cluster's size.
+
+    With as many clusters as the center has dimensions, each cluster is one
+    whole block E * algebra, on which the central element acts as one
+    scalar; the block has dimension multiplicity^2.
+    """
     n = scheme.point_count
     items = []
-    for e in coeff_list:
+    for e, size in projectors:
         tr = np.real(scheme.trace(e))
         if abs(tr - round(tr)) > 1e-6:
             raise NumericError(f"projector trace {tr} is not close to an integer")
-        items.append((int(round(tr)), e))
-    if sum(rank for rank, _ in items) != n:
+        rank, mult = int(round(tr)), math.isqrt(size)
+        if mult * mult != size or rank % mult:
+            raise NumericError(f"a block of dimension {size} does not fit a rank-{rank} projector")
+        items.append((rank, e, mult))
+    if sum(rank for rank, _, _ in items) != n:
         raise NumericError("projector ranks do not sum to the point count")
     items.sort(key=cmp_to_key(_item_cmp))
-    ranks = tuple(rank for rank, _ in items)
-    coefficients = np.array([e for _, e in items])
+    coefficients = np.array([e for _, e, _ in items])
 
     trivial_index = None
-    for j, (_, e) in enumerate(items):
+    for j, (_, e, _) in enumerate(items):
         if np.abs(e - 1.0 / n).max() < 1e-6:
             trivial_index = j
             break
     if trivial_index is None:
         raise NumericError("no projection matches J/|X| (trivial component missing)")
-
-    # tr(L_E) = sum_i e_i sum_k p[i, k, k] is the dimension of the simple
-    # block E * algebra, which equals multiplicity^2
-    block_traces = np.trace(scheme.structure_constants, axis1=1, axis2=2)
-    degrees: list[Optional[int]] = []
-    multiplicities: list[Optional[int]] = []
-    for j, (rank, e) in enumerate(items):
-        block = float(np.real(e @ block_traces))
-        mult = int(round(np.sqrt(max(block, 0.0))))
-        if abs(block - mult * mult) > 1e-6 or mult < 1 or rank % mult != 0:
-            degrees.append(None)
-            multiplicities.append(None)
-            continue
-        degree = rank // mult
-        # the diagonal coefficient must agree with multiplicity * degree / n
-        if abs(n * e[0].real - mult * degree) > 1e-6:
-            degrees.append(None)
-            multiplicities.append(None)
-            continue
-        degrees.append(degree)
-        multiplicities.append(mult)
     return IsotypicDecomposition(
         scheme=scheme,
         coefficients=coefficients,
-        ranks=ranks,
-        degrees=tuple(degrees),
-        multiplicities=tuple(multiplicities),
+        ranks=tuple(rank for rank, _, _ in items),
+        degrees=tuple(rank // mult for rank, _, mult in items),
+        multiplicities=tuple(mult for _, _, mult in items),
         trivial_index=trivial_index,
     )
 

@@ -409,37 +409,12 @@ def is_transitive(action: GroupAction) -> bool:
     return len(orbit(action.group, 0)) == action.point_count
 
 
-def group_order(group: PermutationGroup) -> int:
-    return group.order
-
-
 def _generator_transversal(group: PermutationGroup, point: int) -> _Transversal:
     """The (still unexplored) transversal of `point` under the group's generators."""
     transversal = _Transversal(point, group.degree)
     for g in group.generators:
         transversal.add_generator(_as_array(g.images))
     return transversal
-
-
-def point_stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:
-    """The stabilizer of `point`, generated by Schreier generators.
-
-    Satisfies |G| = |orbit(point)| * |stabilizer|.
-    """
-    if not 0 <= point < group.degree:
-        raise InputError(f"point {point} out of range for degree {group.degree}")
-    transversal = _generator_transversal(group, point)
-    gens: list[Permutation] = []
-    seen = set()
-    probe = _StabilizerChain(group.degree)
-    for schreier in transversal.schreier_generators(release_reps=True):
-        key = schreier.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        if probe.extend(schreier):
-            gens.append(Permutation._unchecked(tuple(schreier.tolist())))
-    return PermutationGroup(group.degree, gens)
 
 
 def action_on(elements: Sequence, key: Callable, maps: Iterable[Callable]) -> GroupAction:

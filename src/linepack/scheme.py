@@ -73,9 +73,6 @@ class SchurianScheme:
         """Trace of x[orbital_of]: only the diagonal orbital contributes."""
         return x[0] * self.point_count
 
-    def orbital_matrix(self, i: int) -> np.ndarray:
-        return (self.orbital_of == i).astype(np.int64)
-
     @cached_property
     def structure_constants(self) -> np.ndarray:
         """p[i, j, k] with A_i A_j = sum_k p[i, j, k] A_k, exact integers.

@@ -13,29 +13,15 @@ row/column permutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, NumericError, ResourceError
+from .errors import NumericError, ResourceError
 from .frames import COLOR_TOL, GramMatrix
-from .permgroup import GroupAction, Permutation, PermutationGroup, orbit
+from .permgroup import Permutation, PermutationGroup, orbit
 
 DEFAULT_NODE_CAP = 10**7
-
-
-@dataclass
-class ColoredDigraph:
-    """Complete digraph with integer edge colors (entry-value classes)."""
-
-    n: int
-    color: np.ndarray
-
-    def __post_init__(self):
-        self.color = np.asarray(self.color, dtype=np.int64)
-        if self.color.shape != (self.n, self.n):
-            raise InputError("color matrix shape does not match n")
 
 
 def _cluster_values(values: np.ndarray, tol: float) -> dict[complex, int]:
@@ -101,10 +87,12 @@ def _colorize(entries: np.ndarray, lookup: dict[complex, int]) -> np.ndarray:
     return ids[inverse].reshape(entries.shape)
 
 
-def color_matrix_from_gram(gram: GramMatrix, tol: float = COLOR_TOL) -> ColoredDigraph:
-    """Entry-value coloring of a Gram matrix, its entries clustered at the given tolerance."""
-    lookup = _cluster_values(gram.entries.ravel(), tol)
-    return ColoredDigraph(gram.n, _colorize(gram.entries, lookup))
+def color_matrix_from_gram(gram: GramMatrix, tol: float = COLOR_TOL) -> np.ndarray:
+    """Entry-value coloring of a Gram matrix, its entries clustered at the given tolerance.
+
+    The n x n int64 matrix of color ids: the edge colors of the complete digraph.
+    """
+    return _colorize(gram.entries, _cluster_values(gram.entries.ravel(), tol))
 
 
 def _rank_rows(rows: np.ndarray) -> np.ndarray:
@@ -222,22 +210,21 @@ def _search_isomorphism(
 
 
 def colored_graph_automorphisms(
-    graph: ColoredDigraph, node_cap: int = DEFAULT_NODE_CAP
+    color: np.ndarray, node_cap: int = DEFAULT_NODE_CAP
 ) -> tuple[list[Permutation], int]:
-    """Generators and order of the color automorphism group.
+    """Generators and order of the automorphism group of an edge coloring.
 
     Individualizes one vertex of the first non-singleton cell per level;
     the per-level orbits give the order by the orbit-stabilizer theorem.
     """
-    ec = graph.color
-    n = graph.n
+    n = len(color)
     budget = _Budget(node_cap)
 
     def level(fixed: list[int]) -> tuple[list[Permutation], int]:
         vc = np.zeros(n, dtype=np.int64)
         for slot, v in enumerate(fixed):
             vc[v] = slot + 1
-        vc, _ = _joint_refine(ec, vc, ec, vc.copy())
+        vc, _ = _joint_refine(color, vc, color, vc.copy())
         n_colors = int(vc.max(initial=0)) + 1
         counts = np.bincount(vc, minlength=n_colors)
         cell_color = next((c for c in range(n_colors) if counts[c] > 1), None)
@@ -251,7 +238,7 @@ def colored_graph_automorphisms(
         for u in cell[1:]:
             if u in reached:
                 continue
-            found = _search_isomorphism(ec, ec, fixed + [v], fixed + [u], budget)
+            found = _search_isomorphism(color, color, fixed + [v], fixed + [u], budget)
             if found is not None:
                 gens.append(found)
                 reached = orbit(PermutationGroup(n, gens), v)
@@ -261,19 +248,14 @@ def colored_graph_automorphisms(
 
 
 def gram_symmetry_group(
-    gram: GramMatrix,
-    tol: float = COLOR_TOL,
-    node_cap: int = DEFAULT_NODE_CAP,
-    colors: Optional[ColoredDigraph] = None,
+    gram: GramMatrix, tol: float = COLOR_TOL, node_cap: int = DEFAULT_NODE_CAP
 ) -> PermutationGroup:
     """The group of permutations whose matrices commute with the Gram matrix.
 
     Every returned generator is checked to commute with the Gram matrix
     within 10*tol before the group is returned.
     """
-    if colors is None:
-        colors = color_matrix_from_gram(gram, tol)
-    gens, order = colored_graph_automorphisms(colors, node_cap)
+    gens, order = colored_graph_automorphisms(color_matrix_from_gram(gram, tol), node_cap)
     entries = gram.entries
     scale = max(1.0, float(np.abs(entries).max()))
     for g in gens:
@@ -285,11 +267,6 @@ def gram_symmetry_group(
     if group.order != order:
         raise NumericError("search order bookkeeping disagrees with the stabilizer chain")
     return group
-
-
-def is_homogeneous(gram: GramMatrix) -> bool:
-    """True iff the symmetry group of the Gram matrix is transitive."""
-    return len(orbit(gram_symmetry_group(gram), 0)) == gram.n
 
 
 def find_gram_isomorphism(gram_a: GramMatrix, gram_b: GramMatrix) -> Optional[Permutation]:
@@ -304,19 +281,3 @@ def find_gram_isomorphism(gram_a: GramMatrix, gram_b: GramMatrix) -> Optional[Pe
     lookup = _cluster_values(values, COLOR_TOL)
     ec_a, ec_b = _colorize(gram_a.entries, lookup), _colorize(gram_b.entries, lookup)
     return _search_isomorphism(ec_a, ec_b, [], [], _Budget(DEFAULT_NODE_CAP))
-
-
-def regular_subgroup_check(action: GroupAction, subgroup_generators: Sequence[Permutation]) -> bool:
-    """True iff the subgroup acts transitively with trivial point stabilizers.
-
-    Equivalently, the subgroup's orbit of point 0 is everything and its
-    order equals the number of points.
-    """
-    n = action.point_count
-    for g in subgroup_generators:
-        if g.degree != n:
-            raise InputError("subgroup generator degree does not match the action")
-    sub = PermutationGroup(n, subgroup_generators)
-    if len(orbit(sub, 0)) != n:
-        return False
-    return sub.order == n

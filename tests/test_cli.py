@@ -1,5 +1,8 @@
+import ast
 import json
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,8 +223,8 @@ def test_symmetry_order_disagreement_exit_code(capsys, tmp_path, monkeypatch, dr
 
     search = symmetry.colored_graph_automorphisms
 
-    def miscounted(colors, node_cap):
-        gens, order = search(colors, node_cap)
+    def miscounted(color, node_cap):
+        gens, order = search(color, node_cap)
         return (gens[:-1] if drop_generator else gens), order + extra
 
     monkeypatch.setattr(symmetry, "colored_graph_automorphisms", miscounted)
@@ -234,18 +237,6 @@ def test_symmetry_order_disagreement_exit_code(capsys, tmp_path, monkeypatch, dr
     assert "search order bookkeeping disagrees with the stabilizer chain" in captured.err
 
 
-def test_symmetry_assume_colors(capsys, tmp_path):
-    # a supplied coloring overrides value clustering entirely
-    gram_path = tmp_path / "gram.json"
-    gram_path.write_text(json.dumps(GramMatrix.from_entries(np.eye(3)).to_json_dict()))
-    colors = {"color": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}
-    colors_path = tmp_path / "colors.json"
-    colors_path.write_text(json.dumps(colors))
-    code, payload = run(capsys, ["symmetry", str(gram_path), "--assume-colors", str(colors_path)])
-    assert code == 0
-    assert payload["order"] == 6
-
-
 def test_heisenberg_direct_cap_is_resource_error(capsys):
     from linepack.errors import ResourceError
     from linepack.heisenberg import GammaTwist, heis_etf_gram_direct, make_spec
@@ -255,7 +246,6 @@ def test_heisenberg_direct_cap_is_resource_error(capsys):
 
 
 GRAM_I2 = json.dumps(GramMatrix.from_entries(np.eye(2)).to_json_dict())
-COLORS = ["symmetry", "@g", "--assume-colors", "@c"]
 
 
 @pytest.mark.parametrize(
@@ -268,13 +258,6 @@ COLORS = ["symmetry", "@g", "--assume-colors", "@c"]
         ({"g": "[1, 2"}, ["symmetry", "@g"]),
         ({"g": '{"n": 1}'}, ["symmetry", "@g"]),
         ({"g": '{"n": 2, "entries": [1, 2]}'}, ["symmetry", "@g"]),
-        ({"g": GRAM_I2}, ["symmetry", "@g", "--assume-colors", "/nonexistent/colors.json"]),
-        ({"g": GRAM_I2, "c": "{}"}, COLORS),
-        ({"g": GRAM_I2, "c": '{"color": [[0, 1], [1]]}'}, COLORS),
-        ({"g": GRAM_I2, "c": '{"color": [[0, "1"], [1, 0]]}'}, COLORS),
-        ({"g": GRAM_I2, "c": '{"color": [[0, 1.5], [1.5, 0]]}'}, COLORS),
-        ({"g": GRAM_I2, "c": '{"color": [[0, true], [true, 0]]}'}, COLORS),
-        ({"g": GRAM_I2, "c": '{"color": [[0, 1], [1, 0], [1, 1]]}'}, COLORS),
         ({"g": '{"degree": 3.9, "generators": [[1, 2, 0]]}'}, ["scheme", "@g"]),
         ({"g": '{"degree": 3, "generators": [[1.7, 2, 0]]}'}, ["scheme", "@g"]),
         ({"g": '{"degree": 3, "generators": [[true, 2, 0]]}'}, ["scheme", "@g"]),
@@ -307,13 +290,6 @@ COLORS = ["symmetry", "@g", "--assume-colors", "@c"]
         "malformed-gram",
         "gram-without-entries",
         "gram-bad-entries",
-        "missing-colors",
-        "colors-without-color",
-        "ragged-colors",
-        "string-colors",
-        "float-colors",
-        "bool-colors",
-        "non-square-colors",
         "float-degree",
         "float-image",
         "bool-image",
@@ -486,3 +462,39 @@ def test_scheme_past_the_array_limit_exits_4_at_once(capsys, tmp_path):
     assert captured.out == ""
     assert "resource limit" in captured.err and "orbital matrix" in captured.err
     assert time.monotonic() - start < 10.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan-etf", "fixture:agl", "--multiplicity-free-only"],
+        ["symmetry", "@g", "--assume-colors", "@g"],
+    ],
+    ids=["multiplicity-free-only", "assume-colors"],
+)
+def test_retired_flags_are_unrecognized(capsys, tmp_path, argv):
+    (tmp_path / "g").write_text(GRAM_I2)
+    with pytest.raises(SystemExit) as exc:
+        main([str(tmp_path / "g") if a == "@g" else a for a in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {argv[2]}" in captured.err
+
+
+def test_every_export_has_a_caller():
+    # each name the package exports is reached by a command, an acceptance
+    # criterion or the README (the Library API section lists the rest)
+    root = Path(__file__).resolve().parent.parent
+    init = ast.parse((root / "src" / "linepack" / "__init__.py").read_text())
+    exported = [
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    callers = "\n".join(
+        (root / path).read_text()
+        for path in ("src/linepack/cli.py", "tests/test_acceptance.py", "README.md")
+    )
+    unreached = [name for name in exported if not re.search(rf"\b{name}\b", callers)]
+    assert len(exported) > 40 and unreached == []

@@ -20,7 +20,6 @@ from linepack.frames import (
     packing_report,
     projective_reduce,
     secondary_bounds,
-    vectors_from_gram,
     welch_bound,
 )
 
@@ -28,36 +27,6 @@ from linepack.frames import (
 def brute_force_welch(n, d):
     """Oracle: the bound evaluated directly from its defining expression."""
     return ((n - d) / (d * (n - 1))) ** 0.5
-
-
-def test_vectors_from_gram_rank_one():
-    g = GramMatrix.from_entries(np.full((3, 3), 1 / 3))
-    f = vectors_from_gram(g)
-    assert f.d == 1
-    assert np.allclose(np.abs(f.synthesis), 1 / np.sqrt(3))
-    assert np.abs(f.gram().entries - g.entries).max() < 1e-9
-
-
-def test_vectors_from_gram_identity():
-    g = GramMatrix.from_entries(np.eye(4))
-    f = vectors_from_gram(g)
-    assert f.d == 4
-    assert np.abs(f.synthesis.conj().T @ f.synthesis - np.eye(4)).max() < 1e-9
-
-
-def test_vectors_from_gram_rejects_indefinite():
-    m = np.diag([1.0, -1.0])
-    with pytest.raises(InputError):
-        vectors_from_gram(GramMatrix.from_entries(m))
-
-
-def test_round_trip_random_psd():
-    rng = np.random.default_rng(5)
-    for n in (3, 6, 10):
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        g = GramMatrix.from_entries(a.conj().T @ a)
-        f = vectors_from_gram(g)
-        assert np.abs(f.gram().entries - g.entries).max() < 1e-9 * np.abs(g.entries).max()
 
 
 def test_welch_bound_values():

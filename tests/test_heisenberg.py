@@ -29,7 +29,7 @@ from linepack.heisenberg import (
     sp_membership,
     symplectic_exponent,
 )
-from linepack.permgroup import group_order, is_transitive
+from linepack.permgroup import is_transitive
 from linepack.scheme import is_commutative, scheme_from_action
 
 Z3 = make_spec((3,))
@@ -366,7 +366,7 @@ def test_heisenberg_permutation_action_p3():
     act = heisenberg_permutation_action(3)
     assert act.point_count == 27
     assert is_transitive(act)
-    assert group_order(act.group) == 648  # 27 * |SL(2,3)|
+    assert act.group.order == 648  # 27 * |SL(2,3)|
     sch = scheme_from_action(act)
     assert is_commutative(sch)
 

@@ -1,6 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
+from linepack import idempotents
+from linepack.cli import main
+from linepack.errors import NumericError
 from linepack.fixtures import m11_action
 from linepack.idempotents import (
     central_primitive_idempotents,
@@ -208,3 +213,102 @@ def test_json_export():
     assert d["n"] == [1, 1]
     assert "projections" not in d
     assert "projections" in dec.to_json_dict(include_projections=True)
+
+
+# --- certification and reseeding ---------------------------------------------
+
+
+def _half_block(scheme, projectors):
+    """The rank-4 block E of S_3's regular scheme cut to E (1 + t) / 2 for an involution t.
+
+    A Hermitian idempotent orthogonal to the other two projectors, so only
+    the sum check can refuse it.
+    """
+    p_flat = scheme.structure_constants.astype(np.float64).reshape(scheme.n_orbitals, -1)
+    t = next(i for i in range(1, scheme.n_orbitals) if scheme.transpose_pairing[i] == i)
+    h = np.zeros(scheme.n_orbitals, dtype=complex)
+    h[0] = h[t] = 0.5
+    out = []
+    for e, size in projectors:
+        if round(scheme.trace(e).real) == 4:
+            e = idempotents._left_multiplication(p_flat, e) @ h
+            e = (e + scheme.adjoint(e)) / 2
+        out.append((e, size))
+    return out
+
+
+# each corruption of seed's projectors, with the failure it must raise
+CORRUPTIONS = {
+    "count": (lambda sch, ps: ps[:-1], "found 2 projectors, center dimension is 3"),
+    "rank-zero": (lambda sch, ps: [(0 * ps[0][0], ps[0][1])] + ps[1:], "projector has rank zero"),
+    "hermitian": (
+        lambda sch, ps: [(ps[0][0] + 1e-3j, ps[0][1])] + ps[1:],
+        "projector is not Hermitian",
+    ),
+    "idempotent": (
+        lambda sch, ps: [(1.5 * ps[0][0], ps[0][1])] + ps[1:],
+        "projector is not idempotent",
+    ),
+    "orthogonal": (lambda sch, ps: [ps[0], ps[0]] + ps[2:], "projectors are not mutually orthogonal"),
+    "sum": (_half_block, "projectors do not sum to the identity"),
+}
+
+
+def _corrupt_seeds(monkeypatch, corrupt, bad_seeds):
+    """Patch `_decompose_once` to corrupt the projectors of bad_seeds; return the seeds it saw."""
+    seen = []
+    decompose = idempotents._decompose_once
+
+    def corrupted(scheme, p_flat, herm, seed):
+        seen.append(seed)
+        projectors = decompose(scheme, p_flat, herm, seed)
+        return corrupt(scheme, projectors) if seed in bad_seeds else projectors
+
+    monkeypatch.setattr(idempotents, "_decompose_once", corrupted)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_failed_certification_reseeds(monkeypatch, name):
+    scheme = scheme_from_action(regular_action(S3))
+    expected = central_primitive_idempotents(scheme, seed=1)
+    seen = _corrupt_seeds(monkeypatch, CORRUPTIONS[name][0], {0})
+    dec = central_primitive_idempotents(scheme, seed=0)
+    assert seen == [0, 1]
+    assert np.array_equal(dec.coefficients, expected.coefficients)
+    assert (dec.ranks, dec.degrees, dec.multiplicities, dec.trivial_index) == (
+        expected.ranks,
+        expected.degrees,
+        expected.multiplicities,
+        expected.trivial_index,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_three_failed_certifications_raise(monkeypatch, name):
+    corrupt, message = CORRUPTIONS[name]
+    seen = _corrupt_seeds(monkeypatch, corrupt, {0, 1, 2})
+    with pytest.raises(NumericError) as exc:
+        central_primitive_idempotents(scheme_from_action(regular_action(S3)), seed=0)
+    assert seen == [0, 1, 2]
+    assert str(exc.value) == "idempotent decomposition failed: " + "; ".join(
+        f"seed {s}: {message}" for s in seen
+    )
+
+
+def test_failed_decomposition_exits_3(monkeypatch, capsys, tmp_path):
+    group = tmp_path / "s3.json"
+    group.write_text(json.dumps({"degree": 3, "generators": ["(0 1 2)", "(0 1)"]}))
+    _corrupt_seeds(monkeypatch, CORRUPTIONS["idempotent"][0], {0, 1, 2})
+    assert main(["idempotents", str(group), "--action", "regular"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric error: idempotent decomposition failed: seed 0: ")
+    assert "seed 1: " in captured.err and "seed 2: " in captured.err
+
+
+def test_cluster_size_must_be_a_block_of_the_rank(monkeypatch):
+    # a cluster of 2 eigenvalues is no block of dimension multiplicity^2
+    _corrupt_seeds(monkeypatch, lambda sch, ps: [(e, size + 1) for e, size in ps], {0})
+    with pytest.raises(NumericError, match="a block of dimension 2 does not fit a rank-1 projector"):
+        central_primitive_idempotents(scheme_from_action(regular_action(S3)), seed=0)

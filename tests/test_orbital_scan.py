@@ -122,10 +122,12 @@ def test_z7_collapsed_phases_do_not_reach_the_field(decompositions):
     assert complex_rows > 0
 
 
-@pytest.mark.parametrize("offset", [0.5, 2.0])
+@pytest.mark.parametrize("offset", [0.05, 0.5, 2.0])
 def test_orbital_modulus_near_tolerance_falls_back_and_matches(decompositions, monkeypatch, offset):
-    # a rank-one projection of Z_7: every orbital has modulus x_0; pull one
-    # orbital (and its transpose) offset * tol below it
+    # a rank-one projection of Z_7: every orbital has modulus x_0 = 1/7; pull
+    # one orbital (and its transpose) offset * tol below it.  At 0.5 and 2 the
+    # modulus test lands within 10x of tol; at 0.05 it passes, and the phase
+    # test, at 7 * 0.05 tol from unimodular, lands there instead
     dec = decompositions["z7_regular"]
     gram = projection_from_subset(dec, [1])
     x = gram.orbital.x.copy()
@@ -145,6 +147,51 @@ def test_orbital_modulus_near_tolerance_falls_back_and_matches(decompositions, m
     assert fallbacks.reduce == 2
     assert class_map == dense_map
     assert red.entries.tobytes() == dense_red.entries.tobytes()
+
+
+# perturbations of Z_7's rank-one projection, where every orbital has modulus
+# x_0 = 1/7, that land a test other than the modulus test within 10x of its
+# tolerance
+NEAR_TOLERANCE = {
+    # the anchor's modulus x_0 below 10 tol, and n x_0 below 10 REPORT_TOL
+    "anchor": lambda x: x * 5e-8,
+    # moduli unchanged, one orbital turned so the column residual is 0.5 tol
+    "column": lambda x: x * np.exp(3.5j * REDUCE_TOL * (np.arange(len(x)) == 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_TOLERANCE))
+def test_near_tolerance_form_falls_back_to_the_dense_path(decompositions, monkeypatch, case):
+    dec = decompositions["z7_regular"]
+    x = NEAR_TOLERANCE[case](projection_from_subset(dec, [1]).orbital.x)
+    x[dec.scheme.transpose_pairing[1]] = np.conj(x[1])
+    near = GramMatrix.from_orbitals(dec.scheme, x)
+    fallbacks = _Fallbacks(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        red, class_map = projective_reduce(near)
+        dense_red, dense_map = projective_reduce(_dense(near))
+    report = packing_report(near)
+    assert (fallbacks.reduce, fallbacks.report) == (1, 1)
+    assert class_map == dense_map
+    assert red.entries.tobytes() == dense_red.entries.tobytes()
+    assert report.to_json_dict() == packing_report(_dense(near)).to_json_dict()
+
+
+def test_report_falls_back_when_the_certified_rank_is_fractional(decompositions, monkeypatch):
+    # a cut-down form whose certificate claims G^2 = c G with tr G / c half
+    # way between two integers
+    dec = decompositions["s4_pairs"]
+    gram = projection_from_subset(dec, [0, 1])
+    form = gram.orbital
+    rank = round(gram.n * form.x[0].real)
+    claimed = GramMatrix._of_form(
+        frames.OrbitalForm(form.orbital_of, form.x, certificate=(rank / (rank + 0.5), 0.0))
+    )
+    fallbacks = _Fallbacks(monkeypatch)
+    report = packing_report(claimed)
+    assert fallbacks.report == 1
+    assert report.to_json_dict() == packing_report(_dense(gram)).to_json_dict()
 
 
 def test_report_falls_back_when_the_certificate_is_loose(decompositions, monkeypatch):

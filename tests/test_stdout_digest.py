@@ -141,5 +141,5 @@ def test_scan_row_fields_are_identical(case, capsys):
 
 @pytest.mark.parametrize("case", sorted(COLOR_CASES))
 def test_figure_colors_are_identical(case):
-    color = color_matrix_from_gram(COLOR_CASES[case]()).color
+    color = color_matrix_from_gram(COLOR_CASES[case]())
     assert sha256(color.tobytes()) == json.loads(DIGESTS.read_text())[case]
