@@ -25,13 +25,14 @@ coefficient norms.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import MAX_ARRAY_ENTRIES, InputError, NumericError, ResourceError
 from .frames import CLUSTER_TOL, HERMITIAN_TOL, IDEMPOTENT_TOL, GramMatrix, complex_pairs, gap_clusters
 from .scheme import SchurianScheme
 
@@ -80,52 +81,170 @@ class IsotypicDecomposition:
         return out
 
 
-def _rational_nullspace(rows: list[list[int]], width: int) -> list[list[Fraction]]:
-    """Basis of the rational nullspace of an integer constraint matrix."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+def _primes_below(bound: int):
+    """The primes below bound, in descending order."""
+    for q in range(bound - 1 - bound % 2, 2, -2):
+        if all(q % f for f in range(3, math.isqrt(q) + 1, 2)):
+            yield q
+
+
+def _rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of an int64 matrix modulo p, with its pivot columns.
+
+    Each pivot clears its column only from the rows where it is nonzero;
+    entries stay below p, so each product stays below p^2 < 2^62.
+    """
+    a = a % p
     pivots: list[int] = []
-    r = 0
-    for col in range(width):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
+    for col in range(a.shape[1]):
+        r = len(pivots)
+        if r == a.shape[0]:
             break
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * width
-        vec[f] = Fraction(1)
-        for i, col in enumerate(pivots):
-            vec[col] = -mat[i][f]
-        basis.append(vec)
-    return basis
+        nonzero = np.flatnonzero(a[r:, col])
+        if not nonzero.size:
+            continue
+        if nonzero[0]:
+            a[[r, r + nonzero[0]]] = a[[r + nonzero[0], r]]
+        a[r] = a[r] * pow(int(a[r, col]), -1, p) % p
+        others = np.flatnonzero(a[:, col])
+        others = others[others != r]
+        if others.size:
+            a[others] = (a[others] - np.outer(a[others, col], a[r])) % p
+        pivots.append(col)
+    return a, pivots
+
+
+def _kernel_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Columns spanning the nullspace of a modulo p: e_f minus the pivot entries of column f."""
+    reduced, pivots = _rref_mod(a, p)
+    free = np.delete(np.arange(a.shape[1]), pivots)
+    kernel = np.zeros((a.shape[1], free.size), dtype=np.int64)
+    kernel[free, np.arange(free.size)] = 1
+    kernel[pivots] = -reduced[: len(pivots), free] % p
+    return kernel
+
+
+Blocks = Callable[[], Iterable[np.ndarray]]
+
+
+def _nullspace_mod(blocks: Blocks, width: int, p: int) -> tuple[list[int], np.ndarray]:
+    """Reduced echelon basis of the common nullspace of the blocks modulo p.
+
+    The columns of `basis` span the nullspace of the blocks seen so far,
+    so each block costs one product with at most width columns and an
+    elimination of its image.  The basis rows come back with free column
+    f holding 1, the other free columns 0 and every later column 0: the
+    echelon form of the nullspace read from the last column, the same
+    unique form as the rational one.
+    """
+    basis = np.eye(width, dtype=np.int64)
+    for block in blocks():
+        if not basis.shape[1]:
+            break
+        if block.any():
+            image = (block % p) @ basis % p  # width * (p - 1)^2 < 2^63
+            if image.any():
+                basis = basis @ _kernel_mod(image, p) % p
+    reduced, pivots = _rref_mod(basis.T[:, ::-1], p)
+    return [width - 1 - q for q in reversed(pivots)], reduced[::-1, ::-1]
+
+
+def _rational_lift(residues: np.ndarray, m: int) -> list[list[Fraction]] | None:
+    """The fractions a/b = r mod m with |a|, b <= sqrt(m/2), or None if one has none.
+
+    Wang's rational reconstruction: the extended Euclidean algorithm on
+    (m, r), stopped at the first remainder within the bound.
+    """
+    bound = math.isqrt(m // 2)
+    zero = Fraction(0)
+    rows = []
+    for row in residues.tolist():
+        vec = [zero] * len(row)
+        for i, r in enumerate(row):
+            if not r:
+                continue
+            r0, r1, t0, t1 = m, r, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+            if abs(t1) > bound or math.gcd(r1, t1) != 1:
+                return None
+            vec[i] = Fraction(r1, t1)
+        rows.append(vec)
+    return rows
+
+
+def _annihilates(blocks: Blocks, vectors: list[list[Fraction]], width: int) -> bool:
+    """Exact check that every block maps every vector to zero.
+
+    The vectors are scaled to integers; the product runs in int64 where
+    width * max|block| * max|vector| bounds every sum below 2^63, and in
+    Python integers otherwise.
+    """
+    if not vectors:
+        return True
+    scaled = []
+    for vec in vectors:
+        den = math.lcm(*(x.denominator for x in vec))
+        scaled.append([x.numerator * (den // x.denominator) for x in vec])
+    exact = np.array(scaled, dtype=object).T
+    largest = int(np.abs(exact).max())
+    small = exact.astype(np.int64) if width * largest < 2**63 else None
+    for block in blocks():
+        if not block.any():
+            continue
+        if small is not None and width * int(np.abs(block).max()) * largest < 2**63:
+            product = block @ small
+        else:
+            product = block.astype(object) @ exact
+        if product.any():
+            return False
+    return True
+
+
+def _integer_nullspace(blocks: Blocks, width: int) -> list[list[Fraction]]:
+    """Reduced echelon basis of the rational nullspace of stacked integer blocks.
+
+    `blocks()` yields the int64 constraint rows, block by block, each of
+    length width; it is called once per prime and once per check.  The
+    basis is solved modulo primes p with width * p^2 < 2^63, combined by
+    the Chinese remainder theorem and lifted by rational reconstruction
+    (Wang, Guy and Davenport, SIGSAM Bull. 16, 1982), then checked
+    exactly.  A prime can only lose rank or move pivots later, so a
+    result with a smaller nullspace, or the same size and earlier
+    pivots, restarts the combination.  Vector f has 1 at free column f
+    and 0 at the other free columns, as from Gauss-Jordan elimination.
+    """
+    best = None
+    for p in _primes_below(min(2**31, math.isqrt((2**63 - 1) // width))):
+        free, residues = _nullspace_mod(blocks, width, p)
+        key = (len(free), sorted(set(range(width)).difference(free)))
+        if best is None or key < best[0]:
+            best = (key, p, residues.astype(object))
+        elif key == best[0]:
+            _, m, acc = best
+            acc = acc + m * ((residues - acc) * pow(m, -1, p) % p)
+            best = (key, m * p, acc)
+        else:
+            continue
+        _, m, acc = best
+        vectors = _rational_lift(acc, m)
+        if vectors is not None and _annihilates(blocks, vectors, width):
+            return vectors
+    raise NumericError("no prime solved the center")
 
 
 def _center_basis(scheme: SchurianScheme) -> np.ndarray:
-    """Coefficient vectors spanning the center of the adjacency algebra."""
+    """Coefficient vectors spanning the center of the adjacency algebra.
+
+    x is central when sum_i x_i (p[i, j, k] - p[j, i, k]) = 0 for all j
+    and k; the constraints are formed one j at a time, as the block
+    (p[:, j, :] - p[j]).T, so no commutator tensor is held.
+    """
     p = scheme.structure_constants
-    c1 = scheme.n_orbitals
-    diff = p - p.transpose(1, 0, 2)  # [i, j, k] = p_ij^k - p_ji^k
-    rows = diff.transpose(1, 2, 0).reshape(-1, c1)  # row (j, k) is diff[:, j, k]
-    # The row space alone fixes the reduced echelon form and so the basis:
-    # zero rows and rows repeated up to sign are dropped before the exact
-    # elimination.
-    lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
-    rows = rows[lead != 0] * np.sign(lead[lead != 0])[:, None]
-    if not len(rows):
-        return np.eye(c1, dtype=np.complex128)
-    _, first = np.unique(rows, axis=0, return_index=True)
-    basis = _rational_nullspace(rows[np.sort(first)].tolist(), c1)
+    basis = _integer_nullspace(
+        lambda: ((p[:, j, :] - p[j]).T for j in range(len(p))), scheme.n_orbitals
+    )
     return np.array([[complex(x) for x in vec] for vec in basis], dtype=np.complex128)
 
 
@@ -220,11 +339,19 @@ def central_primitive_idempotents(scheme: SchurianScheme, seed: int = 0) -> Isot
 
     Deterministic given (scheme, seed); the projector set itself is
     seed-independent.  Up to three reseeds are attempted before giving up
-    with a numeric error.
+    with a numeric error.  The structure constants and their float copy
+    p_flat, c^3 entries each, are refused past MAX_ARRAY_ENTRIES together
+    before either is made.
     """
+    c1 = scheme.n_orbitals
+    if 2 * c1**3 > MAX_ARRAY_ENTRIES:
+        raise ResourceError(
+            f"the idempotents of {c1} orbitals need {2 * c1**3} tensor entries, "
+            f"above the limit of {MAX_ARRAY_ENTRIES}"
+        )
     center = _center_basis(scheme)
     herm = _hermitian_center_basis(scheme, center)
-    p_flat = scheme.structure_constants.astype(np.float64).reshape(scheme.n_orbitals, -1)
+    p_flat = scheme.structure_constants.astype(np.float64).reshape(c1, -1)
     failures = []
     for attempt in range(3):
         try:

@@ -306,6 +306,21 @@ def test_structure_constants_refuse_an_oversized_tensor():
         scheme.structure_constants
 
 
+def test_idempotents_count_the_float_copy_against_the_limit():
+    c = 407  # c^3 is below 2^27, the int64 tensor and its float copy are above it
+    scheme = SchurianScheme(1, np.zeros((1, 1), dtype=np.int64), (1,) * c, tuple(range(c)))
+    with pytest.raises(ResourceError, match="idempotents of 407 orbitals need 134838286 "):
+        central_primitive_idempotents(scheme)
+
+
+def test_regular_sl2_f8_idempotents_exit_4_before_allocating(capsys):
+    # c = 504: the c^3 tensor alone passes the limit, its float copy does not
+    assert main(["idempotents", "fixture:sl2_f8", "--action", "regular"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit")
+    assert "504 orbitals" in err
+
+
 def test_regular_agl_idempotents_exit_4_before_allocating(capsys):
     assert main(["idempotents", "fixture:agl", "--action", "regular"]) == 4
     err = capsys.readouterr().err
