@@ -24,17 +24,20 @@ from .permgroup import Permutation, PermutationGroup, orbit
 DEFAULT_NODE_CAP = 10**7
 
 
-def _cluster_values(values: np.ndarray, tol: float) -> dict[complex, int]:
-    """Map rounded entry values to color ids; complain about near-ties.
+def _cluster_values(values: np.ndarray, tol: float) -> np.ndarray:
+    """Color id of every value, rounded to 9 decimals; complain about near-ties.
 
-    Values within tol share a color; a pair separated by more than tol
-    but less than 10*tol is ambiguous at this tolerance and raises.
+    The values are rounded and sorted once, and the ids come back in the
+    shape of the values.  Values within tol share a color; a pair
+    separated by more than tol but less than 10*tol is ambiguous at this
+    tolerance and raises.
     |dz| <= tol implies |d re| <= tol, so with the distinct values sorted
     by real part, each is compared only with the later values whose real
     part lies within 10*tol of its own (a little more, against rounding);
     that window holds every pair that the clustering or the audit reads.
     """
-    unique = np.unique(np.round(values, 9))  # sorted by (real, imag)
+    # unique is sorted by (real, imag)
+    unique, inverse = np.unique(np.round(values, 9), return_inverse=True)
     u = unique.size
     hi = np.searchsorted(unique.real, unique.real + 11 * tol, side="right")
     width = hi - np.arange(u) - 1
@@ -77,14 +80,7 @@ def _cluster_values(values: np.ndarray, tol: float) -> dict[complex, int]:
         between = (ends[0] == ends[0, pick]) & (ends[1] == ends[1, pick])
         dmin = float(dist[near][between].min())
         raise NumericError(f"entry values {dmin:.3e} apart cannot be clustered at tol {tol:.1e}")
-    return {complex(z): int(k) for z, k in zip(unique, color)}
-
-
-def _colorize(entries: np.ndarray, lookup: dict[complex, int]) -> np.ndarray:
-    """Color id of every entry, looked up by its value rounded as in `_cluster_values`."""
-    values, inverse = np.unique(np.round(entries, 9), return_inverse=True)
-    ids = np.array([lookup[complex(z)] for z in values], dtype=np.int64)
-    return ids[inverse].reshape(entries.shape)
+    return color[inverse].reshape(values.shape)
 
 
 def color_matrix_from_gram(gram: GramMatrix, tol: float = COLOR_TOL) -> np.ndarray:
@@ -92,7 +88,7 @@ def color_matrix_from_gram(gram: GramMatrix, tol: float = COLOR_TOL) -> np.ndarr
 
     The n x n int64 matrix of color ids: the edge colors of the complete digraph.
     """
-    return _colorize(gram.entries, _cluster_values(gram.entries.ravel(), tol))
+    return _cluster_values(gram.entries, tol)
 
 
 def _rank_rows(rows: np.ndarray) -> np.ndarray:
@@ -143,7 +139,7 @@ def _joint_refine(
         rows = np.concatenate([signatures(ec_a, vc_a), signatures(ec_b, vc_b)], axis=0)
         inverse = _rank_rows(rows)
         new_count = int(inverse.max()) + 1
-        old_count = len(np.unique(np.concatenate([vc_a, vc_b])))
+        old_count = np.count_nonzero(np.bincount(np.concatenate([vc_a, vc_b])))
         vc_a = inverse[:na].astype(np.int64)
         vc_b = inverse[na:].astype(np.int64)
         if new_count == old_count:
@@ -277,7 +273,5 @@ def find_gram_isomorphism(gram_a: GramMatrix, gram_b: GramMatrix) -> Optional[Pe
     """
     if gram_a.n != gram_b.n:
         return None
-    values = np.concatenate([gram_a.entries.ravel(), gram_b.entries.ravel()])
-    lookup = _cluster_values(values, COLOR_TOL)
-    ec_a, ec_b = _colorize(gram_a.entries, lookup), _colorize(gram_b.entries, lookup)
+    ec_a, ec_b = _cluster_values(np.stack([gram_a.entries, gram_b.entries]), COLOR_TOL)
     return _search_isomorphism(ec_a, ec_b, [], [], _Budget(DEFAULT_NODE_CAP))
