@@ -6,9 +6,13 @@ computation runs on coefficient vectors over the orbital basis, and dense
 n x n matrices appear only on output.  They are found numerically but
 certified against exact structure constants:
 
-  1. the center is solved exactly (rational nullspace of the commutation
-     constraints on the integer structure constants);
-  2. a seeded generic Hermitian center element x acts on the algebra by
+  1. the center is solved exactly: the rational nullspace of the
+     commutation constraints on the integer structure constants, one
+     slice of constraints at a time, is found modulo primes below 2^31
+     in int64 arithmetic, lifted by rational reconstruction and checked
+     in integers; its reduced echelon basis is unique;
+  2. a seeded generic Hermitian center element x (weights drawn from
+     `random.Random(seed)`) acts on the algebra by
      left multiplication L_x; symmetrized by the valencies, one
      eigendecomposition gives its spectral projectors, and each applied
      to the identity is one primitive idempotent, whose eigenvalue
@@ -25,6 +29,7 @@ coefficient norms.
 from __future__ import annotations
 
 import math
+import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -285,9 +290,8 @@ def _decompose_once(
     eigenvalue cluster V of S is the block of one primitive idempotent E,
     and E = L_E 1 = D^(-1/2) V V* D^(1/2) 1.
     """
-    rng = np.random.default_rng(seed)
-    weights = rng.standard_normal(len(herm))
-    generic = sum(w * h for w, h in zip(weights, herm))
+    rng = random.Random(seed)
+    generic = sum(rng.gauss(0.0, 1.0) * h for h in herm)
     root_k = np.sqrt(np.asarray(scheme.valencies, dtype=np.float64))
     sym = root_k[:, None] * _left_multiplication(p_flat, generic) / root_k[None, :]
     eigvals, eigvecs = np.linalg.eigh((sym + sym.conj().T) / 2)

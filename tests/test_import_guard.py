@@ -1,0 +1,52 @@
+"""Modules the idempotent and symmetry commands must not load.
+
+`numpy.random` adds about 6 MiB to a process, 3.4 MiB of it OpenSSL's
+`_hashlib`, which it pulls in through `secrets`; `numpy.ma` is imported by
+`np.unique` called without a return flag.  Each command runs in a fresh
+interpreter, which reports the guarded modules it loaded.
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+GUARDED = ("numpy.random", "_hashlib", "numpy.ma")
+
+PROBE = """\
+import contextlib, io, json, sys
+from linepack.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, [m for m in %r if m in sys.modules]]))
+""" % (GUARDED,)
+
+
+def loaded_modules(argv: list[str]) -> list[str]:
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, timeout=120, check=True
+    ).stdout
+    code, loaded = json.loads(out)
+    assert code == 0
+    return loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan-etf", "fixture:agl"],
+        ["idempotents", "fixture:m11", "--action", "pairs"],
+        ["idempotents", "fixture:sl2_f8", "--action", "pairs", "--seed", "7"],
+    ],
+)
+def test_idempotent_commands_load_no_random_or_hashlib(argv):
+    assert loaded_modules(argv) == []
+
+
+def test_symmetry_loads_no_masked_arrays(tmp_path):
+    n = 12
+    entries = [[[1.0 if i == j else -1.0 / (n - 1), 0.0] for j in range(n)] for i in range(n)]
+    gram = tmp_path / "simplex.json"
+    gram.write_text(json.dumps({"n": n, "entries": entries}))
+    assert "numpy.ma" not in loaded_modules(["symmetry", str(gram)])
