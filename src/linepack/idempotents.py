@@ -6,8 +6,9 @@ computation runs on coefficient vectors over the orbital basis, and dense
 n x n matrices appear only on output.  They are found numerically but
 certified against exact structure constants:
 
-  1. the center is solved exactly: the rational nullspace of the
-     commutation constraints on the integer structure constants, one
+  1. the center is solved exactly: the whole algebra when it is
+     commutative, otherwise the rational nullspace of the commutation
+     constraints on the integer structure constants, one
      slice of constraints at a time, is found modulo primes below 2^31
      in int64 arithmetic, lifted by rational reconstruction and checked
      in integers; its reduced echelon basis is unique;
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import MAX_ARRAY_ENTRIES, InputError, NumericError, ResourceError
 from .frames import CLUSTER_TOL, HERMITIAN_TOL, IDEMPOTENT_TOL, GramMatrix, complex_pairs, gap_clusters
-from .scheme import SchurianScheme
+from .scheme import SchurianScheme, is_commutative
 
 
 @dataclass
@@ -242,10 +243,14 @@ def _integer_nullspace(blocks: Blocks, width: int) -> list[list[Fraction]]:
 def _center_basis(scheme: SchurianScheme) -> np.ndarray:
     """Coefficient vectors spanning the center of the adjacency algebra.
 
-    x is central when sum_i x_i (p[i, j, k] - p[j, i, k]) = 0 for all j
-    and k; the constraints are formed one j at a time, as the block
+    A commutative algebra is its own center, with the identity as its
+    reduced echelon basis.  Otherwise x is central when
+    sum_i x_i (p[i, j, k] - p[j, i, k]) = 0 for all j and k; the
+    constraints are formed one j at a time, as the block
     (p[:, j, :] - p[j]).T, so no commutator tensor is held.
     """
+    if is_commutative(scheme):
+        return np.eye(scheme.n_orbitals, dtype=np.complex128)
     p = scheme.structure_constants
     basis = _integer_nullspace(
         lambda: ((p[:, j, :] - p[j]).T for j in range(len(p))), scheme.n_orbitals

@@ -11,8 +11,13 @@ the orbital of (x, y) meets row 0 in the suborbit of t_x^-1(y), for any
 t_x in G with t_x(0) = x.  ``scheme_from_action`` labels the suborbits
 and reads the whole matrix off one transversal of 0.
 
-Orbital products are computed exactly through the integer structure
-constants, so commutativity (the Gelfand-pair test) is an exact check.
+Orbital products are read off one integer table, the pair codes: row k
+holds the codes of (o(0, z), o(z, w_k)) over all z, sorted, where w_k is
+the least column of orbital k in row 0.  Counting them gives the integer
+structure constants; comparing each column's sorted codes with its row
+checks that the products close; and comparing each row with its codes
+swapped decides commutativity (the Gelfand-pair test) exactly, without
+the c^3 tensor.
 """
 
 from __future__ import annotations
@@ -74,32 +79,44 @@ class SchurianScheme:
         return x[0] * self.point_count
 
     @cached_property
+    def _pair_codes(self) -> np.ndarray:
+        """Row k: the codes i * c + j of (o(0, z), o(z, w_k)) over all z, sorted.
+
+        w_k is `columns[k]`.  Row 0 of A_i A_j counts, at column y, the z
+        with o(0, z) = i and o(z, y) = j, so the products close over the
+        orbitals exactly when every column y has the sorted codes of
+        w_{o(0, y)}; that is checked here, in integers, once for all
+        three readers of the table.
+        """
+        c = self.n_orbitals
+        row0 = self.orbital_of[0]
+        codes = np.empty_like(self.orbital_of)
+        np.add(self.orbital_of.T, c * row0, out=codes)  # [y, z] = o(0, z) * c + o(z, y)
+        codes.sort(axis=1)
+        table = codes[self.columns]
+        if not all((codes[row0 == k] == table[k]).all() for k in range(c)):
+            raise InputError("orbital products do not close over the orbitals")
+        return table
+
+    @cached_property
     def structure_constants(self) -> np.ndarray:
         """p[i, j, k] with A_i A_j = sum_k p[i, j, k] A_k, exact integers.
 
-        Uses row 0 only: products of orbital matrices are group-stable, so
-        they are determined by any single row.  Row 0 of every A_i A_j is
-        one matrix product per j, in float64: the counts are at most n, so
-        they are exact.  Raises if a product falls outside the integer span
-        (impossible for a true orbital partition), and refuses a c^3 tensor
-        past MAX_ARRAY_ENTRIES before allocating it.
+        p[i, j, k] = #{z : o(0, z) = i, o(z, w_k) = j} is the entry of
+        A_i A_j at (0, w_k), so the whole tensor is one count of the pair
+        codes (Bannai-Ito, Algebraic Combinatorics I, 2.2).  Raises if a
+        product falls outside the integer span (impossible for a true
+        orbital partition), and refuses a c^3 tensor past
+        MAX_ARRAY_ENTRIES before allocating it.
         """
-        c1 = self.n_orbitals
-        if c1**3 > MAX_ARRAY_ENTRIES:
+        c = self.n_orbitals
+        if c**3 > MAX_ARRAY_ENTRIES:
             raise ResourceError(
-                f"structure constants of {c1} orbitals need {c1**3} entries, "
+                f"structure constants of {c} orbitals need {c**3} entries, "
                 f"above the limit of {MAX_ARRAY_ENTRIES}"
             )
-        row0 = self.orbital_of[0]
-        onehot = (row0[:, None] == np.arange(c1)).astype(np.float64)  # [z, i] = A_i[0, z]
-        p = np.zeros((c1, c1, c1), dtype=np.int64)
-        for j in range(c1):
-            a_j = (self.orbital_of == j).astype(np.float64)
-            counts = (onehot.T @ a_j).astype(np.int64)  # [i, y] = (A_i A_j)[0, y]
-            p[:, j] = counts[:, self.columns]
-            if not np.array_equal(counts, p[:, j, row0]):
-                raise InputError("orbital products do not close over the orbitals")
-        return p
+        codes = self._pair_codes * c + np.arange(c)[:, None]
+        return np.bincount(codes.ravel(), minlength=c**3).reshape(c, c, c)
 
     def to_json_dict(self) -> dict:
         """Each orbital as its rows [x, columns y with (x, y) in it, ascending].
@@ -182,9 +199,16 @@ def scheme_from_action(action: GroupAction) -> SchurianScheme:
 
 
 def is_commutative(scheme: SchurianScheme) -> bool:
-    """Exact Gelfand test: A_i A_j == A_j A_i for all i < j."""
-    p = scheme.structure_constants
-    return bool(np.array_equal(p, p.transpose(1, 0, 2)))
+    """Exact Gelfand test: A_i A_j == A_j A_i for all i < j.
+
+    p[i, j, k] = p[j, i, k] for all i, j, k exactly when each row of the
+    pair codes holds the same codes with i and j swapped; no c^3 tensor
+    is formed.
+    """
+    c = scheme.n_orbitals
+    codes = scheme._pair_codes
+    swapped = np.sort(codes % c * c + codes // c, axis=1)
+    return bool(np.array_equal(codes, swapped))
 
 
 def conjugacy_class_scheme(

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from linepack import idempotents
-from linepack.fixtures import agl_line_action, m11_action, sl2_f8_action
+from linepack.fixtures import agl_line_action, hoggar_heisenberg_action, m11_action, sl2_f8_action
 from linepack.idempotents import central_primitive_idempotents
 from linepack.permgroup import (
     GroupAction,
@@ -77,6 +77,10 @@ def dihedral(n):
     return PermutationGroup(n, [[(i + 1) % n for i in range(n)], [(-i) % n for i in range(n)]])
 
 
+def cycle(n):
+    return PermutationGroup(n, [list(range(1, n)) + [0]])
+
+
 S5 = PermutationGroup.from_cycles(5, ["(0 1 2 3 4)", "(0 1)"])
 
 SCHEMES = {
@@ -85,6 +89,8 @@ SCHEMES = {
     "m11_pairs": lambda: scheme_from_action(induced_pair_action(m11_action())),
     "d20_regular": lambda: scheme_from_action(regular_action(dihedral(20))),
     "s5_regular": lambda: scheme_from_action(regular_action(S5)),
+    "z40_natural": lambda: scheme_from_action(GroupAction(cycle(40))),
+    "hoggar": lambda: scheme_from_action(hoggar_heisenberg_action()),
 }
 
 

@@ -7,7 +7,9 @@ suborbit labelling, the ``np.unique`` ranking inside ``symmetry._joint_refine``,
 per-(orbital, row) loop of ``SchurianScheme.to_json_dict``, and the
 index-dict loop of each action builder (pairs, regular, Heisenberg and
 Hoggar) and of ``conjugacy_class_scheme``, which ``permgroup.action_on``
-and ``scheme_from_action`` replaced.
+and ``scheme_from_action`` replaced, and the float products of
+``SchurianScheme.structure_constants`` and the tensor comparison of
+``is_commutative``, which the counted pair codes replaced.
 """
 
 import json
@@ -15,7 +17,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linepack import errors, fixtures
@@ -90,6 +92,21 @@ def reference_scheme_from_action(action):
     if np.any(orbital_of < 0):
         raise InputError("pair orbits failed to cover X x X")
     return _canonical_scheme(orbital_of)
+
+
+def reference_structure_constants(scheme):
+    """Row 0 of every A_i A_j as one float64 matrix product per orbital j."""
+    c1 = scheme.n_orbitals
+    row0 = scheme.orbital_of[0]
+    onehot = (row0[:, None] == np.arange(c1)).astype(np.float64)  # [z, i] = A_i[0, z]
+    p = np.zeros((c1, c1, c1), dtype=np.int64)
+    for j in range(c1):
+        a_j = (scheme.orbital_of == j).astype(np.float64)
+        counts = (onehot.T @ a_j).astype(np.int64)  # [i, y] = (A_i A_j)[0, y]
+        p[:, j] = counts[:, scheme.columns]
+        if not np.array_equal(counts, p[:, j, row0]):
+            raise InputError("orbital products do not close over the orbitals")
+    return p
 
 
 def reference_rank_rows(rows):
@@ -231,6 +248,17 @@ def random_actions(draw):
 @given(random_actions())
 def test_random_actions_match_reference(action):
     assert_same_scheme(action)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(random_actions())
+def test_counted_structure_constants_match_reference(action):
+    assume(is_transitive(action))
+    scheme = scheme_from_action(action)
+    p = reference_structure_constants(scheme)
+    assert scheme.structure_constants.dtype == p.dtype
+    assert np.array_equal(scheme.structure_constants, p)
+    assert is_commutative(scheme) == np.array_equal(p, p.transpose(1, 0, 2))
 
 
 @st.composite

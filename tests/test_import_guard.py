@@ -1,4 +1,4 @@
-"""Modules the idempotent and symmetry commands must not load.
+"""Modules the scheme, idempotent and symmetry commands must not load.
 
 `numpy.random` adds about 6 MiB to a process, 3.4 MiB of it OpenSSL's
 `_hashlib`, which it pulls in through `secrets`; `numpy.ma` is imported by
@@ -38,6 +38,7 @@ def loaded_modules(argv: list[str]) -> list[str]:
         ["scan-etf", "fixture:agl"],
         ["idempotents", "fixture:m11", "--action", "pairs"],
         ["idempotents", "fixture:sl2_f8", "--action", "pairs", "--seed", "7"],
+        ["scheme", "fixture:m11", "--action", "pairs"],
     ],
 )
 def test_idempotent_commands_load_no_random_or_hashlib(argv):

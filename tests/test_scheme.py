@@ -5,7 +5,8 @@ import pytest
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup as SympyGroup
 
-from linepack.errors import InputError
+from linepack.errors import MAX_ARRAY_ENTRIES, InputError, ResourceError
+from linepack.fixtures import agl_line_action
 from linepack.permgroup import (
     GroupAction,
     PermutationGroup,
@@ -135,7 +136,25 @@ def test_structure_constants_reject_non_orbital_partition():
     sch = SchurianScheme(
         point_count=4, orbital_of=orbital_of, valencies=(1, 2, 1), transpose_pairing=(0, 1, 2)
     )
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="do not close over the orbitals"):
+        sch.structure_constants
+    with pytest.raises(InputError, match="do not close over the orbitals"):
+        is_commutative(sch)
+
+
+@pytest.mark.parametrize(
+    "build, commutative",
+    [
+        (lambda: GroupAction(PermutationGroup(520, [list(range(1, 520)) + [0]])), True),
+        (lambda: regular_action(agl_line_action().group), False),
+    ],
+    ids=["z520_natural", "agl_regular"],
+)
+def test_gelfand_test_runs_past_the_tensor_limit(build, commutative):
+    sch = scheme_from_action(build())
+    assert sch.n_orbitals**3 > MAX_ARRAY_ENTRIES
+    assert is_commutative(sch) is commutative
+    with pytest.raises(ResourceError, match=f"structure constants of {sch.n_orbitals} orbitals"):
         sch.structure_constants
 
 
