@@ -4,7 +4,7 @@ The isotypic projections are the primitive idempotents of the center of
 the adjacency algebra.  They are constant on orbitals, so the whole
 computation runs on coefficient vectors over the orbital basis, and dense
 n x n matrices appear only on output.  They are found numerically but
-certified against exact structure constants:
+certified with products read off the scheme's pair codes:
 
   1. the center is solved exactly: the whole algebra when it is
      commutative, otherwise the rational nullspace of the commutation
@@ -19,7 +19,8 @@ certified against exact structure constants:
      to the identity is one primitive idempotent, whose eigenvalue
      cluster is its block of the algebra, of size multiplicity^2
      (Bannai-Ito, Algebraic Combinatorics I, 2.2-2.3);
-  3. the projectors are verified with exact products: idempotent,
+  3. the projectors are verified with products read off the pair codes
+     (`SchurianScheme.left_multiplication`, no c^3 tensor): idempotent,
      Hermitian, pairwise orthogonal and summing to the identity, with
      integral traces.
 
@@ -38,7 +39,7 @@ from functools import cmp_to_key
 
 import numpy as np
 
-from .errors import MAX_ARRAY_ENTRIES, InputError, NumericError, ResourceError
+from .errors import InputError, NumericError
 from .frames import CLUSTER_TOL, HERMITIAN_TOL, IDEMPOTENT_TOL, GramMatrix, complex_pairs, gap_clusters
 from .scheme import SchurianScheme, is_commutative
 
@@ -67,10 +68,6 @@ class IsotypicDecomposition:
         if not 0 <= j < self.n_projections:
             raise InputError(f"projection index {j} out of range")
         return self.coefficients[j][self.scheme.orbital_of]
-
-    @property
-    def projections(self) -> list[np.ndarray]:
-        return [self.projection_matrix(j) for j in range(self.n_projections)]
 
     def to_json_dict(self, include_projections: bool = False) -> dict:
         out = {
@@ -272,21 +269,8 @@ def _hermitian_center_basis(scheme: SchurianScheme, center: np.ndarray) -> list[
     return herm
 
 
-def _left_multiplication(p_flat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """L_x[k, j] = sum_i x_i p[i, j, k], the matrix of y -> x y on coefficients.
-
-    p_flat is the float structure-constant tensor reshaped to (c, c * c);
-    real and imaginary parts are contracted apart so it is never copied.
-    """
-    c1 = len(x)
-    return (x.real @ p_flat + 1j * (x.imag @ p_flat)).reshape(c1, c1).T
-
-
 def _decompose_once(
-    scheme: SchurianScheme,
-    p_flat: np.ndarray,
-    herm: list[np.ndarray],
-    seed: int,
+    scheme: SchurianScheme, herm: list[np.ndarray], seed: int
 ) -> list[tuple[np.ndarray, int]]:
     """Spectral projectors of a seeded generic Hermitian central element x, with cluster sizes.
 
@@ -298,7 +282,7 @@ def _decompose_once(
     rng = random.Random(seed)
     generic = sum(rng.gauss(0.0, 1.0) * h for h in herm)
     root_k = np.sqrt(np.asarray(scheme.valencies, dtype=np.float64))
-    sym = root_k[:, None] * _left_multiplication(p_flat, generic) / root_k[None, :]
+    sym = root_k[:, None] * scheme.left_multiplication(generic) / root_k[None, :]
     eigvals, eigvecs = np.linalg.eigh((sym + sym.conj().T) / 2)
     radius = max(float(np.abs(eigvals).max()), 1.0)
     projectors = []
@@ -309,8 +293,8 @@ def _decompose_once(
     return projectors
 
 
-def _verify(scheme: SchurianScheme, p_flat: np.ndarray, coeff_list: list[np.ndarray]) -> None:
-    """Certify the projectors with the exact structure constants, one L_E at a time."""
+def _verify(scheme: SchurianScheme, coeff_list: list[np.ndarray]) -> None:
+    """Certify the projectors with products read off the pair codes, one L_E at a time."""
     stack = np.array(coeff_list)
     identity = np.zeros(scheme.n_orbitals, dtype=np.complex128)
     identity[0] = 1.0
@@ -319,7 +303,7 @@ def _verify(scheme: SchurianScheme, p_flat: np.ndarray, coeff_list: list[np.ndar
             raise _DecompositionFailure("projector has rank zero")
         if np.abs(e - scheme.adjoint(e)).max() > HERMITIAN_TOL:
             raise _DecompositionFailure("projector is not Hermitian")
-        products = stack @ _left_multiplication(p_flat, e).T  # row b is E_a E_b
+        products = stack @ scheme.left_multiplication(e).T  # row b is E_a E_b
         if np.abs(products[a] - e).max() > IDEMPOTENT_TOL:
             raise _DecompositionFailure("projector is not idempotent")
         products[a] = 0.0
@@ -348,28 +332,21 @@ def central_primitive_idempotents(scheme: SchurianScheme, seed: int = 0) -> Isot
 
     Deterministic given (scheme, seed); the projector set itself is
     seed-independent.  Up to three reseeds are attempted before giving up
-    with a numeric error.  The structure constants and their float copy
-    p_flat, c^3 entries each, are refused past MAX_ARRAY_ENTRIES together
-    before either is made.
+    with a numeric error.  Products are read off the scheme's pair codes;
+    only the center of a non-commutative scheme forms the c^3 structure
+    constants, which refuse past MAX_ARRAY_ENTRIES.
     """
-    c1 = scheme.n_orbitals
-    if 2 * c1**3 > MAX_ARRAY_ENTRIES:
-        raise ResourceError(
-            f"the idempotents of {c1} orbitals need {2 * c1**3} tensor entries, "
-            f"above the limit of {MAX_ARRAY_ENTRIES}"
-        )
     center = _center_basis(scheme)
     herm = _hermitian_center_basis(scheme, center)
-    p_flat = scheme.structure_constants.astype(np.float64).reshape(c1, -1)
     failures = []
     for attempt in range(3):
         try:
-            projectors = _decompose_once(scheme, p_flat, herm, seed + attempt)
+            projectors = _decompose_once(scheme, herm, seed + attempt)
             if len(projectors) != len(center):
                 raise _DecompositionFailure(
                     f"found {len(projectors)} projectors, center dimension is {len(center)}"
                 )
-            _verify(scheme, p_flat, [e for e, _ in projectors])
+            _verify(scheme, [e for e, _ in projectors])
             return _assemble(scheme, projectors)
         except _DecompositionFailure as exc:
             failures.append(f"seed {seed + attempt}: {exc}")

@@ -118,6 +118,22 @@ class SchurianScheme:
         codes = self._pair_codes * c + np.arange(c)[:, None]
         return np.bincount(codes.ravel(), minlength=c**3).reshape(c, c, c)
 
+    def left_multiplication(self, x: np.ndarray) -> np.ndarray:
+        """L_x[k, j] = sum_i x_i p[i, j, k], the matrix of y -> x y on coefficients.
+
+        Summed over i, p[i, j, k] counts each z with o(z, w_k) = j once,
+        weighted by x[o(0, z)]; so L_x is one weighted count of the pair
+        codes, O(n c), with no c^3 tensor.  Real and imaginary parts are
+        counted apart.
+        """
+        c = self.n_orbitals
+        first, second = np.divmod(self._pair_codes, c)
+        slots = (second + c * np.arange(c)[:, None]).ravel()
+        weights = x[first].ravel()
+        real = np.bincount(slots, weights.real, minlength=c * c)
+        imag = np.bincount(slots, weights.imag, minlength=c * c)
+        return (real + 1j * imag).reshape(c, c)
+
     def to_json_dict(self) -> dict:
         """Each orbital as its rows [x, columns y with (x, y) in it, ascending].
 

@@ -422,7 +422,7 @@ def test_criterion_7_property_suites(fixture_schemes):
     for name, scheme in fixture_schemes.items():
         dec = central_primitive_idempotents(scheme)
         n = scheme.point_count
-        projections = dec.projections
+        projections = [dec.projection_matrix(j) for j in range(dec.n_projections)]
         total = np.zeros((n, n), dtype=complex)
         for p in projections:
             if np.abs(p @ p - p).max() > 1e-8:

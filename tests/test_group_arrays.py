@@ -9,7 +9,9 @@ index-dict loop of each action builder (pairs, regular, Heisenberg and
 Hoggar) and of ``conjugacy_class_scheme``, which ``permgroup.action_on``
 and ``scheme_from_action`` replaced, and the float products of
 ``SchurianScheme.structure_constants`` and the tensor comparison of
-``is_commutative``, which the counted pair codes replaced.
+``is_commutative``, which the counted pair codes replaced; the
+reference tensor contracted against x is also the oracle for
+``SchurianScheme.left_multiplication``.
 """
 
 import json
@@ -259,6 +261,11 @@ def test_counted_structure_constants_match_reference(action):
     assert scheme.structure_constants.dtype == p.dtype
     assert np.array_equal(scheme.structure_constants, p)
     assert is_commutative(scheme) == np.array_equal(p, p.transpose(1, 0, 2))
+    rng = np.random.default_rng(scheme.point_count)
+    x = rng.normal(size=scheme.n_orbitals) + 1j * rng.normal(size=scheme.n_orbitals)
+    expected = np.einsum("i,ijk->kj", x, p)  # L_x[k, j] = sum_i x_i p[i, j, k]
+    scale = max(1.0, np.abs(expected).max())
+    assert np.abs(scheme.left_multiplication(x) - expected).max() <= 1e-12 * scale
 
 
 @st.composite

@@ -136,7 +136,7 @@ def test_trivial_projection_values_all_one():
 def test_idempotent_axioms(idx, scheme):
     dec = central_primitive_idempotents(scheme)
     n = scheme.point_count
-    projs = dec.projections
+    projs = [dec.projection_matrix(j) for j in range(dec.n_projections)]
     total = np.zeros((n, n), dtype=complex)
     for p in projs:
         assert np.abs(p @ p - p).max() < 1e-8
@@ -153,6 +153,13 @@ def test_idempotent_axioms(idx, scheme):
     if is_commutative(scheme):
         assert dec.n_projections == scheme.n_orbitals
     assert multiplicity_free(dec) == is_commutative(scheme)
+
+
+@pytest.mark.parametrize("idx,scheme", list(enumerate(fixture_schemes())))
+def test_commutative_schemes_decompose_without_the_tensor(idx, scheme):
+    # products are read off the pair codes; only a non-commutative center counts the tensor
+    central_primitive_idempotents(scheme)
+    assert ("structure_constants" in scheme.__dict__) != is_commutative(scheme)
 
 
 @pytest.mark.parametrize("seed", [1, 7, 12345])
@@ -224,14 +231,13 @@ def _half_block(scheme, projectors):
     A Hermitian idempotent orthogonal to the other two projectors, so only
     the sum check can refuse it.
     """
-    p_flat = scheme.structure_constants.astype(np.float64).reshape(scheme.n_orbitals, -1)
     t = next(i for i in range(1, scheme.n_orbitals) if scheme.transpose_pairing[i] == i)
     h = np.zeros(scheme.n_orbitals, dtype=complex)
     h[0] = h[t] = 0.5
     out = []
     for e, size in projectors:
         if round(scheme.trace(e).real) == 4:
-            e = idempotents._left_multiplication(p_flat, e) @ h
+            e = scheme.left_multiplication(e) @ h
             e = (e + scheme.adjoint(e)) / 2
         out.append((e, size))
     return out
@@ -259,9 +265,9 @@ def _corrupt_seeds(monkeypatch, corrupt, bad_seeds):
     seen = []
     decompose = idempotents._decompose_once
 
-    def corrupted(scheme, p_flat, herm, seed):
+    def corrupted(scheme, herm, seed):
         seen.append(seed)
-        projectors = decompose(scheme, p_flat, herm, seed)
+        projectors = decompose(scheme, herm, seed)
         return corrupt(scheme, projectors) if seed in bad_seeds else projectors
 
     monkeypatch.setattr(idempotents, "_decompose_once", corrupted)

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from linepack import fixtures, frames
+from linepack import scheme as scheme_module
 from linepack.cli import build_parser, cmd_scan_etf, main, scan_row
 from linepack.errors import InputError, ResourceError
 from linepack.frames import REDUCE_TOL, REPORT_TOL, GramMatrix, packing_report, projective_reduce
 from linepack.idempotents import central_primitive_idempotents, projection_from_subset
-from linepack.permgroup import induced_pair_action
+from linepack.permgroup import PermutationGroup, induced_pair_action, regular_action
 from linepack.scheme import SchurianScheme, scheme_from_action
 
 
@@ -306,19 +307,15 @@ def test_structure_constants_refuse_an_oversized_tensor():
         scheme.structure_constants
 
 
-def test_idempotents_count_the_float_copy_against_the_limit():
-    c = 407  # c^3 is below 2^27, the int64 tensor and its float copy are above it
-    scheme = SchurianScheme(1, np.zeros((1, 1), dtype=np.int64), (1,) * c, tuple(range(c)))
-    with pytest.raises(ResourceError, match="idempotents of 407 orbitals need 134838286 "):
-        central_primitive_idempotents(scheme)
-
-
-def test_regular_sl2_f8_idempotents_exit_4_before_allocating(capsys):
-    # c = 504: the c^3 tensor alone passes the limit, its float copy does not
-    assert main(["idempotents", "fixture:sl2_f8", "--action", "regular"]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("resource limit")
-    assert "504 orbitals" in err
+def test_idempotents_need_the_tensor_only_for_a_non_commutative_center(monkeypatch):
+    # 144 <= limit < 12^3: the orbital matrices fit and no tensor of 12 orbitals does
+    monkeypatch.setattr(scheme_module, "MAX_ARRAY_ENTRIES", 1000)
+    z12 = scheme_from_action(regular_action(PermutationGroup(12, [[(i + 1) % 12 for i in range(12)]])))
+    assert central_primitive_idempotents(z12).ranks == (1,) * 12
+    assert "structure_constants" not in z12.__dict__
+    d6 = scheme_from_action(regular_action(PermutationGroup(6, [[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]])))
+    with pytest.raises(ResourceError, match="structure constants of 12 orbitals"):
+        central_primitive_idempotents(d6)
 
 
 def test_regular_agl_idempotents_exit_4_before_allocating(capsys):
