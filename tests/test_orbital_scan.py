@@ -318,6 +318,23 @@ def test_idempotents_need_the_tensor_only_for_a_non_commutative_center(monkeypat
         central_primitive_idempotents(d6)
 
 
+def test_idempotents_count_the_float_copy_against_the_limit(monkeypatch):
+    # limit = 12^3 < 2 * 12^3: the int64 tensor is the only c^3 array, no float copy is counted
+    monkeypatch.setattr(scheme_module, "MAX_ARRAY_ENTRIES", 12**3)
+    d6 = scheme_from_action(regular_action(PermutationGroup(6, [[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]])))
+    assert sorted(central_primitive_idempotents(d6).ranks) == [1, 1, 1, 1, 4, 4]
+    assert d6.structure_constants.shape == (12, 12, 12)
+
+
+def test_regular_sl2_f8_idempotents_exit_4_before_allocating(monkeypatch, capsys):
+    # c = 504: below the limit the orbital matrix fits and the center's c^3 tensor does not
+    monkeypatch.setattr(scheme_module, "MAX_ARRAY_ENTRIES", 504**3 - 1)
+    assert main(["idempotents", "fixture:sl2_f8", "--action", "regular"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit")
+    assert "structure constants of 504 orbitals" in err
+
+
 def test_regular_agl_idempotents_exit_4_before_allocating(capsys):
     assert main(["idempotents", "fixture:agl", "--action", "regular"]) == 4
     err = capsys.readouterr().err
