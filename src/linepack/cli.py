@@ -180,7 +180,10 @@ def _dumps(value) -> str:
 def _emit(payload: dict, output: Optional[str]) -> None:
     text = _dumps(payload)
     if output:
-        Path(output).write_text(text + "\n")
+        try:
+            Path(output).write_text(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write output file {output}: {exc.strerror}") from None
         return
     try:
         print(text)

@@ -19,10 +19,14 @@ from .permgroup import GroupAction, Permutation, PermutationGroup, action_on, pa
 
 
 def _load_data(name: str) -> dict:
-    path = resources.files("linepack.data").joinpath(name)
-    if not path.is_file():
+    """The parsed JSON of a file directly in the package's data directory."""
+    path = next((p for p in resources.files("linepack.data").iterdir() if p.name == name), None)
+    if path is None or not path.is_file():
         raise InputError(f"no such fixture: {name}")
-    return json.loads(path.read_text())
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:
+        raise InputError(f"fixture {name} is not valid JSON: {exc}") from None
 
 
 def group_from_json(data: dict) -> PermutationGroup:

@@ -8,10 +8,12 @@ certified with products read off the scheme's pair codes:
 
   1. the center is solved exactly: the whole algebra when it is
      commutative, otherwise the rational nullspace of the commutation
-     constraints on the integer structure constants, one
-     slice of constraints at a time, is found modulo primes below 2^31
-     in int64 arithmetic, lifted by rational reconstruction and checked
-     in integers; its reduced echelon basis is unique;
+     constraints on the integer structure constants, read one slice
+     p[:, :, k] at a time off the pair codes
+     (`SchurianScheme.structure_slices`, no c^3 tensor), is found modulo
+     primes below 2^31 in int64 arithmetic, lifted by rational
+     reconstruction and checked in integers; its reduced echelon basis
+     is unique;
   2. a seeded generic Hermitian center element x (weights drawn from
      `random.Random(seed)`) acts on the algebra by
      left multiplication L_x; symmetrized by the valencies, one
@@ -243,14 +245,14 @@ def _center_basis(scheme: SchurianScheme) -> np.ndarray:
     A commutative algebra is its own center, with the identity as its
     reduced echelon basis.  Otherwise x is central when
     sum_i x_i (p[i, j, k] - p[j, i, k]) = 0 for all j and k; the
-    constraints are formed one j at a time, as the block
-    (p[:, j, :] - p[j]).T, so no commutator tensor is held.
+    constraints are formed one k at a time, as the block p_k.T - p_k of
+    the structure slice p_k = p[:, :, k], so neither the structure
+    constants nor a commutator tensor is held.
     """
     if is_commutative(scheme):
         return np.eye(scheme.n_orbitals, dtype=np.complex128)
-    p = scheme.structure_constants
     basis = _integer_nullspace(
-        lambda: ((p[:, j, :] - p[j]).T for j in range(len(p))), scheme.n_orbitals
+        lambda: (p_k.T - p_k for p_k in scheme.structure_slices()), scheme.n_orbitals
     )
     return np.array([[complex(x) for x in vec] for vec in basis], dtype=np.complex128)
 
@@ -332,9 +334,9 @@ def central_primitive_idempotents(scheme: SchurianScheme, seed: int = 0) -> Isot
 
     Deterministic given (scheme, seed); the projector set itself is
     seed-independent.  Up to three reseeds are attempted before giving up
-    with a numeric error.  Products are read off the scheme's pair codes;
-    only the center of a non-commutative scheme forms the c^3 structure
-    constants, which refuse past MAX_ARRAY_ENTRIES.
+    with a numeric error.  Products are read off the scheme's pair codes
+    and no c^3 tensor is formed; the center of a non-commutative scheme
+    reads the structure slices, which refuse c^3 past MAX_ARRAY_ENTRIES.
     """
     center = _center_basis(scheme)
     herm = _hermitian_center_basis(scheme, center)

@@ -13,16 +13,18 @@ and reads the whole matrix off one transversal of 0.
 
 Orbital products are read off one integer table, the pair codes: row k
 holds the codes of (o(0, z), o(z, w_k)) over all z, sorted, where w_k is
-the least column of orbital k in row 0.  Counting them gives the integer
-structure constants; comparing each column's sorted codes with its row
-checks that the products close; and comparing each row with its codes
-swapped decides commutativity (the Gelfand-pair test) exactly, without
-the c^3 tensor.
+the least column of orbital k in row 0.  Counting row k gives slice k of
+the integer structure constants, p[:, :, k]; comparing each column's
+sorted codes with its row checks that the products close; and comparing
+each row with its codes swapped decides commutativity (the Gelfand-pair
+test) exactly.  Readers take the slices one at a time, so no command
+forms the c^3 tensor.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -98,16 +100,16 @@ class SchurianScheme:
             raise InputError("orbital products do not close over the orbitals")
         return table
 
-    @cached_property
-    def structure_constants(self) -> np.ndarray:
-        """p[i, j, k] with A_i A_j = sum_k p[i, j, k] A_k, exact integers.
+    def structure_slices(self) -> Iterator[np.ndarray]:
+        """The slices p[:, :, k] of the exact structure constants, k = 0 .. c-1.
 
-        p[i, j, k] = #{z : o(0, z) = i, o(z, w_k) = j} is the entry of
-        A_i A_j at (0, w_k), so the whole tensor is one count of the pair
-        codes (Bannai-Ito, Algebraic Combinatorics I, 2.2).  Raises if a
-        product falls outside the integer span (impossible for a true
-        orbital partition), and refuses a c^3 tensor past
-        MAX_ARRAY_ENTRIES before allocating it.
+        A_i A_j = sum_k p[i, j, k] A_k, and p[i, j, k] = #{z : o(0, z) = i,
+        o(z, w_k) = j} is the entry of A_i A_j at (0, w_k), so slice k is
+        one count of row k of the pair codes, O(n + c^2) (Bannai-Ito,
+        Algebraic Combinatorics I, 2.2).  Raises, when called and before
+        any slice is counted, if a product falls outside the integer span
+        (impossible for a true orbital partition) or if the c^3 entries of
+        all slices pass MAX_ARRAY_ENTRIES.
         """
         c = self.n_orbitals
         if c**3 > MAX_ARRAY_ENTRIES:
@@ -115,8 +117,12 @@ class SchurianScheme:
                 f"structure constants of {c} orbitals need {c**3} entries, "
                 f"above the limit of {MAX_ARRAY_ENTRIES}"
             )
-        codes = self._pair_codes * c + np.arange(c)[:, None]
-        return np.bincount(codes.ravel(), minlength=c**3).reshape(c, c, c)
+        return (np.bincount(row, minlength=c * c).reshape(c, c) for row in self._pair_codes)
+
+    @cached_property
+    def structure_constants(self) -> np.ndarray:
+        """p[i, j, k] with A_i A_j = sum_k p[i, j, k] A_k: the slices stacked on axis 2."""
+        return np.stack(list(self.structure_slices()), axis=2)
 
     def left_multiplication(self, x: np.ndarray) -> np.ndarray:
         """L_x[k, j] = sum_i x_i p[i, j, k], the matrix of y -> x y on coefficients.

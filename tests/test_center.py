@@ -3,7 +3,10 @@
 `_center_basis` solves the commutation constraints modulo primes and lifts
 the result by rational reconstruction.  The Gauss-Jordan elimination over
 `Fraction` that it replaced is kept here as the oracle: the reduced echelon
-basis of a nullspace is unique, so both must give equal arrays.
+basis of a nullspace is unique, so both must give equal arrays.  The
+oracle's constraints come from the dense products of
+`test_group_arrays.reference_structure_constants`, not from the pair codes
+that `_center_basis` reads.
 """
 
 from fractions import Fraction
@@ -11,8 +14,9 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_group_arrays import random_actions, reference_structure_constants
 
 from linepack import idempotents
 from linepack.fixtures import agl_line_action, hoggar_heisenberg_action, m11_action, sl2_f8_action
@@ -22,9 +26,10 @@ from linepack.permgroup import (
     Permutation,
     PermutationGroup,
     induced_pair_action,
+    is_transitive,
     regular_action,
 )
-from linepack.scheme import scheme_from_action
+from linepack.scheme import is_commutative, scheme_from_action
 
 
 def rational_nullspace(rows: list[list[int]], width: int) -> list[list[Fraction]]:
@@ -59,8 +64,8 @@ def rational_nullspace(rows: list[list[int]], width: int) -> list[list[Fraction]
 
 
 def oracle_center(scheme) -> np.ndarray:
-    """The center from the whole commutator tensor, deduplicated, through the oracle."""
-    p = scheme.structure_constants
+    """The center from the whole dense commutator tensor, deduplicated, through the oracle."""
+    p = reference_structure_constants(scheme)
     c1 = scheme.n_orbitals
     diff = p - p.transpose(1, 0, 2)
     rows = diff.transpose(1, 2, 0).reshape(-1, c1)
@@ -100,6 +105,14 @@ def test_center_matches_the_fraction_oracle(name):
     center = idempotents._center_basis(scheme)
     assert center.dtype == np.complex128
     assert np.array_equal(center, oracle_center(scheme))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(random_actions())
+def test_center_of_drawn_actions_matches_the_oracle(action):
+    assume(is_transitive(action))
+    scheme = scheme_from_action(action)
+    assert np.array_equal(idempotents._center_basis(scheme), oracle_center(scheme))
 
 
 def nullspace(matrix: np.ndarray, split: int = 0) -> list[list[Fraction]]:

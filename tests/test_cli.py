@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from linepack import fixtures
 from linepack.cli import main
 from linepack.frames import GramMatrix
 
@@ -435,6 +436,33 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["report"]["is_etf"] is True
+
+
+def test_unwritable_output_is_input_error(capsys, tmp_path):
+    out = tmp_path / "missing" / "res.json"
+    code = main(["harmonic", "--moduli", "7", "--subset", "1,2,4", "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"input error: cannot write output file {out}")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("name", ["../cli.py", "../data/agl_f2_3_lines.json", ".", ""])
+def test_fixture_names_stay_in_the_data_directory(capsys, name):
+    code = main(["scheme", f"fixture:{name}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"input error: no such fixture: {name}")
+    assert captured.out == ""
+
+
+def test_malformed_fixture_is_input_error(capsys, tmp_path, monkeypatch):
+    (tmp_path / "broken.json").write_text("{not json")
+    monkeypatch.setattr(fixtures.resources, "files", lambda package: tmp_path)
+    code = main(["scheme", "fixture:broken.json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("input error: fixture broken.json is not valid JSON")
 
 
 def test_determinism_byte_identical(capsys, tmp_path):

@@ -11,7 +11,8 @@ and ``scheme_from_action`` replaced, and the float products of
 ``SchurianScheme.structure_constants`` and the tensor comparison of
 ``is_commutative``, which the counted pair codes replaced; the
 reference tensor contracted against x is also the oracle for
-``SchurianScheme.left_multiplication``.
+``SchurianScheme.left_multiplication``, and the reference tensor is the
+source of the center oracle in ``test_center.py``.
 """
 
 import json

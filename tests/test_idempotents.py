@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,9 +158,24 @@ def test_idempotent_axioms(idx, scheme):
 
 @pytest.mark.parametrize("idx,scheme", list(enumerate(fixture_schemes())))
 def test_commutative_schemes_decompose_without_the_tensor(idx, scheme):
-    # products are read off the pair codes; only a non-commutative center counts the tensor
+    # products are read off the pair codes and a non-commutative center off one
+    # structure slice at a time, so no scheme, commutative or not, forms the tensor
     central_primitive_idempotents(scheme)
-    assert ("structure_constants" in scheme.__dict__) != is_commutative(scheme)
+    assert "structure_constants" not in scheme.__dict__
+
+
+def test_s5_regular_decomposes_below_a_quarter_of_the_tensor():
+    # c = 120, non-commutative: the int64 tensor alone would take c^3 * 8 bytes
+    scheme = scheme_from_action(regular_action(PermutationGroup.from_cycles(5, ["(0 1 2 3 4)", "(0 1)"])))
+    c = scheme.n_orbitals
+    assert c == 120 and not is_commutative(scheme)
+    tracemalloc.start()
+    try:
+        central_primitive_idempotents(scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < c**3 * 8 / 4
 
 
 @pytest.mark.parametrize("seed", [1, 7, 12345])

@@ -11,12 +11,15 @@ prints a float report, so its cases pin the digest of
 ``json.dumps(payload["exact_entries"], sort_keys=True)`` alone.  They were
 recorded before equal exact cells came to share one exported dict.
 
-Three more guards are integer-only as well.  ``scan-etf`` rows also print
+Four more guards are integer-only as well.  ``scan-etf`` rows also print
 floats, so the scan cases pin the digest of each row's integer, boolean and
 string fields alone, rows in printed order.  The colour cases pin the bytes
 of the entry colouring of each figure fixture, and ``verify-figures`` prints
 booleans only, so its whole stdout is pinned.  They were recorded before the
 scheme came to own its coefficient space and the exact colouring path went.
+The idempotent cases pin the integer and boolean fields of ``idempotents``
+alone; they were recorded before the exact center came to be read one
+slice of structure constants at a time.
 """
 
 import hashlib
@@ -63,6 +66,15 @@ SCAN_CASES = {
     "scan_rows_m11_pairs": ["scan-etf", "fixture:m11", "--action", "pairs"],
 }
 
+IDEMPOTENT_CASES = {
+    "idempotent_fields_d20_regular": ["idempotents", "@d20", "--action", "regular"],
+    "idempotent_fields_sl2_f8_pairs": ["idempotents", "fixture:sl2_f8", "--action", "pairs"],
+    "idempotent_fields_m11_pairs": ["idempotents", "fixture:m11", "--action", "pairs"],
+}
+
+# the fields of an idempotents payload that hold no float
+IDEMPOTENT_FIELDS = ("ranks", "m", "n", "trivial_index", "multiplicity_free", "commutative")
+
 # the fields of a scan row that hold no float, in printed order
 SCAN_FIELDS = (
     "subset",
@@ -101,7 +113,7 @@ def resolve(argv, directory):
 
 
 def test_digest_file_covers_every_case():
-    cases = [*CASES, *EXPORT_CASES, *SCAN_CASES, *COLOR_CASES]
+    cases = [*CASES, *EXPORT_CASES, *SCAN_CASES, *IDEMPOTENT_CASES, *COLOR_CASES]
     assert sorted(json.loads(DIGESTS.read_text())) == sorted(cases)
 
 
@@ -136,6 +148,15 @@ def scan_fingerprint(stdout: str) -> str:
 def test_scan_row_fields_are_identical(case, capsys):
     assert main(SCAN_CASES[case]) == 0
     digest = scan_fingerprint(capsys.readouterr().out)
+    assert digest == json.loads(DIGESTS.read_text())[case]
+
+
+@pytest.mark.parametrize("case", sorted(IDEMPOTENT_CASES))
+def test_idempotent_integer_fields_are_identical(case, capsys, tmp_path):
+    assert main(resolve(IDEMPOTENT_CASES[case], tmp_path)) == 0
+    payload = json.loads(capsys.readouterr().out)
+    fields = [[k, payload[k]] for k in IDEMPOTENT_FIELDS]
+    digest = sha256(json.dumps(fields).encode("utf-8"))
     assert digest == json.loads(DIGESTS.read_text())[case]
 
 
