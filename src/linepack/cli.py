@@ -221,13 +221,6 @@ def cmd_idempotents(args) -> dict:
     return payload
 
 
-def _iter_subsets(indices: list[int], max_size: Optional[int]):
-    for r in range(1, len(indices) + 1):
-        if max_size is not None and r > max_size:
-            return
-        yield from itertools.combinations(indices, r)
-
-
 def scan_row(subset, rank: int, gram: GramMatrix, reduce: bool) -> dict:
     """The `scan-etf` row of one subset's projection Gram, reduced when asked."""
     entry = {"subset": list(subset), "rank": rank, "n": gram.n, "reduced": False}
@@ -271,7 +264,8 @@ def cmd_scan_etf(args) -> dict:
             projection_from_subset(dec, subset),
             args.reduce,
         )
-        for subset in _iter_subsets(pool, args.max_subset_size)
+        for k in range(1, largest + 1)
+        for subset in itertools.combinations(pool, k)
     ]
     # coherences within REPORT_TOL of each other tie, so rows that are equal
     # in exact arithmetic are ordered by subset and not by rounding noise

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
-from functools import cached_property
+from functools import cached_property, partial
 from math import sqrt
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
@@ -58,8 +59,8 @@ class OrbitalForm:
     one pair (0, v) of orbital i stands for all of it; `scheme.columns[i]`
     is the first such v.  A form that `projective_reduce` cut down to class
     representatives keeps their rows and columns of the whole form's
-    labels, has no `scheme`, and carries `certificate` = (c, bound):
-    max |G^2 - c G| <= bound, inherited from the whole form, which measures
+    labels, has no `scheme`, and carries `certificate` = (c, rho):
+    ||G^2 - c G||_2 <= rho, inherited from the whole form, which measures
     its own (`_square_certificate`).  Label 0 is the diagonal in both.
     """
 
@@ -118,9 +119,6 @@ class GramMatrix:
         entries = np.asarray(entries, dtype=np.complex128)
         return GramMatrix(entries.shape[0], entries)
 
-    def is_real(self) -> bool:
-        return float(np.abs(self.entries.imag).max(initial=0.0)) <= REAL_TOL
-
     def normalized(self) -> "GramMatrix":
         """Rescale to unit diagonal (unit-norm frame vectors)."""
         diag = np.real(np.diag(self.entries))
@@ -158,8 +156,6 @@ def gram_rank(gram: GramMatrix) -> int:
     """Number of eigenvalues above RANK_TOL times the spectral radius."""
     eigvals = np.linalg.eigvalsh(gram.entries)
     radius = float(np.abs(eigvals).max(initial=0.0))
-    if radius == 0.0:
-        return 0
     return int((eigvals > RANK_TOL * radius).sum())
 
 
@@ -344,19 +340,26 @@ def _decisive(values: np.ndarray, threshold: float) -> Optional[np.ndarray]:
 
 
 def _square_certificate(form: OrbitalForm) -> tuple[float, float]:
-    """(c, bound) with max |G^2 - c G| <= bound, for a whole orbital form.
+    """(c, rho) with ||G^2 - c G||_2 <= rho, for a whole orbital form with x_0 > 0.
 
-    Group invariance lets row 0 of G^2 stand for all of it: (G^2)[0, v]
-    for one column v per orbital is a length-n dot product, O(n c) in all,
-    and c = (G^2)[0, 0] / G[0, 0].  A dot product's rounding is at most
-    about n eps sum_z |G[0, z] G[z, v]| <= n eps (G^2)[0, 0]
-    (Cauchy-Schwarz), which the bound adds four times over.
+    c = (G^2)[0, 0] / x_0 = sum_i k_i |x_i|^2 / x_0.  S = S_x, the scheme's
+    `symmetrized_multiplication`, keeps the 2-norm, so ||G^2 - c G||_2
+    = ||S^2 - c S||_2 <= ||S^2 - c S||_F, one product of m x m matrices
+    over m orbitals.  Rounding: |G| has row sums a = sum_i k_i |x_i|, which
+    bounds ||S||, || |S| || and ||S_|x| ||; each entry of L_x sums at most
+    K = max k_i terms before its scaling by D^(+-1/2), so the computed S is
+    within (K + 3) eps S_|x|, which moves S^2 - c S by (K + 3) eps a (2 a + c)
+    in 2-norm; the product and the difference add (m + 3) eps a (a + c), and
+    the Frobenius sum a factor 1 + m^2 eps.  Counting eps for u = eps / 2
+    covers the second-order terms.
     """
-    of, x = form.orbital_of, form.x
-    sq = x[of[0]] @ x[of[:, form.scheme.columns]]
-    norm = float(sq[0].real)
-    c = norm / float(x[0].real)
-    return c, float(np.abs(sq - c * x).max()) + 4 * len(of) * _EPS * norm
+    scheme, x = form.scheme, form.x
+    k, absx = np.asarray(scheme.valencies, dtype=np.float64), np.abs(x)
+    c, a = float(k @ absx**2) / float(x[0].real), float(k @ absx)
+    s = scheme.symmetrized_multiplication(x)
+    m = len(x)
+    rounding = (2 * max(scheme.valencies) + m + 9) * _EPS * a * (a + c)
+    return c, (1 + m * m * _EPS) * float(np.linalg.norm(s @ s - c * s)) + rounding
 
 
 def _reduce_orbitals(form: OrbitalForm, tol: float) -> Optional[tuple[GramMatrix, list[int]]]:
@@ -367,15 +370,20 @@ def _reduce_orbitals(form: OrbitalForm, tol: float) -> Optional[tuple[GramMatrix
     modulus, phase and column-residual tests cost O(n) per orbital.  The
     classes are the blocks of the collapsed orbitals: class_map[y] is the
     first x with orbital_of[x, y] collapsed, the lowest-index member.
-    Returns None, leaving the decision to the dense path, when a test lands
-    within 10x of its tolerance or the collapsed orbitals do not form an
-    equivalence with equal classes.
+    Returns None, leaving the decision to the dense path, when x_0 <= 0, a
+    test lands within 10x of its tolerance or the collapsed orbitals do not
+    form an equivalence with equal classes.
 
-    The reduced form inherits the whole form's certificate G^2 = c G: an
-    exact collapse into classes of k points gives k G_red^2 = c G_red, and
-    with columns y = alpha x + e, ||alpha| - 1| <= phase and |e| <= resid,
-    an inexact one adds at most n ((2 phase + phase^2) x_0^2
-    + 2 (1 + phase) resid x_0 + resid^2) to each entry of G^2.
+    The reduced form inherits the certificate ||G^2 - c G||_2 <= rho as
+    (c / k, rho / k + dropped), for classes of k points.  On the
+    representatives G^2 = G_red A A* G_red + G_red A E* + E A* G_red + E E*,
+    where column z of A holds alpha_z and of E the residual e_z, with
+    ||alpha_z| - 1| <= phase and |e_z| <= resid as measured, widened by eps
+    and 3 eps max |x| for rounding.  Exact classes give A A* = k I, so
+    k G_red^2 = c G_red.  Otherwise ||A A* - k I|| <= k (2 phase + phase^2),
+    ||A|| <= sqrt(k) (1 + phase), ||E|| <= sqrt(k) n_red resid and ||G_red||
+    <= g = c + rho / c, so dropped = g^2 (2 phase + phase^2)
+    + n_red resid (2 g (1 + phase) + n_red resid).
     """
     of, x = form.orbital_of, form.x
     n = len(of)
@@ -383,7 +391,7 @@ def _reduce_orbitals(form: OrbitalForm, tol: float) -> Optional[tuple[GramMatrix
     scale = max(1.0, float(moduli.max()))
     anchor = int(np.argmax(moduli[of[:, 0]]))
     anchor_mod = moduli[of[anchor, 0]]
-    if not anchor_mod > 10 * tol * scale:
+    if not (anchor_mod > 10 * tol * scale and x[0].real > 0):
         return None
     labels = np.arange(1, len(x))
     v = form.scheme.columns[labels]
@@ -415,11 +423,12 @@ def _reduce_orbitals(form: OrbitalForm, tol: float) -> Optional[tuple[GramMatrix
     k = n // reps.size
     if np.any(np.bincount(class_map)[reps] != k):
         return None
-    c, bound = _square_certificate(form)
-    phase, resid = float(phase[parallel].max()), float(resid[parallel].max())
-    x0 = float(x[0].real)
-    dropped = n * ((2 * phase + phase**2) * x0**2 + 2 * (1 + phase) * resid * x0 + resid**2)
-    reduced = OrbitalForm(of[np.ix_(reps, reps)], x, certificate=(c / k, (bound + dropped) / k))
+    c, rho = _square_certificate(form)
+    phase = float(phase[parallel].max()) + _EPS
+    resid = float(resid[parallel].max()) + 3 * _EPS * float(moduli.max())
+    g, n_red = c + rho / c, reps.size
+    dropped = g**2 * (2 * phase + phase**2) + n_red * resid * (2 * g * (1 + phase) + n_red * resid)
+    reduced = OrbitalForm(of[np.ix_(reps, reps)], x, certificate=(c / k, rho / k + dropped))
     return GramMatrix._of_form(reduced), class_map.tolist()
 
 
@@ -470,25 +479,14 @@ def difference_set_check(moduli: Sequence[int], subset: Iterable[Sequence[int]])
     """
     moduli = [int(m) for m in moduli]
     dual = _check_dual_elements(moduli, subset)
-    counts: dict[tuple[int, ...], int] = {}
-    for alpha in dual:
-        for beta in dual:
-            gamma = tuple((a - b) % m for a, b, m in zip(alpha, beta, moduli))
-            counts[gamma] = counts.get(gamma, 0) + 1
-    size = 1
-    for m in moduli:
-        size *= m
+    counts = Counter(tuple((a - b) % m for a, b, m in zip(x, y, moduli)) for x in dual for y in dual)
     zero = tuple(0 for _ in moduli)
-    values = {counts.get(gamma, 0) for gamma in _all_tuples(moduli) if gamma != zero}
-    if size == 1:
+    values = {counts[gamma] for gamma in itertools.product(*map(range, moduli)) if gamma != zero}
+    if not values:  # the trivial group has no nonzero gamma
         return True, len(dual)
     if len(values) == 1:
         return True, values.pop()
     return False, None
-
-
-def _all_tuples(moduli: Sequence[int]):
-    return itertools.product(*[range(m) for m in moduli])
 
 
 def matrix_key(m: np.ndarray) -> bytes:
@@ -624,33 +622,36 @@ def _orbital_facts(gram: GramMatrix) -> Optional[tuple]:
     off-diagonal moduli, read the labels that occur in the matrix, each
     counted as often as it occurs, so they are the dense values bit for
     bit: the same numbers pass through the same float operations.
-    Tightness and d come from the form's certificate max |G^2 - c G| <=
-    bound.  The dense test's residual r, with its own c' = tr G^2 / tr G
-    and the rounding of G @ G, is at most 2 (bound + 4 n eps c x_0).  Every
-    eigenvalue of G then lies within about n r / c of 0 or of c, so when
-    that is below RANK_TOL c, the dense path's d, from `_trace_rank` or
+    Tightness and d come from the form's certificate ||G^2 - c G||_2 <=
+    rho.  The dense test's residual r, with its own c' = tr G^2 / tr G
+    and the rounding of G @ G, is at most 2 (rho + 4 n eps c x_0).  Every
+    eigenvalue of G lies within 2 rho / c of 0 or of c, so when that is
+    below RANK_TOL c, the dense path's d, from `_trace_rank` or
     `gram_rank`, is tr G / c rounded.  Returns None, for the dense path,
-    unless r clears the tightness threshold and n r / c clears RANK_TOL c
-    by 10x, and tr G / c lies within 0.05 of an integer.
+    unless r clears the tightness threshold and rho / c clears RANK_TOL c
+    by 10x, and tr G / c lies within 0.05 of an integer.  A diagonal x_0
+    <= 0 raises the dense path's InputError.
     """
     form = gram.orbital
     of, x = form.orbital_of, form.x
     n = gram.n
+    x0 = float(x[0].real)
+    if not x0 > 0 and n >= 2:
+        raise InputError("coherence requires a strictly positive diagonal")
+    if not n * x0 > 10 * REPORT_TOL:
+        return None
     if form.scheme is not None:
         counts = n * np.array(form.scheme.valencies)
-        c, bound = _square_certificate(form)
+        c, rho = _square_certificate(form)
     else:
         counts = np.bincount(of.ravel(), minlength=len(x))
-        c, bound = form.certificate
+        c, rho = form.certificate
     counts[0] -= n
     off = np.flatnonzero(counts)
     absx = np.abs(x)
     scale = max(1.0, float(absx[off].max(initial=absx[0])))
-    x0 = float(x[0].real)
-    if not (x0 > 0 and c > 0 and n * x0 > 10 * REPORT_TOL):
-        return None
-    residual = 2 * (bound + 4 * n * _EPS * c * x0)
-    if residual > REPORT_TOL * scale / 10 or n * residual / c > 0.1 * RANK_TOL * c:
+    residual = 2 * (rho + 4 * n * _EPS * c * x0)
+    if not c > 0 or residual > REPORT_TOL * scale / 10 or rho / c > 0.1 * RANK_TOL * c:
         return None
     rank = n * x0 / c
     if abs(rank - round(rank)) > 0.05:
@@ -685,7 +686,8 @@ def packing_report(gram: GramMatrix) -> PackingReport:
     Coherence is taken after unit normalization, and a bound counts as met
     when coherence sits within REPORT_TOL of it.  A Gram with an orbital
     form is read in coefficient space (`_orbital_facts`) when its
-    certificate decides tightness with a 10x margin.
+    certificate, a bound on ||G^2 - c G||_2 read in coefficient space,
+    decides tightness and rank with a 10x margin.
     """
     n = gram.n
     facts = _orbital_facts(gram) if gram.orbital is not None else None
@@ -698,11 +700,9 @@ def packing_report(gram: GramMatrix) -> PackingReport:
         d = _trace_rank(gram, c, residual)
         if d is None:
             d = gram_rank(gram)
-        real = gram.is_real()
+        real = float(np.abs(gram.entries.imag).max(initial=0.0)) <= REAL_TOL
         coh = coherence(gram) if n >= 2 else 0.0
-
-        def moduli() -> list[float]:
-            return distinct_moduli(gram)
+        moduli = partial(distinct_moduli, gram)
 
     field = "real" if real else "complex"
     welch = welch_bound(n, d) if n >= 2 and d >= 1 else 0.0

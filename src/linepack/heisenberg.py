@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import gcd
+from math import gcd, lcm, prod
 from numbers import Rational
 from typing import Sequence
 
@@ -53,17 +53,11 @@ class AbelianGroupSpec:
 
     @property
     def order(self) -> int:
-        n = 1
-        for m in self.moduli:
-            n *= m
-        return n
+        return prod(self.moduli)
 
     @property
     def exponent(self) -> int:
-        n = 1
-        for m in self.moduli:
-            n = n * m // gcd(n, m)
-        return n
+        return lcm(*self.moduli)
 
     @property
     def half(self) -> int:
@@ -110,10 +104,7 @@ class GammaTwist:
 def pairing_exponent(spec: AbelianGroupSpec, a, alpha) -> int:
     """<a, alpha> = zeta_N^(sum a_t alpha_t N/m_t); returns the exponent."""
     n = spec.exponent
-    total = 0
-    for x, y, m in zip(a, alpha, spec.moduli):
-        total += x * y * (n // m)
-    return total % n
+    return sum(x * y * (n // m) for x, y, m in zip(a, alpha, spec.moduli)) % n
 
 
 def symplectic_exponent(spec: AbelianGroupSpec, u, v) -> int:
@@ -211,15 +202,10 @@ def schrodinger_matrix(
     index = {e: i for i, e in enumerate(elems)}
     half_a = spec.halve(spec.validate(h.a))
     spec.validate(h.alpha)
-    cols = []
-    exps = []
-    for b in elems:
-        shifted = spec.add(b, spec.neg(h.a))
-        phase_point = spec.add(b, spec.neg(half_a))
-        e = (g * (h.z + pairing_exponent(spec, phase_point, h.alpha))) % n
-        cols.append(index[shifted])
-        exps.append(e)
-    return MonomialMatrix(spec.order, n, tuple(cols), tuple(exps))
+    neg_a, neg_half_a = spec.neg(h.a), spec.neg(half_a)
+    cols = tuple(index[spec.add(b, neg_a)] for b in elems)
+    exps = tuple((g * (h.z + pairing_exponent(spec, spec.add(b, neg_half_a), h.alpha))) % n for b in elems)
+    return MonomialMatrix(spec.order, n, cols, exps)
 
 
 def reversal_matrix(spec: AbelianGroupSpec) -> MonomialMatrix:

@@ -276,21 +276,20 @@ def _decompose_once(
 ) -> list[tuple[np.ndarray, int]]:
     """Spectral projectors of a seeded generic Hermitian central element x, with cluster sizes.
 
-    L_x is self-adjoint for the inner product <A_i, A_j> = k_i delta_ij, so
-    S = D^(1/2) L_x D^(-1/2) with D = diag(valencies) is Hermitian.  An
+    x is Hermitian, so S = D^(1/2) L_x D^(-1/2) with D = diag(valencies)
+    (`SchurianScheme.symmetrized_multiplication`) is Hermitian.  An
     eigenvalue cluster V of S is the block of one primitive idempotent E,
     and E = L_E 1 = D^(-1/2) V V* D^(1/2) 1.
     """
     rng = random.Random(seed)
     generic = sum(rng.gauss(0.0, 1.0) * h for h in herm)
-    root_k = np.sqrt(np.asarray(scheme.valencies, dtype=np.float64))
-    sym = root_k[:, None] * scheme.left_multiplication(generic) / root_k[None, :]
+    sym = scheme.symmetrized_multiplication(generic)
     eigvals, eigvecs = np.linalg.eigh((sym + sym.conj().T) / 2)
     radius = max(float(np.abs(eigvals).max()), 1.0)
     projectors = []
     for idx in gap_clusters(eigvals, CLUSTER_TOL * radius):
         vecs = eigvecs[:, idx]
-        e = vecs @ vecs[0].conj() / root_k
+        e = vecs @ vecs[0].conj() / scheme.root_valencies
         projectors.append(((e + scheme.adjoint(e)) / 2, len(idx)))
     return projectors
 

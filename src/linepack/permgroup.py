@@ -24,6 +24,7 @@ stops on reaching the reported order would catch only the first.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -233,10 +234,7 @@ class _StabilizerChain:
         self.levels: list[_Transversal] = []
 
     def order(self) -> int:
-        n = 1
-        for t in self.levels:
-            n *= len(t.orbit)
-        return n
+        return math.prod(len(t.orbit) for t in self.levels)
 
     def _sift(self, g: np.ndarray, start: int) -> tuple[np.ndarray, int]:
         """Strip g through the levels from `start`; return the residue and the level it stopped at.

@@ -124,21 +124,44 @@ class SchurianScheme:
         """p[i, j, k] with A_i A_j = sum_k p[i, j, k] A_k: the slices stacked on axis 2."""
         return np.stack(list(self.structure_slices()), axis=2)
 
+    @cached_property
+    def _pair_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pair codes split once: o(0, z) of each code, and its slot k * c + o(z, w_k)."""
+        c = self.n_orbitals
+        first, second = np.divmod(self._pair_codes, c)
+        return first.ravel(), (second + c * np.arange(c)[:, None]).ravel()
+
     def left_multiplication(self, x: np.ndarray) -> np.ndarray:
         """L_x[k, j] = sum_i x_i p[i, j, k], the matrix of y -> x y on coefficients.
 
         Summed over i, p[i, j, k] counts each z with o(z, w_k) = j once,
         weighted by x[o(0, z)]; so L_x is one weighted count of the pair
         codes, O(n c), with no c^3 tensor.  Real and imaginary parts are
-        counted apart.
+        counted apart, each entry a sum of at most max(valencies) terms.
         """
         c = self.n_orbitals
-        first, second = np.divmod(self._pair_codes, c)
-        slots = (second + c * np.arange(c)[:, None]).ravel()
-        weights = x[first].ravel()
+        first, slots = self._pair_slots
+        weights = x[first]
         real = np.bincount(slots, weights.real, minlength=c * c)
         imag = np.bincount(slots, weights.imag, minlength=c * c)
         return (real + 1j * imag).reshape(c, c)
+
+    @cached_property
+    def root_valencies(self) -> np.ndarray:
+        return np.sqrt(np.asarray(self.valencies, dtype=np.float64))
+
+    def symmetrized_multiplication(self, x: np.ndarray) -> np.ndarray:
+        """S_x = D^(1/2) L_x D^(-1/2), D = diag(valencies): L_x in the basis A_i / sqrt(n k_i).
+
+        That basis is orthonormal for <A, B> = tr(A B*), under which left
+        multiplication by M* is the adjoint of left multiplication by M.  So
+        x -> S_x is a faithful *-representation of the adjacency algebra:
+        S of adjoint(x) is the conjugate transpose of S_x, and S_x has the
+        eigenvalues and the 2-norm of x[orbital_of] (Bannai-Ito, Algebraic
+        Combinatorics I, 2.2).
+        """
+        root_k = self.root_valencies
+        return root_k[:, None] * self.left_multiplication(x) / root_k[None, :]
 
     def to_json_dict(self) -> dict:
         """Each orbital as its rows [x, columns y with (x, y) in it, ascending].

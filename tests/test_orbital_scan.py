@@ -7,6 +7,7 @@ class maps, reduced entries and scan rows must agree exactly.
 """
 
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -223,17 +224,33 @@ def test_orbital_form_that_is_no_projection_is_read_densely(decompositions, monk
 
 
 def test_square_certificate_bounds_the_dense_residual(decompositions):
+    # the certificate bounds the 2-norm of G^2 - c G: within rounding of it
+    # on the projection forms, and within the Frobenius factor sqrt(m) of it
+    # on a form that is no scaled projection
     dec = decompositions["s4_pairs"]
-    x = np.zeros(dec.scheme.n_orbitals, dtype=complex)
+    m = dec.scheme.n_orbitals
+    x = np.zeros(m, dtype=complex)
     x[0], x[1:] = 1.0, 0.2
     forms = [projection_from_subset(dec, s) for s in _subsets(dec.n_projections)]
     forms.append(GramMatrix.from_orbitals(dec.scheme, x))
     for gram in forms:
         c, bound = frames._square_certificate(gram.orbital)
         g = gram.entries
-        dense = float(np.abs(g @ g - c * g).max())
-        assert dense <= bound <= dense + 1e-12
+        dense = float(np.linalg.norm(g @ g - c * g, 2))
+        assert dense <= bound <= np.sqrt(m) * dense + 1e-12
     assert bound > 0.1  # the last form is no scaled projection
+
+
+def test_zero_diagonal_form_raises_the_dense_input_error():
+    # x = e_1 on AGL natural: a Hermitian orbital form whose diagonal is 0
+    scheme = scheme_from_action(fixtures.agl_line_action())
+    x = np.zeros(scheme.n_orbitals, dtype=complex)
+    x[1] = 1.0
+    gram = GramMatrix.from_orbitals(scheme, x)
+    for form in (gram, _dense(gram)):
+        with pytest.raises(InputError, match="coherence requires a strictly positive diagonal"):
+            packing_report(form)
+    assert projective_reduce(gram)[1] == projective_reduce(_dense(gram))[1]
 
 
 def test_equal_anchor_moduli_without_parallel_columns_stay_apart(decompositions, monkeypatch):
@@ -261,6 +278,46 @@ def test_from_orbitals_checks_its_form(decompositions):
         GramMatrix.from_orbitals(dec.scheme, x)
     with pytest.raises(InputError):
         GramMatrix.from_orbitals(dec.scheme, np.append(x, 0.0))
+
+
+def _group_file(path, generators):
+    path.write_text(json.dumps({"degree": len(generators[0]), "generators": generators}))
+    return str(path)
+
+
+def _symmetric(m):
+    return [[(i + 1) % m for i in range(m)], [1, 0, *range(2, m)]]
+
+
+# scans whose every subset is decided in coefficient space: the S_m pair
+# ladder, the shipped fixtures and the benchmark's scan commands
+SCANS = {
+    "s20_pairs": (lambda: _symmetric(20), ["--action", "pairs"]),
+    "s30_pairs": (lambda: _symmetric(30), ["--action", "pairs"]),
+    "s45_pairs": (lambda: _symmetric(45), ["--action", "pairs"]),
+    "hoggar": (
+        lambda: [list(g.images) for g in fixtures.hoggar_heisenberg_action().group.generators],
+        ["--max-subset-size", "2"],
+    ),
+    **{
+        f"{name}_{action}{suffix}": (name, ["--action", action, *flags])
+        for name in ("agl", "sl2_f8", "m11")
+        for action in ("natural", "pairs")
+        for suffix, flags in (("", []), ("_no_reduce", ["--no-reduce"]))
+        if (name, action) != ("agl", "pairs")  # AGL on pairs is not transitive
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCANS))
+def test_scan_takes_no_dense_fallback(case, monkeypatch, tmp_path, capsys):
+    group, flags = SCANS[case]
+    group = f"fixture:{group}" if isinstance(group, str) else _group_file(tmp_path / "g.json", group())
+    fallbacks = _Fallbacks(monkeypatch)
+    assert main(["scan-etf", group, *flags]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert rows
+    assert (fallbacks.reduce, fallbacks.report) == (0, 0)
 
 
 def _gerzon(row):
