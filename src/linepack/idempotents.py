@@ -7,13 +7,11 @@ n x n matrices appear only on output.  They are found numerically but
 certified with products read off the scheme's pair codes:
 
   1. the center is solved exactly: the whole algebra when it is
-     commutative, otherwise the rational nullspace of the commutation
-     constraints on the integer structure constants, read one slice
-     p[:, :, k] at a time off the pair codes
-     (`SchurianScheme.structure_slices`, no c^3 tensor), is found modulo
-     primes below 2^31 in int64 arithmetic, lifted by rational
-     reconstruction and checked in integers; its reduced echelon basis
-     is unique;
+     commutative, otherwise the rational nullspace of the commutators
+     C_y (`SchurianScheme.commutator`, x -> x y - y x) of seeded integer
+     probes y, found modulo primes below 2^31 in int64 arithmetic, lifted
+     by rational reconstruction and certified central by C_x = 0 in
+     integers for each basis vector x; its reduced echelon basis is unique;
   2. a seeded generic Hermitian center element x (weights drawn from
      `random.Random(seed)`) acts on the algebra by
      left multiplication L_x; symmetrized by the valencies, one
@@ -34,7 +32,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -129,21 +126,18 @@ def _kernel_mod(a: np.ndarray, p: int) -> np.ndarray:
     return kernel
 
 
-Blocks = Callable[[], Iterable[np.ndarray]]
-
-
-def _nullspace_mod(blocks: Blocks, width: int, p: int) -> tuple[list[int], np.ndarray]:
+def _nullspace_mod(blocks: list[np.ndarray], width: int, p: int) -> tuple[list[int], np.ndarray]:
     """Reduced echelon basis of the common nullspace of the blocks modulo p.
 
-    The columns of `basis` span the nullspace of the blocks seen so far,
-    so each block costs one product with at most width columns and an
-    elimination of its image.  The basis rows come back with free column
-    f holding 1, the other free columns 0 and every later column 0: the
-    echelon form of the nullspace read from the last column, the same
-    unique form as the rational one.
+    The columns of `basis` span the nullspace of the blocks seen so far:
+    the kernel of the first block, then each later block costs one
+    product with at most width columns and an elimination of its image.
+    The basis rows come back with free column f holding 1, the other free
+    columns 0 and every later column 0: the echelon form of the nullspace
+    read from the last column, the same unique form as the rational one.
     """
-    basis = np.eye(width, dtype=np.int64)
-    for block in blocks():
+    basis = _kernel_mod(blocks[0], p)
+    for block in blocks[1:]:
         if not basis.shape[1]:
             break
         if block.any():
@@ -179,41 +173,33 @@ def _rational_lift(residues: np.ndarray, m: int) -> list[list[Fraction]] | None:
     return rows
 
 
-def _annihilates(blocks: Blocks, vectors: list[list[Fraction]], width: int) -> bool:
-    """Exact check that every block maps every vector to zero.
+def _integral(vec: list[Fraction]) -> list[int]:
+    """The vector scaled by the least common multiple of its denominators."""
+    den = math.lcm(*(x.denominator for x in vec))
+    return [x.numerator * (den // x.denominator) for x in vec]
 
-    The vectors are scaled to integers; the product runs in int64 where
-    width * max|block| * max|vector| bounds every sum below 2^63, and in
-    Python integers otherwise.
+
+def _annihilates(blocks: list[np.ndarray], vectors: list[list[Fraction]]) -> bool:
+    """Exact check that the stacked blocks map every vector, scaled to integers, to zero.
+
+    The product runs in int64 where width * max|block| * max|vector| bounds
+    every sum below 2^63, and in Python integers otherwise.
     """
-    if not vectors:
+    rows = np.concatenate(blocks)
+    if not vectors or not rows.any():
         return True
-    scaled = []
-    for vec in vectors:
-        den = math.lcm(*(x.denominator for x in vec))
-        scaled.append([x.numerator * (den // x.denominator) for x in vec])
-    exact = np.array(scaled, dtype=object).T
-    largest = int(np.abs(exact).max())
-    small = exact.astype(np.int64) if width * largest < 2**63 else None
-    for block in blocks():
-        if not block.any():
-            continue
-        if small is not None and width * int(np.abs(block).max()) * largest < 2**63:
-            product = block @ small
-        else:
-            product = block.astype(object) @ exact
-        if product.any():
-            return False
-    return True
+    exact = np.array([_integral(vec) for vec in vectors], dtype=object).T
+    if rows.shape[1] * int(np.abs(rows).max()) * int(np.abs(exact).max()) < 2**63:
+        return not (rows @ exact.astype(np.int64)).any()
+    return not (rows.astype(object) @ exact).any()
 
 
-def _integer_nullspace(blocks: Blocks, width: int) -> list[list[Fraction]]:
+def _integer_nullspace(blocks: list[np.ndarray], width: int) -> list[list[Fraction]]:
     """Reduced echelon basis of the rational nullspace of stacked integer blocks.
 
-    `blocks()` yields the int64 constraint rows, block by block, each of
-    length width; it is called once per prime and once per check.  The
-    basis is solved modulo primes p with width * p^2 < 2^63, combined by
-    the Chinese remainder theorem and lifted by rational reconstruction
+    There is at least one block of int64 rows of length width.  The basis is
+    solved modulo primes p with width * p^2 < 2^63, combined by the
+    Chinese remainder theorem and lifted by rational reconstruction
     (Wang, Guy and Davenport, SIGSAM Bull. 16, 1982), then checked
     exactly.  A prime can only lose rank or move pivots later, so a
     result with a smaller nullspace, or the same size and earlier
@@ -234,7 +220,7 @@ def _integer_nullspace(blocks: Blocks, width: int) -> list[list[Fraction]]:
             continue
         _, m, acc = best
         vectors = _rational_lift(acc, m)
-        if vectors is not None and _annihilates(blocks, vectors, width):
+        if vectors is not None and _annihilates(blocks, vectors):
             return vectors
     raise NumericError("no prime solved the center")
 
@@ -243,18 +229,22 @@ def _center_basis(scheme: SchurianScheme) -> np.ndarray:
     """Coefficient vectors spanning the center of the adjacency algebra.
 
     A commutative algebra is its own center, with the identity as its
-    reduced echelon basis.  Otherwise x is central when
-    sum_i x_i (p[i, j, k] - p[j, i, k]) = 0 for all j and k; the
-    constraints are formed one k at a time, as the block p_k.T - p_k of
-    the structure slice p_k = p[:, :, k], so neither the structure
-    constants nor a commutator tensor is held.
+    reduced echelon basis.  Otherwise the nullspace N of the commutators
+    C_y of two seeded probes y holds the center, and a basis vector x of
+    N, scaled to integers, is central exactly when C_x = 0.  While one is
+    not, one more probe is drawn: with entries from 17 values it commutes
+    with x with probability at most 1/17, and otherwise shrinks N.
     """
+    c = scheme.n_orbitals
     if is_commutative(scheme):
-        return np.eye(scheme.n_orbitals, dtype=np.complex128)
-    basis = _integer_nullspace(
-        lambda: (p_k.T - p_k for p_k in scheme.structure_slices()), scheme.n_orbitals
-    )
-    return np.array([[complex(x) for x in vec] for vec in basis], dtype=np.complex128)
+        return np.eye(c, dtype=np.complex128)
+    rng = random.Random(0)
+    blocks = [scheme.commutator(rng.choices(range(-8, 9), k=c)) for _ in range(2)]
+    while True:
+        basis = _integer_nullspace(blocks, c)
+        if not any(scheme.commutator(_integral(vec)).any() for vec in basis):
+            return np.array([[complex(x) for x in vec] for vec in basis], dtype=np.complex128)
+        blocks.append(scheme.commutator(rng.choices(range(-8, 9), k=c)))
 
 
 class _DecompositionFailure(Exception):
@@ -333,9 +323,8 @@ def central_primitive_idempotents(scheme: SchurianScheme, seed: int = 0) -> Isot
 
     Deterministic given (scheme, seed); the projector set itself is
     seed-independent.  Up to three reseeds are attempted before giving up
-    with a numeric error.  Products are read off the scheme's pair codes
-    and no c^3 tensor is formed; the center of a non-commutative scheme
-    reads the structure slices, which refuse c^3 past MAX_ARRAY_ENTRIES.
+    with a numeric error.  Every product, the exact center's included, is
+    read off the scheme's pair codes in O(n c), and no c^3 tensor is formed.
     """
     center = _center_basis(scheme)
     herm = _hermitian_center_basis(scheme, center)

@@ -13,18 +13,17 @@ and reads the whole matrix off one transversal of 0.
 
 Orbital products are read off one integer table, the pair codes: row k
 holds the codes of (o(0, z), o(z, w_k)) over all z, sorted, where w_k is
-the least column of orbital k in row 0.  Counting row k gives slice k of
-the integer structure constants, p[:, :, k]; comparing each column's
-sorted codes with its row checks that the products close; and comparing
-each row with its codes swapped decides commutativity (the Gelfand-pair
-test) exactly.  Readers take the slices one at a time, so no command
-forms the c^3 tensor.
+the least column of orbital k in row 0.  Comparing each column's sorted
+codes with its row checks that the products close; comparing each row
+with its codes swapped decides commutativity (the Gelfand-pair test)
+exactly; and weighted counts of the table give left multiplication L_x
+and the exact commutator C_y = R_y - L_y in O(n c) each, so no command
+forms the c^3 tensor of structure constants.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -100,16 +99,13 @@ class SchurianScheme:
             raise InputError("orbital products do not close over the orbitals")
         return table
 
-    def structure_slices(self) -> Iterator[np.ndarray]:
-        """The slices p[:, :, k] of the exact structure constants, k = 0 .. c-1.
+    @cached_property
+    def structure_constants(self) -> np.ndarray:
+        """p[i, j, k] with A_i A_j = sum_k p[i, j, k] A_k: a library object that no command reads.
 
-        A_i A_j = sum_k p[i, j, k] A_k, and p[i, j, k] = #{z : o(0, z) = i,
-        o(z, w_k) = j} is the entry of A_i A_j at (0, w_k), so slice k is
-        one count of row k of the pair codes, O(n + c^2) (Bannai-Ito,
-        Algebraic Combinatorics I, 2.2).  Raises, when called and before
-        any slice is counted, if a product falls outside the integer span
-        (impossible for a true orbital partition) or if the c^3 entries of
-        all slices pass MAX_ARRAY_ENTRIES.
+        p[i, j, k] = #{z : o(0, z) = i, o(z, w_k) = j} is the entry of A_i A_j at
+        (0, w_k), one count of the pair codes (Bannai-Ito, Algebraic Combinatorics
+        I, 2.2).  Refused past MAX_ARRAY_ENTRIES before anything is counted.
         """
         c = self.n_orbitals
         if c**3 > MAX_ARRAY_ENTRIES:
@@ -117,19 +113,16 @@ class SchurianScheme:
                 f"structure constants of {c} orbitals need {c**3} entries, "
                 f"above the limit of {MAX_ARRAY_ENTRIES}"
             )
-        return (np.bincount(row, minlength=c * c).reshape(c, c) for row in self._pair_codes)
+        flat = (self._pair_codes * c + np.arange(c)[:, None]).ravel()
+        return np.bincount(flat, minlength=c**3).reshape(c, c, c)
 
     @cached_property
-    def structure_constants(self) -> np.ndarray:
-        """p[i, j, k] with A_i A_j = sum_k p[i, j, k] A_k: the slices stacked on axis 2."""
-        return np.stack(list(self.structure_slices()), axis=2)
-
-    @cached_property
-    def _pair_slots(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pair codes split once: o(0, z) of each code, and its slot k * c + o(z, w_k)."""
+    def _pair_slots(self) -> tuple[np.ndarray, ...]:
+        """Each pair code's halves i = o(0, z), j = o(z, w_k), and their slots k c + i, k c + j."""
         c = self.n_orbitals
         first, second = np.divmod(self._pair_codes, c)
-        return first.ravel(), (second + c * np.arange(c)[:, None]).ravel()
+        row = c * np.arange(c)[:, None]
+        return first.ravel(), second.ravel(), (first + row).ravel(), (second + row).ravel()
 
     def left_multiplication(self, x: np.ndarray) -> np.ndarray:
         """L_x[k, j] = sum_i x_i p[i, j, k], the matrix of y -> x y on coefficients.
@@ -140,11 +133,27 @@ class SchurianScheme:
         counted apart, each entry a sum of at most max(valencies) terms.
         """
         c = self.n_orbitals
-        first, slots = self._pair_slots
+        first, _, _, second_slots = self._pair_slots
         weights = x[first]
-        real = np.bincount(slots, weights.real, minlength=c * c)
-        imag = np.bincount(slots, weights.imag, minlength=c * c)
+        real = np.bincount(second_slots, weights.real, minlength=c * c)
+        imag = np.bincount(second_slots, weights.imag, minlength=c * c)
         return (real + 1j * imag).reshape(c, c)
+
+    def commutator(self, y) -> np.ndarray:
+        """C_y = R_y - L_y, the matrix of x -> x y - y x on integer coefficients, exactly.
+
+        R_y[k, i] = sum_j y_j p[i, j, k] counts the codes of row k at their
+        first half, weighted by y at their second; L_y swaps the halves.
+        Each sum is at most max|y| max(valencies) in size, so C_y is counted
+        in int64 while that is below 2^62, and in Python integers beyond.
+        """
+        first, second, first_slots, second_slots = self._pair_slots
+        y = np.array(y, dtype=object)  # Python integers: a list of large ones would become floats
+        y = y.astype(np.int64 if abs(y).max() * max(self.valencies) < 2**62 else object)
+        out = np.zeros(self.n_orbitals**2, dtype=y.dtype)
+        np.add.at(out, first_slots, y[second])
+        np.subtract.at(out, second_slots, y[first])
+        return out.reshape(self.n_orbitals, -1)
 
     @cached_property
     def root_valencies(self) -> np.ndarray:

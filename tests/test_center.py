@@ -1,12 +1,13 @@
 """The exact center of the adjacency algebra, solved modulo primes.
 
-`_center_basis` solves the commutation constraints modulo primes and lifts
-the result by rational reconstruction.  The Gauss-Jordan elimination over
-`Fraction` that it replaced is kept here as the oracle: the reduced echelon
-basis of a nullspace is unique, so both must give equal arrays.  The
-oracle's constraints come from the dense products of
-`test_group_arrays.reference_structure_constants`, not from the pair codes
-that `_center_basis` reads.
+`_center_basis` solves the commutation constraints of seeded probes modulo
+primes, lifts the result by rational reconstruction and certifies it
+central in exact integers, drawing more probes until it is.  The
+Gauss-Jordan elimination over `Fraction` that the modular solve replaced
+is kept here as the oracle: the reduced echelon basis of a nullspace is
+unique, so both must give equal arrays.  The oracle's constraints come
+from the dense products of `test_group_arrays.reference_structure_constants`,
+not from the pair codes that `_center_basis` reads.
 """
 
 from fractions import Fraction
@@ -115,11 +116,34 @@ def test_center_of_drawn_actions_matches_the_oracle(action):
     assert np.array_equal(idempotents._center_basis(scheme), oracle_center(scheme))
 
 
+def test_the_certificate_draws_probes_until_they_generate(monkeypatch):
+    # with both probes the identity, N is the whole algebra; the certificate
+    # must reject it and draw further probes
+    scheme = SCHEMES["d20_regular"]()
+    c = scheme.n_orbitals
+    calls, dimensions = [], []
+    commutator, solve = scheme.commutator, idempotents._integer_nullspace
+
+    def identity_probes(y):
+        calls.append(y)  # the first two calls are the two probes
+        return commutator([1] + [0] * (c - 1) if len(calls) <= 2 else y)
+
+    def spy(blocks, width):
+        basis = solve(blocks, width)
+        dimensions.append(len(basis))
+        return basis
+
+    monkeypatch.setattr(scheme, "commutator", identity_probes)
+    monkeypatch.setattr(idempotents, "_integer_nullspace", spy)
+    assert np.array_equal(idempotents._center_basis(scheme), oracle_center(scheme))
+    assert dimensions[0] == c > dimensions[-1]
+
+
 def nullspace(matrix: np.ndarray, split: int = 0) -> list[list[Fraction]]:
     """`_integer_nullspace` of a matrix, given as blocks of `split` rows (all rows if 0)."""
     split = split or max(len(matrix), 1)
-    blocks = [matrix[i : i + split] for i in range(0, len(matrix), split)]
-    return idempotents._integer_nullspace(lambda: iter(blocks), matrix.shape[1])
+    blocks = [matrix[i : i + split] for i in range(0, max(len(matrix), 1), split)]
+    return idempotents._integer_nullspace(blocks, matrix.shape[1])
 
 
 @st.composite

@@ -11,8 +11,9 @@ and ``scheme_from_action`` replaced, and the float products of
 ``SchurianScheme.structure_constants`` and the tensor comparison of
 ``is_commutative``, which the counted pair codes replaced; the
 reference tensor contracted against x is also the oracle for
-``SchurianScheme.left_multiplication``, and the reference tensor is the
-source of the center oracle in ``test_center.py``.
+``SchurianScheme.left_multiplication`` and ``SchurianScheme.commutator``,
+and the reference tensor is the source of the center oracle in
+``test_center.py``.
 """
 
 import json
@@ -253,6 +254,24 @@ def test_random_actions_match_reference(action):
     assert_same_scheme(action)
 
 
+def assert_commutator_matches_reference(scheme, p):
+    """C_y = R_y - L_y for a small y (int64 count) and a large one (Python integers)."""
+    rng = random.Random(scheme.point_count)
+    small = [rng.randint(-9, 9) for _ in range(scheme.n_orbitals)]
+    for y, dtype in ((small, np.int64), ([2**63 + v for v in small], object)):
+        exact, weights = p.astype(dtype), np.array(y, dtype=dtype)
+        right = np.tensordot(weights, exact, axes=([0], [1])).T  # [k, i] = sum_j y_j p[i, j, k]
+        left = np.tensordot(weights, exact, axes=([0], [0])).T  # [k, j] = sum_i y_i p[i, j, k]
+        commutator = scheme.commutator(y)
+        assert commutator.dtype == dtype
+        assert commutator.shape == right.shape and (commutator == right - left).all()
+
+
+def test_commutator_matches_reference_on_the_battery(fixture_schemes):
+    for scheme in fixture_schemes.values():
+        assert_commutator_matches_reference(scheme, reference_structure_constants(scheme))
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(random_actions())
 def test_counted_structure_constants_match_reference(action):
@@ -261,6 +280,7 @@ def test_counted_structure_constants_match_reference(action):
     p = reference_structure_constants(scheme)
     assert scheme.structure_constants.dtype == p.dtype
     assert np.array_equal(scheme.structure_constants, p)
+    assert_commutator_matches_reference(scheme, p)
     assert is_commutative(scheme) == np.array_equal(p, p.transpose(1, 0, 2))
     rng = np.random.default_rng(scheme.point_count)
     x = rng.normal(size=scheme.n_orbitals) + 1j * rng.normal(size=scheme.n_orbitals)

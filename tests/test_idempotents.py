@@ -158,8 +158,8 @@ def test_idempotent_axioms(idx, scheme):
 
 @pytest.mark.parametrize("idx,scheme", list(enumerate(fixture_schemes())))
 def test_commutative_schemes_decompose_without_the_tensor(idx, scheme):
-    # products are read off the pair codes and a non-commutative center off one
-    # structure slice at a time, so no scheme, commutative or not, forms the tensor
+    # products and the commutators of a non-commutative center are read off the
+    # pair codes, so no scheme, commutative or not, forms the tensor
     central_primitive_idempotents(scheme)
     assert "structure_constants" not in scheme.__dict__
 

@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+from test_stdout_digest import DIGESTS, LIMITED_CASES, idempotent_fingerprint
 
 from linepack import fixtures, frames
 from linepack import scheme as scheme_module
@@ -357,51 +358,29 @@ def test_fixture_scheme_etf_rows_obey_the_gerzon_bound(decompositions):
     assert etfs > 50
 
 
-def test_structure_slices_refuse_an_oversized_tensor():
+def test_structure_constants_refuse_an_oversized_tensor():
     c = 513  # c^3 just above 2^27
     scheme = SchurianScheme(1, np.zeros((1, 1), dtype=np.int64), (1,) * c, tuple(range(c)))
-    with pytest.raises(ResourceError, match="structure constants of 513 orbitals"):
-        scheme.structure_slices()
     with pytest.raises(ResourceError, match="structure constants of 513 orbitals"):
         scheme.structure_constants
 
 
-def test_only_a_non_commutative_center_is_refused_past_the_tensor_limit(monkeypatch):
-    # 144 <= limit < 12^3: the orbital matrices fit and no tensor of 12 orbitals does
+def test_no_center_is_refused_past_the_tensor_limit(monkeypatch):
+    # 144 <= limit < 12^3: the orbital matrices fit and no tensor of 12
+    # orbitals does; the center, commutative or not, reads no tensor
     monkeypatch.setattr(scheme_module, "MAX_ARRAY_ENTRIES", 1000)
     z12 = scheme_from_action(regular_action(PermutationGroup(12, [[(i + 1) % 12 for i in range(12)]])))
     assert central_primitive_idempotents(z12).ranks == (1,) * 12
     d6 = scheme_from_action(regular_action(PermutationGroup(6, [[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]])))
-    with pytest.raises(ResourceError, match="structure constants of 12 orbitals"):
-        central_primitive_idempotents(d6)
+    assert sorted(central_primitive_idempotents(d6).ranks) == [1, 1, 1, 1, 4, 4]
     assert "structure_constants" not in z12.__dict__ and "structure_constants" not in d6.__dict__
 
 
-def test_a_non_commutative_center_at_the_tensor_limit_reads_slices(monkeypatch):
-    # limit = 12^3: D_6 regular decomposes from its structure slices, and the
-    # tensor, formed afterwards as a library object, equals the stacked slices
-    monkeypatch.setattr(scheme_module, "MAX_ARRAY_ENTRIES", 12**3)
-    d6 = scheme_from_action(regular_action(PermutationGroup(6, [[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]])))
-    assert sorted(central_primitive_idempotents(d6).ranks) == [1, 1, 1, 1, 4, 4]
-    assert "structure_constants" not in d6.__dict__
-    p = d6.structure_constants
-    assert p.shape == (12, 12, 12)
-    assert all(np.array_equal(p[:, :, k], p_k) for k, p_k in enumerate(d6.structure_slices()))
-
-
-def test_regular_sl2_f8_idempotents_exit_4_before_allocating(monkeypatch, capsys):
-    # c = 504: below 504^3 the orbital matrix fits, and the center's structure
-    # slices refuse before the first one is counted
+def test_regular_sl2_f8_idempotents_run_below_the_tensor_limit(monkeypatch, capsys):
+    # c = 504: below 504^3 the orbital matrix fits and the tensor does not,
+    # and the center needs none of it
     monkeypatch.setattr(scheme_module, "MAX_ARRAY_ENTRIES", 504**3 - 1)
-    assert main(["idempotents", "fixture:sl2_f8", "--action", "regular"]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("resource limit")
-    assert "structure constants of 504 orbitals" in err
-
-
-def test_regular_agl_idempotents_exit_4_before_allocating(capsys):
-    assert main(["idempotents", "fixture:agl", "--action", "regular"]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("resource limit")
-    assert "1344 orbitals" in err
-
+    case = "idempotent_fields_sl2_f8_regular"
+    assert main(LIMITED_CASES[case]) == 0
+    digest = idempotent_fingerprint(capsys.readouterr().out)
+    assert digest == json.loads(DIGESTS.read_text())[case]
