@@ -446,6 +446,9 @@ def _check_dual_elements(moduli: Sequence[int], subset) -> list[tuple[int, ...]]
         out.append(alpha)
     if not out:
         raise InputError("the dual subset must be nonempty")
+    repeated = [alpha for alpha, k in Counter(out).items() if k > 1]
+    if repeated:
+        raise InputError(f"dual element {repeated[0]} is repeated")
     return out
 
 

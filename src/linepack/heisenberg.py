@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, lcm, prod
 from numbers import Rational
@@ -216,8 +215,9 @@ def reversal_matrix(spec: AbelianGroupSpec) -> MonomialMatrix:
     return MonomialMatrix(spec.order, spec.exponent, cols, tuple(0 for _ in elems))
 
 
-def parity_projectors(spec: AbelianGroupSpec) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+def parity_projectors(spec: AbelianGroupSpec) -> tuple[list[list[Rational]], list[list[Rational]]]:
     """Projections onto even and odd functions, as exact rational matrices."""
+    from fractions import Fraction  # here, so no command that skips this API loads fractions and decimal
     elems = spec.elements()
     index = {e: i for i, e in enumerate(elems)}
     size = spec.order
@@ -348,8 +348,8 @@ class ExactGram:
         cells = np.empty(len(keys), dtype=object)
         for k, key in enumerate(keys.tolist()):
             c, e = divmod(key, self.modulus)  # a cell's coeff2 and zexp
-            q = Fraction(c, 2)
-            cells[k] = {"coeff_num": q.numerator, "coeff_den": q.denominator,
+            den = 1 + c % 2  # c / 2 in lowest terms is (c * den // 2) / den
+            cells[k] = {"coeff_num": c * den // 2, "coeff_den": den,
                         "zeta_num": e, "zeta_den": self.modulus}
         return cells[inverse.reshape(self.n, self.n)].tolist()
 

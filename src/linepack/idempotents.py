@@ -10,8 +10,9 @@ certified with products read off the scheme's pair codes:
      commutative, otherwise the rational nullspace of the commutators
      C_y (`SchurianScheme.commutator`, x -> x y - y x) of seeded integer
      probes y, found modulo primes below 2^31 in int64 arithmetic, lifted
-     by rational reconstruction and certified central by C_x = 0 in
-     integers for each basis vector x; its reduced echelon basis is unique;
+     by rational reconstruction to integer rows over positive common
+     denominators and certified central by C_x = 0 on each row x; its
+     reduced echelon basis is unique;
   2. a seeded generic Hermitian center element x (weights drawn from
      `random.Random(seed)`) acts on the algebra by
      left multiplication L_x; symmetrized by the valencies, one
@@ -33,7 +34,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
 
 import numpy as np
@@ -148,54 +148,48 @@ def _nullspace_mod(blocks: list[np.ndarray], width: int, p: int) -> tuple[list[i
     return [width - 1 - q for q in reversed(pivots)], reduced[::-1, ::-1]
 
 
-def _rational_lift(residues: np.ndarray, m: int) -> list[list[Fraction]] | None:
-    """The fractions a/b = r mod m with |a|, b <= sqrt(m/2), or None if one has none.
+def _rational_lift(residues: np.ndarray, m: int) -> tuple[list[list[int]], list[int]] | None:
+    """Each row's fractions a/b = r mod m with |a|, b <= sqrt(m/2), or None if one has none.
 
     Wang's rational reconstruction: the extended Euclidean algorithm on
-    (m, r), stopped at the first remainder within the bound.
+    (m, r), stopped at the first remainder within the bound.  A row comes
+    back as integers over its least common denominator, which is positive.
     """
     bound = math.isqrt(m // 2)
-    zero = Fraction(0)
-    rows = []
+    rows, dens = [], []
     for row in residues.tolist():
-        vec = [zero] * len(row)
-        for i, r in enumerate(row):
-            if not r:
-                continue
+        pairs = []
+        for r in row:
             r0, r1, t0, t1 = m, r, 0, 1
             while r1 > bound:
                 q = r0 // r1
                 r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
             if abs(t1) > bound or math.gcd(r1, t1) != 1:
                 return None
-            vec[i] = Fraction(r1, t1)
-        rows.append(vec)
-    return rows
+            pairs.append((r1, t1) if t1 > 0 else (-r1, -t1))
+        den = math.lcm(*(b for _, b in pairs))
+        rows.append([a * (den // b) for a, b in pairs])
+        dens.append(den)
+    return rows, dens
 
 
-def _integral(vec: list[Fraction]) -> list[int]:
-    """The vector scaled by the least common multiple of its denominators."""
-    den = math.lcm(*(x.denominator for x in vec))
-    return [x.numerator * (den // x.denominator) for x in vec]
+def _annihilates(blocks: list[np.ndarray], rows: list[list[int]]) -> bool:
+    """Exact check that the stacked blocks map every integer row to zero.
 
-
-def _annihilates(blocks: list[np.ndarray], vectors: list[list[Fraction]]) -> bool:
-    """Exact check that the stacked blocks map every vector, scaled to integers, to zero.
-
-    The product runs in int64 where width * max|block| * max|vector| bounds
+    The product runs in int64 where width * max|block| * max|row| bounds
     every sum below 2^63, and in Python integers otherwise.
     """
-    rows = np.concatenate(blocks)
-    if not vectors or not rows.any():
+    stacked = np.concatenate(blocks)
+    if not rows or not stacked.any():
         return True
-    exact = np.array([_integral(vec) for vec in vectors], dtype=object).T
-    if rows.shape[1] * int(np.abs(rows).max()) * int(np.abs(exact).max()) < 2**63:
-        return not (rows @ exact.astype(np.int64)).any()
-    return not (rows.astype(object) @ exact).any()
+    exact = np.array(rows, dtype=object).T
+    if stacked.shape[1] * int(np.abs(stacked).max()) * int(np.abs(exact).max()) < 2**63:
+        return not (stacked @ exact.astype(np.int64)).any()
+    return not (stacked.astype(object) @ exact).any()
 
 
-def _integer_nullspace(blocks: list[np.ndarray], width: int) -> list[list[Fraction]]:
-    """Reduced echelon basis of the rational nullspace of stacked integer blocks.
+def _integer_nullspace(blocks: list[np.ndarray], width: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced echelon basis of the rational nullspace of stacked integer blocks, as (rows, dens).
 
     There is at least one block of int64 rows of length width.  The basis is
     solved modulo primes p with width * p^2 < 2^63, combined by the
@@ -203,8 +197,9 @@ def _integer_nullspace(blocks: list[np.ndarray], width: int) -> list[list[Fracti
     (Wang, Guy and Davenport, SIGSAM Bull. 16, 1982), then checked
     exactly.  A prime can only lose rank or move pivots later, so a
     result with a smaller nullspace, or the same size and earlier
-    pivots, restarts the combination.  Vector f has 1 at free column f
-    and 0 at the other free columns, as from Gauss-Jordan elimination.
+    pivots, restarts the combination.  Vector f is rows[f] / dens[f], with
+    integer entries over a positive common denominator; it has 1 at free
+    column f and 0 at the other free columns, as from Gauss-Jordan elimination.
     """
     best = None
     for p in _primes_below(min(2**31, math.isqrt((2**63 - 1) // width))):
@@ -219,9 +214,9 @@ def _integer_nullspace(blocks: list[np.ndarray], width: int) -> list[list[Fracti
         else:
             continue
         _, m, acc = best
-        vectors = _rational_lift(acc, m)
-        if vectors is not None and _annihilates(blocks, vectors):
-            return vectors
+        lifted = _rational_lift(acc, m)
+        if lifted is not None and _annihilates(blocks, lifted[0]):
+            return lifted
     raise NumericError("no prime solved the center")
 
 
@@ -231,7 +226,7 @@ def _center_basis(scheme: SchurianScheme) -> np.ndarray:
     A commutative algebra is its own center, with the identity as its
     reduced echelon basis.  Otherwise the nullspace N of the commutators
     C_y of two seeded probes y holds the center, and a basis vector x of
-    N, scaled to integers, is central exactly when C_x = 0.  While one is
+    N, held as an integer row, is central exactly when C_x = 0.  While one is
     not, one more probe is drawn: with entries from 17 values it commutes
     with x with probability at most 1/17, and otherwise shrinks N.
     """
@@ -241,9 +236,10 @@ def _center_basis(scheme: SchurianScheme) -> np.ndarray:
     rng = random.Random(0)
     blocks = [scheme.commutator(rng.choices(range(-8, 9), k=c)) for _ in range(2)]
     while True:
-        basis = _integer_nullspace(blocks, c)
-        if not any(scheme.commutator(_integral(vec)).any() for vec in basis):
-            return np.array([[complex(x) for x in vec] for vec in basis], dtype=np.complex128)
+        rows, dens = _integer_nullspace(blocks, c)
+        if not any(scheme.commutator(row).any() for row in rows):
+            # x / den is rounded once, as the exact fraction would be
+            return np.array([[x / den for x in row] for row, den in zip(rows, dens)], dtype=np.complex128)
         blocks.append(scheme.commutator(rng.choices(range(-8, 9), k=c)))
 
 

@@ -10,6 +10,7 @@ from the dense products of `test_group_arrays.reference_structure_constants`,
 not from the pair codes that `_center_basis` reads.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -129,9 +130,9 @@ def test_the_certificate_draws_probes_until_they_generate(monkeypatch):
         return commutator([1] + [0] * (c - 1) if len(calls) <= 2 else y)
 
     def spy(blocks, width):
-        basis = solve(blocks, width)
-        dimensions.append(len(basis))
-        return basis
+        rows, dens = solve(blocks, width)
+        dimensions.append(len(rows))
+        return rows, dens
 
     monkeypatch.setattr(scheme, "commutator", identity_probes)
     monkeypatch.setattr(idempotents, "_integer_nullspace", spy)
@@ -140,10 +141,15 @@ def test_the_certificate_draws_probes_until_they_generate(monkeypatch):
 
 
 def nullspace(matrix: np.ndarray, split: int = 0) -> list[list[Fraction]]:
-    """`_integer_nullspace` of a matrix, given as blocks of `split` rows (all rows if 0)."""
+    """`_integer_nullspace` of a matrix, given as blocks of `split` rows (all rows if 0), as fractions.
+
+    Each integer row must come over its least common denominator, which is positive.
+    """
     split = split or max(len(matrix), 1)
     blocks = [matrix[i : i + split] for i in range(0, max(len(matrix), 1), split)]
-    return idempotents._integer_nullspace(blocks, matrix.shape[1])
+    rows, dens = idempotents._integer_nullspace(blocks, matrix.shape[1])
+    assert all(den > 0 and math.gcd(den, *row) == 1 for row, den in zip(rows, dens))
+    return [[Fraction(x, den) for x in row] for row, den in zip(rows, dens)]
 
 
 @st.composite
@@ -163,6 +169,21 @@ def low_rank_matrices(draw):
 def test_integer_nullspace_matches_the_oracle(case):
     matrix, split = case
     assert nullspace(matrix, split) == rational_nullspace(matrix.tolist(), matrix.shape[1])
+
+
+def test_rational_lift_returns_integer_rows_over_their_least_common_denominator():
+    m = 1009
+    rows = [
+        [Fraction(-1, 3), Fraction(5, 4), Fraction(-7, 6), Fraction(0), Fraction(2)],
+        [Fraction(1), Fraction(-1, 2), Fraction(0), Fraction(0), Fraction(0)],
+    ]
+    # a negative fraction comes out of the Euclidean steps over a negative denominator
+    residues = np.array([[x.numerator * pow(x.denominator, -1, m) % m for x in row] for row in rows], dtype=object)
+    assert idempotents._rational_lift(residues, m) == ([[-4, 15, -14, 0, 24], [2, -1, 0, 0, 0]], [12, 2])
+    # a residue that no a/b with |a|, b <= sqrt(m/2) reaches has no lift
+    bound = math.isqrt(m // 2)
+    lone = next(r for r in range(m) if all(min(r * b % m, -r * b % m) > bound for b in range(1, bound + 1)))
+    assert idempotents._rational_lift(np.array([[1, lone]], dtype=object), m) is None
 
 
 def primes_seen(monkeypatch) -> list[int]:

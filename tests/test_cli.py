@@ -280,6 +280,7 @@ GRAM_I2 = json.dumps(GramMatrix.from_entries(np.eye(2)).to_json_dict())
         ({}, ["harmonic", "--moduli", "7", "--subset", '["1", 2, 4]']),
         ({}, ["harmonic", "--moduli", "7", "--subset", "[[1.0], [2], [4]]"]),
         ({}, ["harmonic", "--moduli", "3,3", "--subset", "[[0, 1], [false, 2]]"]),
+        ({}, ["harmonic", "--moduli", "7", "--subset", "1,2,4,4"]),
         ({"g": GRAM_I2}, ["symmetry", "@g", "--node-cap=-1"]),
         ({}, ["idempotents", "fixture:agl", "--action", "regular", "--element-limit=-5"]),
     ],
@@ -311,6 +312,7 @@ GRAM_I2 = json.dumps(GramMatrix.from_entries(np.eye(2)).to_json_dict())
         "string-subset",
         "nested-float-subset",
         "nested-bool-subset",
+        "repeated-subset",
         "negative-node-cap",
         "negative-element-limit",
     ],

@@ -310,6 +310,13 @@ def test_difference_set_check_examples():
     assert difference_set_check([5], [(a,) for a in range(5)]) == (True, 5)
 
 
+def test_repeated_dual_elements_are_refused():
+    # a multiset of characters is no subset: its Gram is not a projection
+    for check in (harmonic_gram, difference_set_check):
+        with pytest.raises(InputError, match=r"\(1,\) is repeated"):
+            check([7], [(1,), (1,)])
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_harmonic_etf_iff_difference_set(n):
     # brute force over all nonempty subsets of the dual of Z_n

@@ -2,8 +2,12 @@
 
 `numpy.random` adds about 6 MiB to a process, 3.4 MiB of it OpenSSL's
 `_hashlib`, which it pulls in through `secrets`; `numpy.ma` is imported by
-`np.unique` called without a return flag.  Each command runs in a fresh
-interpreter, which reports the guarded modules it loaded.
+`np.unique` called without a return flag.  `fractions` and the `decimal`
+C extension it imports take 2-3.5 ms of `-X importtime` in each process,
+and no command needs them: the exact center is held in integer rows, and
+only the library's `parity_projectors` returns `Fraction` matrices.  Each
+command runs in a fresh interpreter, which reports the guarded modules it
+loaded.
 """
 
 import json
@@ -12,7 +16,7 @@ import sys
 
 import pytest
 
-GUARDED = ("numpy.random", "_hashlib", "numpy.ma")
+GUARDED = ("numpy.random", "_hashlib", "numpy.ma", "fractions", "decimal")
 
 PROBE = """\
 import contextlib, io, json, sys
@@ -51,3 +55,27 @@ def test_symmetry_loads_no_masked_arrays(tmp_path):
     gram = tmp_path / "simplex.json"
     gram.write_text(json.dumps({"n": n, "entries": entries}))
     assert "numpy.ma" not in loaded_modules(["symmetry", str(gram)])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # D_20 is not abelian, so its regular action runs the exact center
+        ["idempotents", "@d20", "--action", "regular"],
+        ["heisenberg", "--moduli", "3", "--verify"],
+        ["harmonic", "--moduli", "7", "--subset", "1,2,4"],
+        ["reduce", "@simplex"],
+        ["symmetry", "@simplex"],
+        ["verify-figures"],
+    ],
+)
+def test_commands_load_no_fractions_or_decimal(tmp_path, argv):
+    # "@name" in argv stands for the file written from files[name]
+    n = 12
+    files = {
+        "d20": {"degree": 20, "generators": [[(i + 1) % 20 for i in range(20)], [-i % 20 for i in range(20)]]},
+        "simplex": {"n": n, "entries": [[[1.0 if i == j else -1.0 / (n - 1), 0.0] for j in range(n)] for i in range(n)]},
+    }
+    for name, payload in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    assert loaded_modules([str(tmp_path / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]) == []
