@@ -40,7 +40,7 @@ from .idempotents import (
     projection_from_subset,
 )
 from .permgroup import DEFAULT_ELEMENT_LIMIT, GroupAction, induced_pair_action, orbit, regular_action
-from .scheme import SchurianScheme, is_commutative, scheme_from_action
+from .scheme import SchurianScheme, is_commutative, refuse_orbital_matrix_past_limit, scheme_from_action
 from .symmetry import DEFAULT_NODE_CAP, find_gram_isomorphism, gram_symmetry_group
 
 MAX_SUBSET_BITS = 20
@@ -198,6 +198,7 @@ def _scheme(args) -> SchurianScheme:
     """The orbital scheme of the command's group under its --action."""
     group = _load_group(args.group)
     if args.action == "regular":
+        refuse_orbital_matrix_past_limit(group.order)
         return scheme_from_action(regular_action(group, args.element_limit))
     action = GroupAction(group)
     if args.action == "pairs":

@@ -13,12 +13,11 @@ and reads the whole matrix off one transversal of 0.
 
 Orbital products are read off one integer table, the pair codes: row k
 holds the codes of (o(0, z), o(z, w_k)) over all z, sorted, where w_k is
-the least column of orbital k in row 0.  Comparing each column's sorted
-codes with its row checks that the products close; comparing each row
-with its codes swapped decides commutativity (the Gelfand-pair test)
-exactly; and weighted counts of the table give left multiplication L_x
-and the exact commutator C_y = R_y - L_y in O(n c) each, so no command
-forms the c^3 tensor of structure constants.
+the least column of orbital k in row 0; the orbitals of a group action
+close under products (Higman, Coherent configurations I, 1975), so these
+c columns fix them all.  Comparing each row with its codes swapped decides
+commutativity (the Gelfand-pair test) exactly, and weighted counts give
+L_x and the exact commutator C_y = R_y - L_y in O(n c), with no c^3 tensor.
 """
 
 from __future__ import annotations
@@ -47,7 +46,9 @@ class SchurianScheme:
 
     Orbital 0 is the diagonal.  A coefficient vector x of length c stands
     for the group-stable matrix x[orbital_of]; the scheme owns the facts
-    that read such a vector: `columns`, `adjoint` and `trace`.
+    that read such a vector: `columns`, `adjoint` and `trace`.  The orbitals
+    come from a transitive action, so they close under products (Higman's
+    theorem); a partition built by hand is taken as closed, unchecked.
     """
 
     point_count: int
@@ -84,20 +85,11 @@ class SchurianScheme:
         """Row k: the codes i * c + j of (o(0, z), o(z, w_k)) over all z, sorted.
 
         w_k is `columns[k]`.  Row 0 of A_i A_j counts, at column y, the z
-        with o(0, z) = i and o(z, y) = j, so the products close over the
-        orbitals exactly when every column y has the sorted codes of
-        w_{o(0, y)}; that is checked here, in integers, once for all
-        three readers of the table.
+        with o(0, z) = i and o(z, y) = j; orbitals close, so that count is
+        the same at every y of orbital k, and c sorts of n codes suffice.
         """
         c = self.n_orbitals
-        row0 = self.orbital_of[0]
-        codes = np.empty_like(self.orbital_of)
-        np.add(self.orbital_of.T, c * row0, out=codes)  # [y, z] = o(0, z) * c + o(z, y)
-        codes.sort(axis=1)
-        table = codes[self.columns]
-        if not all((codes[row0 == k] == table[k]).all() for k in range(c)):
-            raise InputError("orbital products do not close over the orbitals")
-        return table
+        return np.sort(c * self.orbital_of[0] + self.orbital_of[:, self.columns].T, axis=1)
 
     @cached_property
     def structure_constants(self) -> np.ndarray:
@@ -220,6 +212,15 @@ def _canonical_scheme(orbital_of: np.ndarray) -> SchurianScheme:
     )
 
 
+def refuse_orbital_matrix_past_limit(n: int) -> None:
+    """Refuse an n x n orbital matrix past MAX_ARRAY_ENTRIES, before n points are listed."""
+    if n * n > MAX_ARRAY_ENTRIES:
+        raise ResourceError(
+            f"the orbital matrix of {n} points needs {n * n} entries, "
+            f"above the limit of {MAX_ARRAY_ENTRIES}"
+        )
+
+
 def scheme_from_action(action: GroupAction) -> SchurianScheme:
     """Orbital partition of X x X under the diagonal action.
 
@@ -235,11 +236,7 @@ def scheme_from_action(action: GroupAction) -> SchurianScheme:
     if not is_transitive(action):
         raise InputError("scheme construction requires a transitive action")
     n = action.point_count
-    if n * n > MAX_ARRAY_ENTRIES:
-        raise ResourceError(
-            f"the orbital matrix of {n} points needs {n * n} entries, "
-            f"above the limit of {MAX_ARRAY_ENTRIES}"
-        )
+    refuse_orbital_matrix_past_limit(n)
     transversal = _generator_transversal(action.group, 0)
     suborbit = _suborbits(transversal.schreier_generators(release_reps=True), n)
     # each inverse goes once its row is gathered, as each representative
@@ -275,6 +272,7 @@ def conjugacy_class_scheme(
     pair (x, y) lies in orbital i exactly when x y^-1 belongs to the i-th
     conjugacy class.  The result is always commutative.
     """
+    refuse_orbital_matrix_past_limit(group.order)
     elems = group.elements(element_limit)
     left = [g.__mul__ for g in group.generators]
     right = [lambda x, h=g.inverse(): x * h for g in group.generators]

@@ -10,6 +10,7 @@ import pytest
 from linepack import fixtures
 from linepack.cli import main
 from linepack.frames import GramMatrix
+from linepack.permgroup import PermutationGroup
 
 
 def run(capsys, argv):
@@ -480,18 +481,28 @@ def test_determinism_byte_identical(capsys, tmp_path):
     assert first == second
 
 
-def test_scheme_past_the_array_limit_exits_4_at_once(capsys, tmp_path):
-    # an 11586-cycle: its 11586 x 11586 orbital matrix would pass 2^27 entries
+def test_scheme_past_the_array_limit_exits_4_at_once(capsys, tmp_path, monkeypatch):
+    # an 11586-cycle: its 11586 x 11586 orbital matrix would pass 2^27 entries;
+    # S_9 regular (n = 362880) is refused from its order, before any element is listed
+    def listed(*args):
+        raise AssertionError("group elements were listed")
+
+    monkeypatch.setattr(PermutationGroup, "elements", listed)
     n = 11586
-    path = tmp_path / "z11586.json"
-    path.write_text(json.dumps({"degree": n, "generators": [[(i + 1) % n for i in range(n)]]}))
-    start = time.monotonic()
-    code = main(["scheme", str(path)])
-    captured = capsys.readouterr()
-    assert code == 4
-    assert captured.out == ""
-    assert "resource limit" in captured.err and "orbital matrix" in captured.err
-    assert time.monotonic() - start < 10.0
+    cases = [
+        (["scheme"], [[(i + 1) % n for i in range(n)]]),
+        (["idempotents", "--action", "regular"], [[(i + 1) % 9 for i in range(9)], [1, 0, *range(2, 9)]]),
+    ]
+    for command, generators in cases:
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({"degree": len(generators[0]), "generators": generators}))
+        start = time.monotonic()
+        code = main([*command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "resource limit" in captured.err and "orbital matrix" in captured.err
+        assert time.monotonic() - start < 10.0
 
 
 @pytest.mark.parametrize(

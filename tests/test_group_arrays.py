@@ -9,9 +9,10 @@ index-dict loop of each action builder (pairs, regular, Heisenberg and
 Hoggar) and of ``conjugacy_class_scheme``, which ``permgroup.action_on``
 and ``scheme_from_action`` replaced, and the float products of
 ``SchurianScheme.structure_constants`` and the tensor comparison of
-``is_commutative``, which the counted pair codes replaced; the
-reference tensor contracted against x is also the oracle for
-``SchurianScheme.left_multiplication`` and ``SchurianScheme.commutator``,
+``is_commutative``, which the counted pair codes replaced, and the n x n
+sort of ``_pair_codes`` with its closure check, which its c reference
+columns replaced; the reference tensor contracted against x is also the
+oracle for ``SchurianScheme.left_multiplication`` and ``SchurianScheme.commutator``,
 and the reference tensor is the source of the center oracle in
 ``test_center.py``.
 """
@@ -111,6 +112,18 @@ def reference_structure_constants(scheme):
         if not np.array_equal(counts, p[:, j, row0]):
             raise InputError("orbital products do not close over the orbitals")
     return p
+
+
+def reference_pair_codes(scheme):
+    """Row y: the codes o(0, z) * c + o(z, y) over all z, sorted, for all n columns y.
+
+    This full n x n sort is the table that ``_pair_codes`` cut to its rows
+    ``columns`` after checking, column by column, that the products close.
+    """
+    c = scheme.n_orbitals
+    codes = scheme.orbital_of.T + c * scheme.orbital_of[0]
+    codes.sort(axis=1)
+    return codes
 
 
 def reference_rank_rows(rows):
@@ -252,6 +265,25 @@ def random_actions(draw):
 @given(random_actions())
 def test_random_actions_match_reference(action):
     assert_same_scheme(action)
+
+
+def assert_pair_codes_match_reference(scheme):
+    """`_pair_codes` is the full table's rows `columns`, and every column y has its orbital's row."""
+    codes = reference_pair_codes(scheme)
+    assert np.array_equal(scheme._pair_codes, codes[scheme.columns])
+    assert np.array_equal(codes, scheme._pair_codes[scheme.orbital_of[0]])
+
+
+def test_pair_codes_match_reference_on_the_battery(fixture_schemes):
+    for scheme in fixture_schemes.values():
+        assert_pair_codes_match_reference(scheme)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(random_actions())
+def test_pair_codes_match_reference_on_random_actions(action):
+    assume(is_transitive(action))
+    assert_pair_codes_match_reference(scheme_from_action(action))
 
 
 def assert_commutator_matches_reference(scheme, p):

