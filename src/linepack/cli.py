@@ -39,7 +39,7 @@ from .idempotents import (
     multiplicity_free,
     projection_from_subset,
 )
-from .permgroup import DEFAULT_ELEMENT_LIMIT, GroupAction, induced_pair_action, orbit, regular_action
+from .permgroup import GroupAction, induced_pair_action, orbit, regular_action
 from .scheme import SchurianScheme, is_commutative, refuse_orbital_matrix_past_limit, scheme_from_action
 from .symmetry import DEFAULT_NODE_CAP, find_gram_isomorphism, gram_symmetry_group
 
@@ -195,11 +195,13 @@ def _emit(payload: dict, output: Optional[str]) -> None:
 
 
 def _scheme(args) -> SchurianScheme:
-    """The orbital scheme of the command's group under its --action."""
+    """The orbital scheme of the group under --action, refused from its point count before it is built."""
     group = _load_group(args.group)
+    n = group.degree
+    points = group.order if args.action == "regular" else n * (n - 1) if args.action == "pairs" else n
+    refuse_orbital_matrix_past_limit(points)
     if args.action == "regular":
-        refuse_orbital_matrix_past_limit(group.order)
-        return scheme_from_action(regular_action(group, args.element_limit))
+        return scheme_from_action(regular_action(group))
     action = GroupAction(group)
     if args.action == "pairs":
         action = induced_pair_action(action)
@@ -445,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
         if group:
             p.add_argument("group", help="group JSON path or fixture:{agl,sl2_f8,m11}")
             p.add_argument("--action", default="natural", choices=["natural", "pairs", "regular"])
-            p.add_argument("--element-limit", type=int, default=DEFAULT_ELEMENT_LIMIT)
         return p
 
     command("scheme", cmd_scheme, "orbital scheme of a transitive action", group=True)
@@ -489,7 +490,7 @@ def _check_ranges(args) -> None:
     tol = getattr(args, "tol", None)
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise InputError(f"--tol must be positive and finite, got {tol}")
-    for name, least in (("seed", 0), ("element_limit", 0), ("max_subset_size", 1), ("node_cap", 0)):
+    for name, least in (("seed", 0), ("max_subset_size", 1), ("node_cap", 0)):
         value = getattr(args, name, None)
         if value is not None and value < least:
             bound = "at least 1" if least else "non-negative"

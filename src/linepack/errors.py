@@ -1,10 +1,11 @@
 """Exception hierarchy shared by all modules, and the one array size limit.
 
 The CLI maps these onto stable exit codes: InputError -> 2,
-NumericError -> 3, ResourceError -> 4.
+NumericError -> 3, ResourceError -> 4.  Every size refusal goes through
+`refuse_past_limit`, before the object it counts is built.
 """
 
-# Largest array, in entries, that a computation may allocate before it is
+# Largest object, in entries, that a computation may build before it is
 # refused with ResourceError: 2^27 int64 values, 1 GiB.
 MAX_ARRAY_ENTRIES = 2**27
 
@@ -24,5 +25,13 @@ class NumericError(LinepackError):
 
 
 class ResourceError(LinepackError):
-    """An explicit size or search budget was exceeded (element limits,
-    subset caps, backtracking node budgets)."""
+    """An explicit size or search budget was exceeded (the array size
+    limit, subset caps, backtracking node budgets)."""
+
+
+def refuse_past_limit(entries: int, what: str) -> None:
+    """Raise ResourceError when `what` would hold more than MAX_ARRAY_ENTRIES entries."""
+    if entries > MAX_ARRAY_ENTRIES:
+        raise ResourceError(
+            f"{what} would need {entries} entries, above the limit of {MAX_ARRAY_ENTRIES}"
+        )

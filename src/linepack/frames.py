@@ -18,12 +18,12 @@ from collections import Counter
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from functools import cached_property, partial
-from math import sqrt
+from math import prod, sqrt
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericError, ResourceError
+from .errors import InputError, NumericError, ResourceError, refuse_past_limit
 
 if TYPE_CHECKING:
     from .scheme import SchurianScheme
@@ -458,13 +458,15 @@ def harmonic_gram(moduli: Sequence[int], subset: Iterable[Sequence[int]]) -> Gra
     Over G = Z_{m_1} x ... x Z_{m_t}, entry (g, h) is
     (1/|G|) sum_{alpha in D} alpha(h) conj(alpha(g)): the Gram of the
     rows of the character table selected by D, a rank-|D| projection.
+    The |G| x |G| Gram is refused past the array limit before G is listed.
     """
     moduli = [int(m) for m in moduli]
     if any(m < 1 for m in moduli):
         raise InputError("moduli must be positive")
     dual = _check_dual_elements(moduli, subset)
+    size = prod(moduli)
+    refuse_past_limit(size * size, f"the harmonic Gram of {size} points")
     elems = list(itertools.product(*[range(m) for m in moduli]))
-    size = len(elems)
     table = np.array(
         [[_dual_value(moduli, alpha, g) for g in elems] for alpha in dual],
         dtype=np.complex128,

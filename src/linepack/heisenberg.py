@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MAX_ARRAY_ENTRIES, InputError, NumericError, ResourceError
+from .errors import InputError, NumericError, ResourceError, refuse_past_limit
 from .frames import GramMatrix
 from .permgroup import GroupAction, action_on
 
@@ -235,10 +235,6 @@ def parity_projectors(spec: AbelianGroupSpec) -> tuple[list[list[Rational]], lis
 
 # --- exact cyclotomic arithmetic -------------------------------------------
 
-# Largest n * n * N term array an ExactGram may hold.
-MAX_TERM_ENTRIES = MAX_ARRAY_ENTRIES
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, low to high."""
@@ -306,12 +302,8 @@ class ExactGram:
 
     @staticmethod
     def zeros(n: int, modulus: int) -> "ExactGram":
-        """The zero Gram, refused before allocation past MAX_TERM_ENTRIES terms."""
-        if n * n * modulus > MAX_TERM_ENTRIES:
-            raise ResourceError(
-                f"an exact {n}x{n} Gram over {modulus}-th roots of unity needs "
-                f"{n * n * modulus} terms, above the limit of {MAX_TERM_ENTRIES}"
-            )
+        """The zero Gram, its n * n * modulus terms refused past the array limit before allocation."""
+        refuse_past_limit(n * n * modulus, f"an exact {n}x{n} Gram over {modulus}-th roots of unity")
         return ExactGram(n, modulus, np.zeros((n, n, modulus), dtype=np.int64))
 
     def to_complex(self) -> np.ndarray:

@@ -33,9 +33,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericError, ResourceError
-
-DEFAULT_ELEMENT_LIMIT = 10**6
+from .errors import InputError, NumericError, refuse_past_limit
 
 
 @dataclass(frozen=True)
@@ -190,8 +188,10 @@ class _Transversal:
         stop at any yield and resume with a fresh call.  With
         `release_reps`, each representative is dropped once every generator
         has passed its point, which leaves only ``invs``; the transversal
-        then takes no further generators.
+        then takes no further generators.  A new orbit point is refused if the
+        tables kept, ``invs`` and unless released ``reps``, would pass the limit.
         """
+        tables = 1 if release_reps else 2
         k = min(self.cursor, default=len(self.orbit))
         while k < len(self.orbit):
             rep = self.reps[self.orbit[k]]
@@ -203,6 +203,8 @@ class _Transversal:
                 q = moved.item(self.point)
                 inv = self.invs[q]
                 if inv is None:
+                    entries = tables * (len(self.orbit) + 1) * moved.size
+                    refuse_past_limit(entries, f"the transversal of point {self.point} of degree {moved.size}")
                     self.orbit.append(q)
                     self.reps[q] = moved
                     self.invs[q] = _invert_array(moved)
@@ -331,14 +333,14 @@ class PermutationGroup:
             return False
         return self.chain().contains(_as_array(g.images))
 
-    def elements(self, element_limit: int = DEFAULT_ELEMENT_LIMIT) -> list[Permutation]:
+    def elements(self) -> list[Permutation]:
         """All group elements by deterministic BFS over the generators.
 
         Level-by-level closure with a lexicographic tie-break on image
-        tuples, so the enumeration order is reproducible.
+        tuples, so the enumeration order is reproducible.  The list, |G|
+        tuples of `degree` entries, is refused past the limit before it starts.
         """
-        if self.order > element_limit:
-            raise ResourceError(f"group order {self.order} exceeds element limit {element_limit}")
+        refuse_past_limit(self.order * self.degree, f"the {self.order} elements of degree {self.degree}")
         ident = self.identity()
         seen = {ident.images}
         out = [ident]
@@ -446,11 +448,11 @@ def induced_pair_action(action: GroupAction) -> GroupAction:
     return action_on(pairs, tuple, maps)
 
 
-def regular_action(group: PermutationGroup, element_limit: int = DEFAULT_ELEMENT_LIMIT) -> GroupAction:
+def regular_action(group: PermutationGroup) -> GroupAction:
     """Left-translation action of the group on its own elements.
 
     Elements are enumerated by the deterministic BFS of
     :meth:`PermutationGroup.elements`, so point indexing is reproducible.
     """
-    elems = group.elements(element_limit)
+    elems = group.elements()
     return action_on(elems, operator.attrgetter("images"), [g.__mul__ for g in group.generators])

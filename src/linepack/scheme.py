@@ -28,9 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MAX_ARRAY_ENTRIES, InputError, ResourceError
+from .errors import InputError, refuse_past_limit
 from .permgroup import (
-    DEFAULT_ELEMENT_LIMIT,
     GroupAction,
     PermutationGroup,
     _generator_transversal,
@@ -97,14 +96,10 @@ class SchurianScheme:
 
         p[i, j, k] = #{z : o(0, z) = i, o(z, w_k) = j} is the entry of A_i A_j at
         (0, w_k), one count of the pair codes (Bannai-Ito, Algebraic Combinatorics
-        I, 2.2).  Refused past MAX_ARRAY_ENTRIES before anything is counted.
+        I, 2.2).  Refused past the array limit before anything is counted.
         """
         c = self.n_orbitals
-        if c**3 > MAX_ARRAY_ENTRIES:
-            raise ResourceError(
-                f"structure constants of {c} orbitals need {c**3} entries, "
-                f"above the limit of {MAX_ARRAY_ENTRIES}"
-            )
+        refuse_past_limit(c**3, f"the structure constants of {c} orbitals")
         flat = (self._pair_codes * c + np.arange(c)[:, None]).ravel()
         return np.bincount(flat, minlength=c**3).reshape(c, c, c)
 
@@ -213,12 +208,8 @@ def _canonical_scheme(orbital_of: np.ndarray) -> SchurianScheme:
 
 
 def refuse_orbital_matrix_past_limit(n: int) -> None:
-    """Refuse an n x n orbital matrix past MAX_ARRAY_ENTRIES, before n points are listed."""
-    if n * n > MAX_ARRAY_ENTRIES:
-        raise ResourceError(
-            f"the orbital matrix of {n} points needs {n * n} entries, "
-            f"above the limit of {MAX_ARRAY_ENTRIES}"
-        )
+    """Refuse an n x n orbital matrix past the array limit, before n points are listed."""
+    refuse_past_limit(n * n, f"the orbital matrix of {n} points")
 
 
 def scheme_from_action(action: GroupAction) -> SchurianScheme:
@@ -230,8 +221,8 @@ def scheme_from_action(action: GroupAction) -> SchurianScheme:
     Schreier generators of one transversal of 0, gathered row by row
     through the inverse transversal.  Orbital 0 is the diagonal; the rest are
     ordered by (valency, least column in row 0) so downstream indexing is
-    reproducible.  The n x n orbital matrix is refused past
-    MAX_ARRAY_ENTRIES before anything of that size is allocated.
+    reproducible.  The n x n orbital matrix is refused past the array limit
+    before the transversal, whose inverse table is no larger, is built.
     """
     if not is_transitive(action):
         raise InputError("scheme construction requires a transitive action")
@@ -262,9 +253,7 @@ def is_commutative(scheme: SchurianScheme) -> bool:
     return bool(np.array_equal(codes, swapped))
 
 
-def conjugacy_class_scheme(
-    group: PermutationGroup, element_limit: int = DEFAULT_ELEMENT_LIMIT
-) -> SchurianScheme:
+def conjugacy_class_scheme(group: PermutationGroup) -> SchurianScheme:
     """Scheme on the group's elements whose orbitals are conjugacy class sums.
 
     It is the scheme of G x G acting on G by x -> g x h^-1: that action
@@ -273,7 +262,7 @@ def conjugacy_class_scheme(
     conjugacy class.  The result is always commutative.
     """
     refuse_orbital_matrix_past_limit(group.order)
-    elems = group.elements(element_limit)
+    elems = group.elements()
     left = [g.__mul__ for g in group.generators]
     right = [lambda x, h=g.inverse(): x * h for g in group.generators]
     return scheme_from_action(action_on(elems, operator.attrgetter("images"), left + right))

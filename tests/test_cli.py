@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linepack import fixtures
+from linepack import cli, fixtures, frames
 from linepack.cli import main
 from linepack.frames import GramMatrix
 from linepack.permgroup import PermutationGroup
@@ -283,7 +283,6 @@ GRAM_I2 = json.dumps(GramMatrix.from_entries(np.eye(2)).to_json_dict())
         ({}, ["harmonic", "--moduli", "3,3", "--subset", "[[0, 1], [false, 2]]"]),
         ({}, ["harmonic", "--moduli", "7", "--subset", "1,2,4,4"]),
         ({"g": GRAM_I2}, ["symmetry", "@g", "--node-cap=-1"]),
-        ({}, ["idempotents", "fixture:agl", "--action", "regular", "--element-limit=-5"]),
     ],
     ids=[
         "missing-group",
@@ -315,7 +314,6 @@ GRAM_I2 = json.dumps(GramMatrix.from_entries(np.eye(2)).to_json_dict())
         "nested-bool-subset",
         "repeated-subset",
         "negative-node-cap",
-        "negative-element-limit",
     ],
 )
 def test_missing_file_is_input_error(capsys, tmp_path, files, argv):
@@ -369,11 +367,10 @@ def test_tol_must_be_positive_and_finite(capsys, tmp_path, command, tol):
 
 
 def test_parsed_defaults_are_the_library_constants():
-    from linepack import frames, permgroup, symmetry
+    from linepack import symmetry
     from linepack.cli import build_parser
 
     parse = build_parser().parse_args
-    assert parse(["scheme", "g.json"]).element_limit == permgroup.DEFAULT_ELEMENT_LIMIT
     assert parse(["symmetry", "g.json"]).node_cap == symmetry.DEFAULT_NODE_CAP
     assert parse(["reduce", "g.json"]).tol == frames.REDUCE_TOL
     assert parse(["symmetry", "g.json"]).tol == frames.COLOR_TOL
@@ -483,25 +480,38 @@ def test_determinism_byte_identical(capsys, tmp_path):
 
 def test_scheme_past_the_array_limit_exits_4_at_once(capsys, tmp_path, monkeypatch):
     # an 11586-cycle: its 11586 x 11586 orbital matrix would pass 2^27 entries;
-    # S_9 regular (n = 362880) is refused from its order, before any element is listed
+    # S_9 regular (n = 362880) is refused from its order, before any element is listed;
+    # S_2000 on pairs (n = 3998000) from its degree, before any pair is listed;
+    # the harmonic Gram of Z_11586 before any character value is formed
     def listed(*args):
-        raise AssertionError("group elements were listed")
+        raise AssertionError("the points were listed")
 
     monkeypatch.setattr(PermutationGroup, "elements", listed)
+    monkeypatch.setattr(cli, "induced_pair_action", listed)
+    monkeypatch.setattr(frames, "_dual_value", listed)
     n = 11586
+
+    def symmetric(m):
+        return [[(i + 1) % m for i in range(m)], [1, 0, *range(2, m)]]
+
     cases = [
-        (["scheme"], [[(i + 1) % n for i in range(n)]]),
-        (["idempotents", "--action", "regular"], [[(i + 1) % 9 for i in range(9)], [1, 0, *range(2, 9)]]),
+        (["scheme"], [[(i + 1) % n for i in range(n)]], "orbital matrix"),
+        (["idempotents", "--action", "regular"], symmetric(9), "orbital matrix"),
+        (["scheme", "--action", "pairs"], symmetric(2000), "orbital matrix"),
+        (["harmonic", "--moduli", str(n), "--subset", "1"], None, "harmonic Gram"),
     ]
-    for command, generators in cases:
-        path = tmp_path / "group.json"
-        path.write_text(json.dumps({"degree": len(generators[0]), "generators": generators}))
+    for command, generators, what in cases:
+        argv = command
+        if generators is not None:
+            path = tmp_path / "group.json"
+            path.write_text(json.dumps({"degree": len(generators[0]), "generators": generators}))
+            argv = [*command, str(path)]
         start = time.monotonic()
-        code = main([*command, str(path)])
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
-        assert "resource limit" in captured.err and "orbital matrix" in captured.err
+        assert "resource limit" in captured.err and what in captured.err
         assert time.monotonic() - start < 10.0
 
 
@@ -510,8 +520,9 @@ def test_scheme_past_the_array_limit_exits_4_at_once(capsys, tmp_path, monkeypat
     [
         ["scan-etf", "fixture:agl", "--multiplicity-free-only"],
         ["symmetry", "@g", "--assume-colors", "@g"],
+        ["scheme", "fixture:agl", "--element-limit", "5"],
     ],
-    ids=["multiplicity-free-only", "assume-colors"],
+    ids=["multiplicity-free-only", "assume-colors", "element-limit"],
 )
 def test_retired_flags_are_unrecognized(capsys, tmp_path, argv):
     (tmp_path / "g").write_text(GRAM_I2)

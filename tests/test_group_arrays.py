@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from linepack import errors, fixtures
 from linepack import scheme as scheme_module
+from linepack.cli import main
 from linepack.errors import InputError, NumericError, ResourceError
 from linepack.fixtures import hoggar_stabilizer_generators, pauli_tensor_generators
 from linepack.frames import matrix_group_closure, matrix_key
@@ -38,7 +39,6 @@ from linepack.heisenberg import (
     sp_membership,
 )
 from linepack.permgroup import (
-    DEFAULT_ELEMENT_LIMIT,
     GroupAction,
     Permutation,
     PermutationGroup,
@@ -366,11 +366,26 @@ def test_scheme_past_the_array_limit_is_refused_before_labelling(monkeypatch):
 
 def test_scheme_at_a_lowered_limit(monkeypatch):
     s4 = PermutationGroup.from_cycles(4, ["(0 1 2 3)", "(0 1)"])
-    monkeypatch.setattr(scheme_module, "MAX_ARRAY_ENTRIES", 15)
+    monkeypatch.setattr(errors, "MAX_ARRAY_ENTRIES", 15)
     with pytest.raises(ResourceError):
         scheme_from_action(GroupAction(s4))
-    monkeypatch.setattr(scheme_module, "MAX_ARRAY_ENTRIES", 16)
+    monkeypatch.setattr(errors, "MAX_ARRAY_ENTRIES", 16)
     assert scheme_from_action(GroupAction(s4)).valencies == (1, 3)
+
+
+def test_chain_is_refused_as_a_level_grows(monkeypatch, capsys, tmp_path):
+    # a 10-cycle on 100 points: its 10 x 10 orbital matrix and its 10 elements of
+    # degree 100 fit a limit of 1000, but its chain's level of 10 orbit points
+    # would keep two tables of 10 * 100 entries
+    cycle = PermutationGroup(100, [[(i + 1) % 10 if i < 10 else i for i in range(100)]])
+    monkeypatch.setattr(errors, "MAX_ARRAY_ENTRIES", 1000)
+    with pytest.raises(ResourceError, match="transversal of point 0 of degree 100"):
+        cycle.order
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"degree": 100, "generators": [cycle.generators[0].images]}))
+    assert main(["idempotents", str(path), "--action", "regular"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "transversal" in captured.err
 
 
 def signature_block(rng, rows, cols, values):
@@ -422,15 +437,13 @@ def reference_induced_pair_action(action: GroupAction) -> GroupAction:
     return GroupAction(PermutationGroup(n * (n - 1), gens))
 
 
-def reference_regular_action(
-    group: PermutationGroup, element_limit: int = DEFAULT_ELEMENT_LIMIT
-) -> GroupAction:
+def reference_regular_action(group: PermutationGroup) -> GroupAction:
     """Left-translation action of the group on its own elements.
 
     Elements are enumerated by the deterministic BFS of
     :meth:`PermutationGroup.elements`, so point indexing is reproducible.
     """
-    elems = group.elements(element_limit)
+    elems = group.elements()
     index = {p.images: i for i, p in enumerate(elems)}
     gens = []
     for g in group.generators:
@@ -439,15 +452,13 @@ def reference_regular_action(
     return GroupAction(PermutationGroup(len(elems), gens))
 
 
-def reference_conjugacy_class_scheme(
-    group: PermutationGroup, element_limit: int = DEFAULT_ELEMENT_LIMIT
-):
+def reference_conjugacy_class_scheme(group: PermutationGroup):
     """Scheme on the group's elements whose orbitals are conjugacy class sums.
 
     A pair (x, y) lies in orbital i exactly when x y^{-1} belongs to the
     i-th conjugacy class; the result is always commutative.
     """
-    elems = group.elements(element_limit)
+    elems = group.elements()
     index = {p.images: i for i, p in enumerate(elems)}
     m = len(elems)
     class_of = [-1] * m

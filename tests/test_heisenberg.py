@@ -4,10 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from linepack.errors import InputError, ResourceError
+from linepack.errors import MAX_ARRAY_ENTRIES, InputError, ResourceError
 from linepack.frames import coherence, gram_rank, is_etf, welch_bound
 from linepack.heisenberg import (
-    MAX_TERM_ENTRIES,
     ExactGram,
     GammaTwist,
     HeisenbergElement,
@@ -451,7 +450,7 @@ def test_exact_is_etf_rejects_a_shifted_exponent_pair(moduli):
 def test_oversized_exact_gram_is_refused_before_allocation():
     # Z_43: 1849^2 entries over 43rd roots of unity is 1.47e8 terms
     spec = make_spec((43,))
-    assert spec.order**4 * spec.exponent > MAX_TERM_ENTRIES
+    assert spec.order**4 * spec.exponent > MAX_ARRAY_ENTRIES
     with pytest.raises(ResourceError):
         heis_etf_gram(spec, GAMMA1, "odd")
     with pytest.raises(ResourceError):

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 from test_stdout_digest import DIGESTS, LIMITED_CASES, idempotent_fingerprint
 
-from linepack import fixtures, frames
-from linepack import scheme as scheme_module
+from linepack import errors, fixtures, frames
 from linepack.cli import build_parser, cmd_scan_etf, main, scan_row
 from linepack.errors import InputError, ResourceError
 from linepack.frames import REDUCE_TOL, REPORT_TOL, GramMatrix, packing_report, projective_reduce
@@ -368,7 +367,7 @@ def test_structure_constants_refuse_an_oversized_tensor():
 def test_no_center_is_refused_past_the_tensor_limit(monkeypatch):
     # 144 <= limit < 12^3: the orbital matrices fit and no tensor of 12
     # orbitals does; the center, commutative or not, reads no tensor
-    monkeypatch.setattr(scheme_module, "MAX_ARRAY_ENTRIES", 1000)
+    monkeypatch.setattr(errors, "MAX_ARRAY_ENTRIES", 1000)
     z12 = scheme_from_action(regular_action(PermutationGroup(12, [[(i + 1) % 12 for i in range(12)]])))
     assert central_primitive_idempotents(z12).ranks == (1,) * 12
     d6 = scheme_from_action(regular_action(PermutationGroup(6, [[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]])))
@@ -379,7 +378,7 @@ def test_no_center_is_refused_past_the_tensor_limit(monkeypatch):
 def test_regular_sl2_f8_idempotents_run_below_the_tensor_limit(monkeypatch, capsys):
     # c = 504: below 504^3 the orbital matrix fits and the tensor does not,
     # and the center needs none of it
-    monkeypatch.setattr(scheme_module, "MAX_ARRAY_ENTRIES", 504**3 - 1)
+    monkeypatch.setattr(errors, "MAX_ARRAY_ENTRIES", 504**3 - 1)
     case = "idempotent_fields_sl2_f8_regular"
     assert main(LIMITED_CASES[case]) == 0
     digest = idempotent_fingerprint(capsys.readouterr().out)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup as SympyGroup
 
-from linepack import fixtures
+from linepack import errors, fixtures
 from linepack.errors import InputError, ResourceError
 from linepack.permgroup import (
     GroupAction,
@@ -170,7 +170,7 @@ def test_pair_action_properties(group):
     assert is_transitive(act) == (brute_force_pair_orbits(src) == 1)
 
 
-def test_regular_action_examples():
+def test_regular_action_examples(monkeypatch):
     act = regular_action(Z4)
     assert act.point_count == 4
     assert is_transitive(act)
@@ -180,8 +180,10 @@ def test_regular_action_examples():
     assert act.group.order == 6
     act = regular_action(PermutationGroup(3, []))
     assert act.point_count == 1
-    with pytest.raises(ResourceError):
-        regular_action(S3, element_limit=5)
+    # S_3's 6 elements of degree 3 are 18 entries
+    monkeypatch.setattr(errors, "MAX_ARRAY_ENTRIES", 17)
+    with pytest.raises(ResourceError, match="6 elements of degree 3"):
+        regular_action(S3)
 
 
 def test_element_enumeration_deterministic():
