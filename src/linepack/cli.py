@@ -301,7 +301,11 @@ def cmd_reduce(args) -> dict:
 def cmd_heisenberg(args) -> dict:
     spec = make_spec(_parse_ints(args.moduli, "--moduli"))
     twist = GammaTwist(args.gamma)
+    # the direct traces check their arguments at the call, before any closed-form work
+    direct = heis_etf_gram_direct(spec, twist, args.parity) if args.verify else None
     exact_gram = heis_etf_gram(spec, twist, args.parity)
+    if direct is not None and not exact_gram.equals(direct):
+        raise NumericError("closed-form Gram disagrees with the direct computation")
     gram = exact_gram.to_gram_matrix()
     payload: dict = {
         "moduli": list(spec.moduli),
@@ -315,10 +319,7 @@ def cmd_heisenberg(args) -> dict:
     else:
         payload["gram"] = gram.to_json_dict()
     if args.verify:
-        direct = heis_etf_gram_direct(spec, twist, args.parity)
-        payload["closed_equals_direct"] = exact_gram.equals(direct)
-        if not payload["closed_equals_direct"]:
-            raise NumericError("closed-form Gram disagrees with the direct computation")
+        payload["closed_equals_direct"] = True
     return payload
 
 

@@ -13,12 +13,12 @@ produced both in closed form (diagonal (|A|+-1)/2, off-diagonal
 -+ half a root of unity) and by direct Hilbert-Schmidt traces; the two
 must agree entrywise exactly.
 
-An exact Gram is one (n, n, N) int64 array: entry (i, j) is
-sum_e terms[i, j, e]/2 zeta_N^e, with the coefficients stored doubled.
+The closed form has one root-of-unity term per entry, coeff2[i, j]/2
+zeta_N^zexp[i, j] with the coefficient stored doubled; the direct traces
+come row by row, each an (n, N) array of doubled coefficients by exponent.
 A coefficient vector is zero in Q(zeta_N) exactly when its product with
-`cyclotomic_basis(N)`, the powers of zeta_N reduced mod the cyclotomic
-polynomial Phi_N, is zero; Gram equality and the scaled-projection
-certificate are integer reductions through that one matrix.
+`cyclotomic_basis(N)`, the powers of zeta_N reduced mod Phi_N, is zero;
+Gram equality and the scaled-projection certificate reduce through it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import gcd, lcm, prod
 from numbers import Rational
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -290,53 +290,45 @@ def cyclotomic_zero(terms: np.ndarray, n: int) -> bool:
 
 @dataclass
 class ExactGram:
-    """Gram matrix with entry (i, j) = sum_e terms[i, j, e] / 2 * zeta_modulus^e.
+    """Gram matrix with entry (i, j) = coeff2[i, j] / 2 * zeta_modulus^zexp[i, j].
 
-    `terms` is an (n, n, modulus) int64 array; coefficients are stored
-    doubled so that every Gram here has integer terms.
+    `coeff2` and `zexp` are n x n int64 arrays, one root-of-unity term per
+    entry; the coefficients are stored doubled so that they are integers.
     """
 
     n: int
     modulus: int
-    terms: np.ndarray
-
-    @staticmethod
-    def zeros(n: int, modulus: int) -> "ExactGram":
-        """The zero Gram, its n * n * modulus terms refused past the array limit before allocation."""
-        refuse_past_limit(n * n * modulus, f"an exact {n}x{n} Gram over {modulus}-th roots of unity")
-        return ExactGram(n, modulus, np.zeros((n, n, modulus), dtype=np.int64))
+    coeff2: np.ndarray
+    zexp: np.ndarray
 
     def to_complex(self) -> np.ndarray:
         powers = np.exp(2j * np.pi / self.modulus) ** np.arange(self.modulus)
-        # row by row, so no complex copy of the whole term array is made
-        return np.stack([row @ powers for row in self.terms]) / 2
+        return self.coeff2 * powers[self.zexp] / 2
 
     def to_gram_matrix(self) -> GramMatrix:
         """The float Gram, made exactly Hermitian."""
         entries = self.to_complex()
         return GramMatrix(self.n, (entries + entries.conj().T) / 2)
 
-    def single_term_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(coefficients doubled to integers, exponents) for one-term entries."""
-        if np.any(np.count_nonzero(self.terms, axis=2) > 1):
-            raise NumericError("entry is not a single root-of-unity term")
-        zexp = np.argmax(self.terms != 0, axis=2)
-        coeff2 = np.take_along_axis(self.terms, zexp[..., None], axis=2)[..., 0]
-        return coeff2, zexp
-
-    def equals(self, other: "ExactGram") -> bool:
-        if (self.n, self.modulus) != (other.n, other.modulus):
-            return False
-        return all(cyclotomic_zero(a - b, self.modulus) for a, b in zip(self.terms, other.terms))
+    def equals(self, rows: Iterable[np.ndarray]) -> bool:
+        """Do exactly n rows, row i an (n, modulus) array of doubled
+        coefficients by exponent, give this Gram in Q(zeta_modulus)?"""
+        for row, c, e in itertools.zip_longest(rows, self.coeff2, self.zexp):
+            if c is None or np.shape(row) != (self.n, self.modulus):
+                return False
+            diff = np.array(row, dtype=np.int64)
+            diff[np.arange(self.n), e] -= c
+            if not cyclotomic_zero(diff, self.modulus):
+                return False
+        return True
 
     def export_entries(self) -> list[list[dict]]:
-        """JSON-friendly exact entries; single-term cells only.
+        """JSON-friendly exact entries.
 
         Equal cells share one dict: the nested lists hold references to one
         dict per distinct (coefficient, exponent) pair.
         """
-        coeff2, zexp = self.single_term_arrays()
-        keys, inverse = np.unique((coeff2 * self.modulus + zexp).ravel(), return_inverse=True)
+        keys, inverse = np.unique((self.coeff2 * self.modulus + self.zexp).ravel(), return_inverse=True)
         cells = np.empty(len(keys), dtype=object)
         for k, key in enumerate(keys.tolist()):
             c, e = divmod(key, self.modulus)  # a cell's coeff2 and zexp
@@ -356,34 +348,34 @@ def heis_etf_gram(spec: AbelianGroupSpec, gamma: GammaTwist, parity: str) -> Exa
         raise InputError(f"parity must be 'even' or 'odd', got {parity!r}")
     g = gamma.for_spec(spec)
     n_mod = spec.exponent
-    gram = ExactGram.zeros(spec.order**2, n_mod)
+    n = spec.order**2
+    refuse_past_limit(n * n * n_mod, f"an exact {n}x{n} Gram over {n_mod}-th roots of unity")
     elems = np.array(spec.elements(), dtype=np.int64)
     a = np.repeat(elems, len(elems), axis=0)  # K = A x A^ in k_elements order
     alpha = np.tile(elems, (len(elems), 1))
     weights = np.array([n_mod // m for m in spec.moduli], dtype=np.int64)
     pairing = (a * weights) @ alpha.T  # [i, j] = <a_i, alpha_j>, as an exponent
-    # Gram[i, j] = <phi_j, phi_i> = +-(1/2) gamma([u_j, u_i]^(1/2))
-    exps = (g * spec.half * ((pairing - pairing.T) % n_mod)) % n_mod
+    # Gram[i, j] = <phi_j, phi_i> = +-(1/2) gamma([u_j, u_i]^(1/2)), exponent 0 on the diagonal
+    zexp = (g * spec.half * ((pairing - pairing.T) % n_mod)) % n_mod
     sign = 1 if parity == "even" else -1
-    np.put_along_axis(gram.terms, exps[..., None], sign, axis=2)
-    diag = np.arange(gram.n)
-    gram.terms[diag, diag, 0] = spec.order + sign
-    return gram
+    coeff2 = np.full((n, n), sign, dtype=np.int64)
+    np.fill_diagonal(coeff2, spec.order + sign)
+    return ExactGram(n, n_mod, coeff2, zexp)
 
 
-def heis_etf_gram_direct(spec: AbelianGroupSpec, gamma: GammaTwist, parity: str) -> ExactGram:
+def heis_etf_gram_direct(spec: AbelianGroupSpec, gamma: GammaTwist, parity: str) -> Iterator[np.ndarray]:
     """The same Gram by direct Hilbert-Schmidt traces of monomial products.
 
     Entry (i, j) is tr(pi(u_j, 1) P P* pi(u_i, 1)*) with P the parity
     projector, expanded through P = (I +- R)/2 so every trace is a trace
-    of a monomial matrix: a count of its fixed points by exponent.
+    of a monomial matrix: a count of its fixed points by exponent.  Checked
+    at the call, the rows come as read: (n, N) doubled coefficients by exponent.
     """
     if parity not in ("even", "odd"):
         raise InputError(f"parity must be 'even' or 'odd', got {parity!r}")
     if spec.order > 49:
         raise ResourceError("direct Hilbert-Schmidt computation is capped at |A| <= 49")
     n_mod = spec.exponent
-    gram = ExactGram.zeros(spec.order**2, n_mod)
     rev = np.array(reversal_matrix(spec).col)
     sign = 1 if parity == "even" else -1
     # row k = (a, alpha) of col/exp is pi(a, alpha, 0) (see `schrodinger_matrix`):
@@ -399,18 +391,18 @@ def heis_etf_gram_direct(spec: AbelianGroupSpec, gamma: GammaTwist, parity: str)
     adj_col, adj_exp = np.empty_like(col), np.empty_like(exp)
     np.put_along_axis(adj_col, col, np.arange(col.shape[1]), axis=1)
     np.put_along_axis(adj_exp, col, -exp % n_mod, axis=1)
-    for row, a_col, a_exp in zip(gram.terms, adj_col, adj_exp):
-        # (M @ O)[r] has column O.col[M.col[r]] and exponent M.exp[r] + O.exp[M.col[r]];
-        # O is pi(u_i)* for the identity half of P P* and R pi(u_i)* for the other.
-        for o_col, o_exp, weight in ((a_col, a_exp, 1), (a_col[rev], a_exp[rev], sign)):
-            counts = _fixed_point_counts(o_col[col], (exp + o_exp[col]) % n_mod, n_mod)
-            row += weight * counts
-    return gram
+
+    def counts(o_col: np.ndarray, o_exp: np.ndarray) -> np.ndarray:
+        # (M @ O)[r] has column O.col[M.col[r]] and exponent M.exp[r] + O.exp[M.col[r]]
+        return _fixed_point_counts(o_col[col], (exp + o_exp[col]) % n_mod, n_mod)
+
+    # O is pi(u_i)* for the identity half of P P* and R pi(u_i)* for the other
+    return (counts(c, e) + sign * counts(c[rev], e[rev]) for c, e in zip(adj_col, adj_exp))
 
 
 def _is_scaled_projection(gram: ExactGram, num: int, den: int) -> bool:
-    """gram @ gram == (num / den) * gram, for single-term entries, in integers."""
-    coeff2, zexp = gram.single_term_arrays()
+    """gram @ gram == (num / den) * gram, in integers."""
+    coeff2, zexp = gram.coeff2, gram.zexp
     n, n_mod = gram.n, gram.modulus
     cols = np.broadcast_to(np.arange(n), (n, n))
     for i in range(n):
@@ -433,7 +425,7 @@ def exact_scaled_projection_check(gram: ExactGram, constant: Rational) -> bool:
 def exact_is_etf(gram: ExactGram) -> bool:
     """Exact ETF certificate: constant diagonal, constant off-diagonal
     modulus, and a scalar multiple of a projection."""
-    coeff2, zexp = gram.single_term_arrays()
+    coeff2, zexp = gram.coeff2, gram.zexp
     n = gram.n
     diag = coeff2.diagonal()
     if np.any(zexp.diagonal() % gram.modulus != 0) or np.any(diag != diag[0]) or diag[0] <= 0:

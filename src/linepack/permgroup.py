@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import errors
 from .errors import InputError, NumericError, refuse_past_limit
 
 
@@ -162,11 +163,14 @@ class _Transversal:
     never replaced, so a Schreier generator, once formed, stays the same
     element however far the orbit or the generator list grows later.
     ``cursor[j]`` counts the orbit points already paired with ``gens[j]``.
+    With `release_reps`, each representative is dropped once every generator
+    has passed its point, leaving ``invs``; no generator is taken after that.
     """
 
-    def __init__(self, point: int, degree: int):
+    def __init__(self, point: int, degree: int, release_reps: bool = False):
         ident = np.arange(degree, dtype=np.intp)
         self.point = point
+        self.release_reps = release_reps
         self.orbit = [point]
         self.reps: list[Optional[np.ndarray]] = [None] * degree
         self.invs: list[Optional[np.ndarray]] = [None] * degree
@@ -175,23 +179,26 @@ class _Transversal:
         self.cursor: list[int] = []
 
     def add_generator(self, g: np.ndarray) -> None:
+        """Take g, refused first if the orbit of `point` it gives would make the tables
+        kept, ``invs`` and unless released ``reps``, pass the limit: an orbit of at most
+        `degree` points is counted only when `degree` points would pass it."""
+        tables = 1 if self.release_reps else 2
+        if tables * g.size * g.size > errors.MAX_ARRAY_ENTRIES:
+            label = _suborbits(self.gens + [g], g.size)
+            entries = tables * int(np.count_nonzero(label == label[self.point])) * g.size
+            refuse_past_limit(entries, f"the transversal of point {self.point} of degree {g.size}")
         self.gens.append(g)
         self.cursor.append(0)
 
-    def schreier_generators(self, release_reps: bool = False) -> Iterator[np.ndarray]:
+    def schreier_generators(self) -> Iterator[np.ndarray]:
         """Visit every new (orbit point, generator) pair once, point-major.
 
         A pair that reaches a new point extends the orbit (breadth-first,
         generators in the given order, so the result is reproducible); any
         other pair yields its Schreier generator ``invs[g(p)] * g * reps[p]``.
         Each pair is marked visited before it is yielded, so a caller may
-        stop at any yield and resume with a fresh call.  With
-        `release_reps`, each representative is dropped once every generator
-        has passed its point, which leaves only ``invs``; the transversal
-        then takes no further generators.  A new orbit point is refused if the
-        tables kept, ``invs`` and unless released ``reps``, would pass the limit.
+        stop at any yield and resume with a fresh call.
         """
-        tables = 1 if release_reps else 2
         k = min(self.cursor, default=len(self.orbit))
         while k < len(self.orbit):
             rep = self.reps[self.orbit[k]]
@@ -203,14 +210,12 @@ class _Transversal:
                 q = moved.item(self.point)
                 inv = self.invs[q]
                 if inv is None:
-                    entries = tables * (len(self.orbit) + 1) * moved.size
-                    refuse_past_limit(entries, f"the transversal of point {self.point} of degree {moved.size}")
                     self.orbit.append(q)
                     self.reps[q] = moved
                     self.invs[q] = _invert_array(moved)
                 else:
                     yield inv[moved]
-            if release_reps:
+            if self.release_reps:
                 self.reps[self.orbit[k]] = rep = None
             k += 1
 
@@ -410,8 +415,8 @@ def is_transitive(action: GroupAction) -> bool:
 
 
 def _generator_transversal(group: PermutationGroup, point: int) -> _Transversal:
-    """The (still unexplored) transversal of `point` under the group's generators."""
-    transversal = _Transversal(point, group.degree)
+    """The unexplored transversal of `point` under the group's generators, releasing its reps."""
+    transversal = _Transversal(point, group.degree, release_reps=True)
     for g in group.generators:
         transversal.add_generator(_as_array(g.images))
     return transversal

@@ -229,7 +229,7 @@ def scheme_from_action(action: GroupAction) -> SchurianScheme:
     n = action.point_count
     refuse_orbital_matrix_past_limit(n)
     transversal = _generator_transversal(action.group, 0)
-    suborbit = _suborbits(transversal.schreier_generators(release_reps=True), n)
+    suborbit = _suborbits(transversal.schreier_generators(), n)
     # each inverse goes once its row is gathered, as each representative
     # went once the scan passed it: n^2 entries of them at most, not 2 n^2
     orbital_of = np.empty((n, n), dtype=np.int64)

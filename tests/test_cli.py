@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import re
 import time
@@ -155,9 +156,10 @@ def test_heisenberg_verify_reports_a_disagreeing_direct_gram(capsys, monkeypatch
     direct = cli.heis_etf_gram_direct
 
     def shifted(spec, gamma, parity):
-        gram = direct(spec, gamma, parity)
-        gram.terms[0, 1] = np.roll(gram.terms[0, 1], 1)
-        return gram
+        rows = direct(spec, gamma, parity)
+        first = next(rows)
+        first[1] = np.roll(first[1], 1)
+        return itertools.chain([first], rows)
 
     monkeypatch.setattr(cli, "heis_etf_gram_direct", shifted)
     code = main(["heisenberg", "--moduli", "3", "--parity", "odd", "--verify"])
@@ -165,6 +167,20 @@ def test_heisenberg_verify_reports_a_disagreeing_direct_gram(capsys, monkeypatch
     assert code == 3
     assert captured.out == ""
     assert "closed-form Gram disagrees" in captured.err
+
+
+def test_heisenberg_verify_past_the_direct_cap_is_refused_before_the_closed_form(capsys, monkeypatch):
+    # Z_3^4: |A| = 81 is past the direct traces' cap, while the closed form's
+    # 6561^2 * 3 terms are under the size limit and would be built first
+    def closed_form(*args):
+        raise AssertionError("the closed form was built")
+
+    monkeypatch.setattr(cli, "heis_etf_gram", closed_form)
+    code = main(["heisenberg", "--moduli", "3,3,3,3", "--verify"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "capped at |A| <= 49" in captured.err
 
 
 def test_heisenberg_oversized_gram_is_refused_at_once(capsys):

@@ -19,6 +19,7 @@ and the reference tensor is the source of the center oracle in
 
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -386,6 +387,22 @@ def test_chain_is_refused_as_a_level_grows(monkeypatch, capsys, tmp_path):
     assert main(["idempotents", str(path), "--action", "regular"]) == 4
     captured = capsys.readouterr()
     assert captured.out == "" and "transversal" in captured.err
+
+
+def test_chain_is_refused_before_a_level_grows(monkeypatch):
+    # a 1000-cycle on 10^4 points: two tables of 1000 * 10^4 entries pass a limit
+    # of 10^6, and the refusal comes before any table has grown, at O(degree) memory
+    degree = 10**4
+    cycle = PermutationGroup(degree, [[(i + 1) % 1000 if i < 1000 else i for i in range(degree)]])
+    monkeypatch.setattr(errors, "MAX_ARRAY_ENTRIES", 10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="transversal of point 0 of degree 10000"):
+            cycle.order
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * degree * np.dtype(np.intp).itemsize
 
 
 def signature_block(rng, rows, cols, values):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from linepack.errors import MAX_ARRAY_ENTRIES, InputError, ResourceError
 from linepack.frames import coherence, gram_rank, is_etf, welch_bound
 from linepack.heisenberg import (
-    ExactGram,
     GammaTwist,
     HeisenbergElement,
     cyclotomic_basis,
@@ -40,6 +40,13 @@ def unit(n, e):
     out = np.zeros(n, dtype=np.int64)
     out[e % n] = 1
     return out
+
+
+def closed_terms(gram):
+    """The closed form expanded to terms: [i, j, e] is the doubled coefficient of zeta^e."""
+    terms = np.zeros((gram.n, gram.n, gram.modulus), dtype=np.int64)
+    np.put_along_axis(terms, gram.zexp[..., None], gram.coeff2[..., None], axis=2)
+    return terms
 
 
 def test_spec_validation():
@@ -245,9 +252,10 @@ def test_closed_form_matches_float_oracle(moduli, parity):
     spec = make_spec(moduli)
     oracle = hs_gram_float_oracle(spec, GAMMA1, parity)
     closed = heis_etf_gram(spec, GAMMA1, parity)
-    direct = heis_etf_gram_direct(spec, GAMMA1, parity)
+    direct = np.stack(list(heis_etf_gram_direct(spec, GAMMA1, parity)))
+    powers = np.exp(2j * np.pi / spec.exponent) ** np.arange(spec.exponent)
     assert np.abs(closed.to_complex() - oracle).max() < 1e-10
-    assert np.abs(direct.to_complex() - oracle).max() < 1e-10
+    assert np.abs(direct @ powers / 2 - oracle).max() < 1e-10
 
 
 # every odd abelian group of order <= 15, two twists, both parities
@@ -268,7 +276,7 @@ def test_closed_equals_direct(moduli):
 @pytest.mark.parametrize("moduli, g", [((5,), 2), ((3, 3), 1), ((3, 3), 2)])
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_direct_terms_match_per_element_monomial_products(moduli, g, parity):
-    # terms[i, j] = tr(pi_j pi_i*) +- tr(pi_j R pi_i*), each a fixed-point
+    # row i, column j = tr(pi_j pi_i*) +- tr(pi_j R pi_i*), each a fixed-point
     # count by exponent, from one `schrodinger_matrix` per element of K
     spec, gamma = make_spec(moduli), GammaTwist(g)
     sign = 1 if parity == "even" else -1
@@ -281,14 +289,14 @@ def test_direct_terms_match_per_element_monomial_products(moduli, g, parity):
             for adj in (mi.adjoint() for mi in mats)
         ]
     )
-    assert np.array_equal(heis_etf_gram_direct(spec, gamma, parity).terms, expected)
+    assert np.array_equal(np.stack(list(heis_etf_gram_direct(spec, gamma, parity))), expected)
 
 
 def test_direct_diagonal_is_projector_rank():
     for parity, rank in (("even", 2), ("odd", 1)):
-        direct = heis_etf_gram_direct(Z3, GAMMA1, parity)
-        for i in range(direct.n):
-            assert np.array_equal(direct.terms[i, i], 2 * rank * unit(3, 0))
+        direct = np.stack(list(heis_etf_gram_direct(Z3, GAMMA1, parity)))
+        for i in range(len(direct)):
+            assert np.array_equal(direct[i, i], 2 * rank * unit(3, 0))
 
 
 @pytest.mark.parametrize("moduli", [(3,), (5,)])
@@ -350,7 +358,8 @@ def test_positive_type_invariance_under_sl2_3():
                 ((m[0][0] * a + m[0][1] * alpha) % 3,),
                 ((m[1][0] * a + m[1][1] * alpha) % 3,),
             )
-            assert np.array_equal(gram.terms[0, index[u]], gram.terms[0, index[image]])
+            for cells in (gram.coeff2, gram.zexp):
+                assert cells[0, index[u]] == cells[0, index[image]]
 
 
 def test_sp_membership_examples():
@@ -410,10 +419,10 @@ NONVACUOUS = [(5,), (15,), (3, 3)]
 def test_equals_detects_one_shifted_exponent(moduli):
     spec = make_spec(moduli)
     closed = heis_etf_gram(spec, GAMMA1, "odd")
-    direct = heis_etf_gram_direct(spec, GAMMA1, "odd")
-    assert closed.equals(direct)
-    direct.terms[0, 1] = np.roll(direct.terms[0, 1], 1)
-    assert not closed.equals(direct)
+    direct = list(heis_etf_gram_direct(spec, GAMMA1, "odd"))
+    assert closed.equals(iter(direct))
+    direct[0][1] = np.roll(direct[0][1], 1)
+    assert not closed.equals(iter(direct))
 
 
 # the roots zeta^(step k) of the exponent N sum to zero: for N = 15, the five zeta^(3k)
@@ -421,11 +430,11 @@ def test_equals_detects_one_shifted_exponent(moduli):
 def test_equals_reduces_mod_the_cyclotomic_polynomial(moduli, step):
     spec = make_spec(moduli)
     closed = heis_etf_gram(spec, GAMMA1, "even")
-    direct = heis_etf_gram_direct(spec, GAMMA1, "even")
-    direct.terms[0, 1, ::step] += 1
-    assert np.count_nonzero(direct.terms[0, 1]) > 1
-    assert not np.array_equal(closed.terms, direct.terms)
-    assert closed.equals(direct)
+    direct = list(heis_etf_gram_direct(spec, GAMMA1, "even"))
+    direct[0][1, ::step] += 1
+    assert np.count_nonzero(direct[0][1]) > 1
+    assert not np.array_equal(closed_terms(closed), np.stack(direct))
+    assert closed.equals(iter(direct))
 
 
 @pytest.mark.parametrize("moduli", NONVACUOUS)
@@ -442,8 +451,8 @@ def test_exact_is_etf_rejects_a_shifted_exponent_pair(moduli):
     gram = heis_etf_gram(make_spec(moduli), GAMMA1, "odd")
     assert exact_is_etf(gram)
     # zeta G[0, 1] and its conjugate: still Hermitian, equal moduli, not a scaled projection
-    gram.terms[0, 1] = np.roll(gram.terms[0, 1], 1)
-    gram.terms[1, 0] = np.roll(gram.terms[1, 0], -1)
+    gram.zexp[0, 1] = (gram.zexp[0, 1] + 1) % gram.modulus
+    gram.zexp[1, 0] = (gram.zexp[1, 0] - 1) % gram.modulus
     assert not exact_is_etf(gram)
 
 
@@ -451,7 +460,37 @@ def test_oversized_exact_gram_is_refused_before_allocation():
     # Z_43: 1849^2 entries over 43rd roots of unity is 1.47e8 terms
     spec = make_spec((43,))
     assert spec.order**4 * spec.exponent > MAX_ARRAY_ENTRIES
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match="exact 1849x1849 Gram over 43-th roots of unity"):
         heis_etf_gram(spec, GAMMA1, "odd")
-    with pytest.raises(ResourceError):
-        ExactGram.zeros(2**14, 1)
+
+
+def test_exact_checks_hold_no_term_array():
+    # the closed form and the streamed direct rows at Z_15 peak below half of
+    # one (n, n, N) int64 term array
+    spec = make_spec((15,))
+    n = spec.order**2
+    tracemalloc.start()
+    try:
+        assert heis_etf_gram(spec, GAMMA1, "odd").equals(heis_etf_gram_direct(spec, GAMMA1, "odd"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * spec.exponent * 4
+
+
+@pytest.mark.parametrize("moduli, parity", [((13,), "odd"), ((3, 3), "even"), ((3, 9), "odd")])
+@pytest.mark.parametrize("g", [1, 2])
+def test_to_complex_matches_the_term_rows_bit_for_bit(moduli, parity, g):
+    # against the float Gram of one-hot term rows times the powers of zeta
+    gram = heis_etf_gram(make_spec(moduli), GammaTwist(g), parity)
+    powers = np.exp(2j * np.pi / gram.modulus) ** np.arange(gram.modulus)
+    expected = np.stack([row @ powers for row in closed_terms(gram)]) / 2
+    assert gram.to_complex().tobytes() == expected.tobytes()
+
+
+def test_equals_needs_exactly_n_rows():
+    closed = heis_etf_gram(Z3, GAMMA1, "odd")
+    direct = list(heis_etf_gram_direct(Z3, GAMMA1, "odd"))
+    assert closed.equals(iter(direct))
+    assert not closed.equals(iter(direct[:-1]))
+    assert not closed.equals(iter(direct + direct[:1]))
