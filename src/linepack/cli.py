@@ -45,13 +45,6 @@ from .symmetry import DEFAULT_NODE_CAP, find_gram_isomorphism, gram_symmetry_gro
 
 MAX_SUBSET_BITS = 20
 
-_FIXTURE_GROUPS = {
-    "agl": "agl_f2_3_lines.json",
-    "sl2_f8": "sl2_f8_projective.json",
-    "m11": "m11_on_12_points.json",
-}
-
-
 def _read_json(path_str: str, what: str):
     """Parsed contents of a JSON input file; unreadable or malformed files are input errors."""
     try:
@@ -71,8 +64,7 @@ def _parse_ints(text: str, what: str) -> list[int]:
 
 def _load_group(spec: str):
     if spec.startswith("fixture:"):
-        name = spec.split(":", 1)[1]
-        return fixtures.load_group_fixture(_FIXTURE_GROUPS.get(name, name))
+        return fixtures.named_group(spec.split(":", 1)[1])
     return fixtures.group_from_json(_read_json(spec, "group"))
 
 
@@ -367,8 +359,7 @@ def cmd_symmetry(args) -> dict:
 
 
 def _verify_figure2() -> dict:
-    action = fixtures.agl_line_action()
-    sch = scheme_from_action(action)
+    sch = scheme_from_action(GroupAction(fixtures.named_group("agl")))
     dec = central_primitive_idempotents(sch)
     checks: dict = {"multiplicity_free": multiplicity_free(dec)}
     target = fixtures.figure2_gram()
@@ -446,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         p.add_argument("--output", default=None)
         if group:
-            p.add_argument("group", help="group JSON path or fixture:{agl,sl2_f8,m11}")
+            p.add_argument("group", help=f"group JSON path or fixture:NAME, NAME one of {fixtures.GROUP_NAMES}")
             p.add_argument("--action", default="natural", choices=["natural", "pairs", "regular"])
         return p
 

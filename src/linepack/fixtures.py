@@ -1,7 +1,7 @@
-"""Shipped fixtures: figure matrices, group actions, and the Hoggar data.
+"""Shipped fixtures: figure matrices, named groups, and the Hoggar data.
 
 Figure matrices are stored as exact Gaussian-integer numerators over a
-common denominator; group fixtures as generator image tables.  The
+common denominator; `named_group` is the one table of named groups.  The
 three-qubit Heisenberg-type group, its stabilizing unitaries U and V,
 and the fiducial vector are constructed in code.
 """
@@ -9,12 +9,14 @@ and the fiducial vector are constructed in code.
 from __future__ import annotations
 
 import json
+import re
 from importlib import resources
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, refuse_past_limit
 from .frames import GramMatrix, matrix_group_closure, matrix_key
+from .heisenberg import heisenberg_permutation_action
 from .permgroup import GroupAction, Permutation, PermutationGroup, action_on, parse_cycles
 
 
@@ -32,7 +34,9 @@ def _load_data(name: str) -> dict:
 def group_from_json(data: dict) -> PermutationGroup:
     """Group from {"degree": n, "generators": [...]} with 0-based images.
 
-    Generators may be image arrays or cycle-notation strings.
+    Generators may be image arrays or cycle-notation strings.  Their
+    degree x generators images are refused past the array limit before
+    any generator is parsed.
     """
     if not isinstance(data, dict) or "degree" not in data or "generators" not in data:
         raise InputError("group JSON needs 'degree' and 'generators'")
@@ -42,27 +46,40 @@ def group_from_json(data: dict) -> PermutationGroup:
         isinstance(g, str) or (isinstance(g, list) and all(type(x) is int for x in g)) for g in gens
     ):
         raise InputError("group JSON needs an integer degree and generators of integer images")
+    refuse_past_limit(degree * len(gens), "the group's generator images")
     gens = [parse_cycles(g, degree) if isinstance(g, str) else Permutation(tuple(g)) for g in gens]
     return PermutationGroup(degree, gens)
 
 
-def load_group_fixture(name: str) -> PermutationGroup:
-    return group_from_json(_load_data(name))
+_SHIPPED = {"agl": "agl_f2_3_lines.json", "sl2_f8": "sl2_f8_projective.json", "m11": "m11_on_12_points.json"}
+
+# family -> (least n, generator count, generator images on n points)
+_FAMILIES = {
+    "s": (2, 2, lambda m: [[*range(1, m), 0], [1, 0, *range(2, m)]]),
+    "z": (1, 1, lambda n: [[*range(1, n), 0]]),
+    "d": (3, 2, lambda n: [[*range(1, n), 0], [-i % n for i in range(n)]]),
+}
+
+GROUP_NAMES = ", ".join(
+    [*_SHIPPED, "hoggar", "heis<p> (p = 3, 5, 7)"] + [f"{f}<n> (n >= {row[0]})" for f, row in _FAMILIES.items()]
+)
 
 
-def agl_line_action() -> GroupAction:
-    """AGL(3, 2) acting on the 28 affine lines of F_2^3."""
-    return GroupAction(load_group_fixture("agl_f2_3_lines.json"))
-
-
-def sl2_f8_action() -> GroupAction:
-    """SL(2, 8) acting on the 9 points of the projective line over F_8."""
-    return GroupAction(load_group_fixture("sl2_f8_projective.json"))
-
-
-def m11_action() -> GroupAction:
-    """The Mathieu group M_11 in its 3-transitive action on 12 points."""
-    return GroupAction(load_group_fixture("m11_on_12_points.json"))
+def named_group(name: str) -> PermutationGroup:
+    """The group ``fixture:NAME`` names, one of `GROUP_NAMES` or else a data file, built on each call."""
+    if name == "hoggar":
+        return hoggar_heisenberg_action().group
+    match = re.fullmatch(r"(heis|s|z|d)(0|[1-9][0-9]*)", name)
+    if match is None:
+        return group_from_json(_load_data(_SHIPPED.get(name, name)))
+    family, n = match[1], int(match[2])
+    if family == "heis":
+        return heisenberg_permutation_action(n).group
+    least, count, images = _FAMILIES[family]
+    if n < least:
+        raise InputError(f"no such fixture: {name}; {family}<n> needs n >= {least}")
+    refuse_past_limit(count * n, f"the generator images of {name}")
+    return PermutationGroup(n, images(n))
 
 
 def load_figure_gram(name: str) -> GramMatrix:
@@ -94,6 +111,10 @@ def figure4_gram() -> GramMatrix:
 # --- three-qubit Heisenberg-type group and the Hoggar fiducial ---------------
 
 
+_T = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+_M = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+
+
 def _tensor3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.kron(np.kron(a, b), c)
 
@@ -104,16 +125,9 @@ def pauli_tensor_generators() -> list[np.ndarray]:
     T is the bit flip, M the sign flip; together with the scalar i I_8
     they generate a slightly enlarged three-qubit Weyl-Heisenberg group.
     """
-    t = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    m = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
     eye = np.eye(2, dtype=np.complex128)
-    gens = [1j * np.eye(8, dtype=np.complex128)]
-    for slot in range(3):
-        for base in (t, m):
-            factors = [eye, eye, eye]
-            factors[slot] = base
-            gens.append(_tensor3(*factors))
-    return gens
+    singles = [[base if i == slot else eye for i in range(3)] for slot in range(3) for base in (_T, _M)]
+    return [1j * np.eye(8, dtype=np.complex128)] + [_tensor3(*factors) for factors in singles]
 
 
 def hoggar_stabilizer_generators() -> tuple[np.ndarray, np.ndarray]:
@@ -190,16 +204,14 @@ def hoggar_central_element_indices() -> dict[str, int]:
     """
     index = {matrix_key(m): i for i, m in enumerate(_pauli_elements()[1])}
     eye2 = np.eye(2, dtype=np.complex128)
-    t = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    m = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
     named = {
         "identity": np.eye(8, dtype=np.complex128),
         "minus_identity": -np.eye(8, dtype=np.complex128),
         "i_identity": 1j * np.eye(8, dtype=np.complex128),
         "minus_i_identity": -1j * np.eye(8, dtype=np.complex128),
-        "m_slot0": _tensor3(m, eye2, eye2),
-        "t_slot0": _tensor3(t, eye2, eye2),
-        "tm_slot0": _tensor3(t @ m, eye2, eye2),
-        "tm_slot1": _tensor3(eye2, t @ m, eye2),
+        "m_slot0": _tensor3(_M, eye2, eye2),
+        "t_slot0": _tensor3(_T, eye2, eye2),
+        "tm_slot0": _tensor3(_T @ _M, eye2, eye2),
+        "tm_slot1": _tensor3(eye2, _T @ _M, eye2),
     }
     return {name: index[matrix_key(mat)] for name, mat in named.items()}

@@ -117,14 +117,13 @@ def parse_cycles(text: str, degree: int = 0) -> Permutation:
     stripped = text.strip()
     if stripped and not re.fullmatch(r"(\s*\([\d\s,]*\)\s*)+|\s*", stripped):
         raise InputError(f"cannot parse cycle notation: {text!r}")
-    cycles = []
-    for body in _CYCLE_RE.findall(stripped):
-        pts = [int(tok) for tok in re.split(r"[,\s]+", body.strip()) if tok]
-        if len(pts) != len(set(pts)):
-            raise InputError(f"repeated point in cycle: ({body})")
-        if pts:
-            cycles.append(pts)
-    n = max([degree] + [max(c) + 1 for c in cycles if c])
+    bodies = _CYCLE_RE.findall(stripped)
+    cycles = [[int(tok) for tok in re.split(r"[,\s]+", body.strip()) if tok] for body in bodies]
+    # a point met twice, in one cycle or in two, makes no product of disjoint cycles
+    points = [p for c in cycles for p in c]
+    if len(points) != len(set(points)):
+        raise InputError(f"repeated point in cycle notation: {text!r}")
+    n = max([degree, *(p + 1 for p in points)])
     images = list(range(n))
     for cyc in cycles:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
@@ -303,6 +302,8 @@ class PermutationGroup:
     """A group of permutations of {0, ..., degree-1}, given by generators."""
 
     def __init__(self, degree: int, generators: Iterable[Permutation]):
+        if degree < 0:
+            raise InputError(f"group degree must be non-negative, got {degree}")
         gens = tuple(g if isinstance(g, Permutation) else Permutation(tuple(g)) for g in generators)
         for g in gens:
             if g.degree != degree:

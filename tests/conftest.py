@@ -1,12 +1,8 @@
 import pytest
 from hypothesis import settings
 
-from linepack.permgroup import (
-    GroupAction,
-    PermutationGroup,
-    induced_pair_action,
-    regular_action,
-)
+from linepack.fixtures import named_group
+from linepack.permgroup import GroupAction, PermutationGroup, induced_pair_action, regular_action
 from linepack.scheme import conjugacy_class_scheme, scheme_from_action
 
 
@@ -16,14 +12,8 @@ settings.register_profile("linepack", derandomize=True, deadline=None)
 settings.load_profile("linepack")
 
 
-def cyclic_group(n):
-    return PermutationGroup.from_cycles(n, ["(" + " ".join(map(str, range(n))) + ")"])
-
-
-S3 = PermutationGroup.from_cycles(3, ["(0 1 2)", "(0 1)"])
-D4 = PermutationGroup.from_cycles(4, ["(0 1 2 3)", "(1 3)"])
+S3, S4, D4 = named_group("s3"), named_group("s4"), named_group("d4")
 Q8 = PermutationGroup.from_cycles(8, ["(0 1 2 3)(4 6 5 7)", "(0 4 2 5)(1 7 3 6)"])
-S4 = PermutationGroup.from_cycles(4, ["(0 1 2 3)", "(0 1)"])
 
 
 def build_fixture_actions():
@@ -32,13 +22,13 @@ def build_fixture_actions():
         "s3_natural": GroupAction(S3),
         "s4_natural": GroupAction(S4),
         "d4_natural": GroupAction(D4),
-        "z3_regular": regular_action(cyclic_group(3)),
-        "z4_regular": regular_action(cyclic_group(4)),
-        "z7_regular": regular_action(cyclic_group(7)),
+        "z3_regular": regular_action(named_group("z3")),
+        "z4_regular": regular_action(named_group("z4")),
+        "z7_regular": regular_action(named_group("z7")),
         "s3_regular": regular_action(S3),
         "s3_pairs": induced_pair_action(GroupAction(S3)),
         "s4_pairs": induced_pair_action(GroupAction(S4)),
-        "z6_regular": regular_action(cyclic_group(6)),
+        "z6_regular": regular_action(named_group("z6")),
     }
 
 

@@ -20,15 +20,14 @@ import numpy as np
 import pytest
 
 from linepack.fixtures import (
-    agl_line_action,
     fiducial_vector,
     figure2_gram,
     figure3_gram,
     figure4_gram,
     hoggar_central_element_indices,
     hoggar_heisenberg_action,
+    named_group,
     pauli_tensor_generators,
-    sl2_f8_action,
 )
 from linepack.frames import (
     coherence,
@@ -60,7 +59,7 @@ from linepack.idempotents import (
     projection_from_subset,
     spherical_function_values,
 )
-from linepack.permgroup import induced_pair_action
+from linepack.permgroup import GroupAction, induced_pair_action
 from linepack.scheme import is_commutative, scheme_from_action, stable_matrix_check
 from linepack.symmetry import find_gram_isomorphism
 
@@ -73,7 +72,7 @@ def _report(num: int, desc: str, failures: list) -> None:
 
 @pytest.fixture(scope="module")
 def agl_decomposition():
-    action = agl_line_action()
+    action = GroupAction(named_group("agl"))
     scheme = scheme_from_action(action)
     return scheme, central_primitive_idempotents(scheme)
 
@@ -278,7 +277,7 @@ def test_criterion_5_mub_figures():
 
 
 def _sl2_f8_rank7_constituents():
-    action = induced_pair_action(sl2_f8_action())
+    action = induced_pair_action(GroupAction(named_group("sl2_f8")))
     scheme = scheme_from_action(action)
     dec = central_primitive_idempotents(scheme)
     real7 = [
@@ -487,7 +486,7 @@ def test_criterion_8_worked_table_rows():
         if marker not in text:
             failures.append(f"README does not document the worked row {marker}")
     # the real-table row: degree-28 transitive action reproducing the 7x28 ETF
-    action = agl_line_action()
+    action = GroupAction(named_group("agl"))
     dec = central_primitive_idempotents(scheme_from_action(action))
     rank7 = [j for j in range(dec.n_projections) if dec.ranks[j] == 7]
     gram = projection_from_subset(dec, rank7)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from test_group_arrays import random_actions, reference_structure_constants
 
 from linepack import idempotents
-from linepack.fixtures import agl_line_action, hoggar_heisenberg_action, m11_action, sl2_f8_action
+from linepack.fixtures import hoggar_heisenberg_action, named_group
 from linepack.idempotents import central_primitive_idempotents
 from linepack.permgroup import (
     GroupAction,
@@ -80,23 +80,13 @@ def oracle_center(scheme) -> np.ndarray:
     return np.array([[complex(x) for x in vec] for vec in basis], dtype=np.complex128)
 
 
-def dihedral(n):
-    return PermutationGroup(n, [[(i + 1) % n for i in range(n)], [(-i) % n for i in range(n)]])
-
-
-def cycle(n):
-    return PermutationGroup(n, [list(range(1, n)) + [0]])
-
-
-S5 = PermutationGroup.from_cycles(5, ["(0 1 2 3 4)", "(0 1)"])
-
 SCHEMES = {
-    "agl": lambda: scheme_from_action(agl_line_action()),
-    "sl2_f8_pairs": lambda: scheme_from_action(induced_pair_action(sl2_f8_action())),
-    "m11_pairs": lambda: scheme_from_action(induced_pair_action(m11_action())),
-    "d20_regular": lambda: scheme_from_action(regular_action(dihedral(20))),
-    "s5_regular": lambda: scheme_from_action(regular_action(S5)),
-    "z40_natural": lambda: scheme_from_action(GroupAction(cycle(40))),
+    "agl": lambda: scheme_from_action(GroupAction(named_group("agl"))),
+    "sl2_f8_pairs": lambda: scheme_from_action(induced_pair_action(GroupAction(named_group("sl2_f8")))),
+    "m11_pairs": lambda: scheme_from_action(induced_pair_action(GroupAction(named_group("m11")))),
+    "d20_regular": lambda: scheme_from_action(regular_action(named_group("d20"))),
+    "s5_regular": lambda: scheme_from_action(regular_action(named_group("s5"))),
+    "z40_natural": lambda: scheme_from_action(GroupAction(named_group("z40"))),
     "hoggar": lambda: scheme_from_action(hoggar_heisenberg_action()),
 }
 

@@ -31,31 +31,22 @@ def test_scheme_command(capsys, tmp_path):
     assert payload["commutative"] is True
 
 
-def test_scheme_regular_nonabelian(capsys, tmp_path):
-    group = {"degree": 3, "generators": ["(0 1 2)", "(0 1)"]}
-    path = tmp_path / "s3.json"
-    path.write_text(json.dumps(group))
-    code, payload = run(capsys, ["scheme", str(path), "--action", "regular"])
+def test_scheme_regular_nonabelian(capsys):
+    code, payload = run(capsys, ["scheme", "fixture:s3", "--action", "regular"])
     assert code == 0
     assert payload["n"] == 6
     assert payload["commutative"] is False
 
 
-def test_idempotents_command(capsys, tmp_path):
-    group = {"degree": 3, "generators": ["(0 1 2)", "(0 1)"]}
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps(group))
-    code, payload = run(capsys, ["idempotents", str(path)])
+def test_idempotents_command(capsys):
+    code, payload = run(capsys, ["idempotents", "fixture:s3"])
     assert code == 0
     assert payload["ranks"] == [1, 2]
     assert payload["multiplicity_free"] is True
 
 
-def test_scan_etf_finds_harmonic_difference_set(capsys, tmp_path):
-    group = {"degree": 7, "generators": ["(0 1 2 3 4 5 6)"]}
-    path = tmp_path / "z7.json"
-    path.write_text(json.dumps(group))
-    code, payload = run(capsys, ["scan-etf", str(path), "--action", "regular"])
+def test_scan_etf_finds_harmonic_difference_set(capsys):
+    code, payload = run(capsys, ["scan-etf", "fixture:z7", "--action", "regular"])
     assert code == 0
     etf_ranks = {
         (r["rank"], r["n"]) for r in payload["results"] if r["is_etf"] and r["n"] > 1
@@ -72,20 +63,14 @@ def test_scheme_on_pairs_fixture(capsys):
     assert payload["commutative"] is False
 
 
-def test_scan_etf_subset_cap(capsys, tmp_path):
-    group = {"degree": 21, "generators": ["(" + " ".join(map(str, range(21))) + ")"]}
-    path = tmp_path / "z21.json"
-    path.write_text(json.dumps(group))
-    code, _ = run(capsys, ["scan-etf", str(path), "--action", "regular"])
+def test_scan_etf_subset_cap(capsys):
+    code, _ = run(capsys, ["scan-etf", "fixture:z21", "--action", "regular"])
     assert code == 4
 
 
-def test_scan_etf_subset_cap_counts_scanned_subsets(capsys, tmp_path):
+def test_scan_etf_subset_cap_counts_scanned_subsets(capsys):
     # 31 projections, but only the 31 + 465 subsets of size at most 2 are scanned
-    group = {"degree": 31, "generators": ["(" + " ".join(map(str, range(31))) + ")"]}
-    path = tmp_path / "z31.json"
-    path.write_text(json.dumps(group))
-    code, payload = run(capsys, ["scan-etf", str(path), "--max-subset-size", "2"])
+    code, payload = run(capsys, ["scan-etf", "fixture:z31", "--max-subset-size", "2"])
     assert code == 0
     assert payload["n_projections"] == 31
     assert len(payload["results"]) == 496
@@ -289,6 +274,11 @@ GRAM_I2 = json.dumps(GramMatrix.from_entries(np.eye(2)).to_json_dict())
         ({"g": GRAM_I2.replace("1.0", "Infinity", 1)}, ["reduce", "@g"]),
         ({"g": GRAM_I2.replace("1.0", "Infinity", 1)}, ["symmetry", "@g"]),
         ({}, ["scheme", "fixture:nosuch"]),
+        ({}, ["scheme", "fixture:s1"]),
+        ({}, ["scheme", "fixture:heis11"]),
+        ({"g": '{"degree": -1, "generators": []}'}, ["scheme", "@g", "--action", "regular"]),
+        ({"g": '{"degree": 2, "generators": ["(0 1)(0 1)"]}'}, ["scheme", "@g"]),
+        ({"g": '{"degree": 3, "generators": ["(0 1)(1 2)"]}'}, ["scheme", "@g"]),
         ({}, ["heisenberg", "--moduli", "x"]),
         ({}, ["harmonic", "--moduli", "7", "--subset", "a"]),
         ({}, ["harmonic", "--moduli", "7", "--subset", "[[1, 2"]),
@@ -320,6 +310,11 @@ GRAM_I2 = json.dumps(GramMatrix.from_entries(np.eye(2)).to_json_dict())
         "infinite-gram-reduce",
         "infinite-gram-symmetry",
         "unknown-fixture",
+        "s1-fixture",
+        "heis11-fixture",
+        "negative-degree",
+        "cycles-sharing-all-points",
+        "cycles-sharing-one-point",
         "bad-moduli",
         "bad-subset",
         "bad-json-subset",
@@ -481,11 +476,8 @@ def test_malformed_fixture_is_input_error(capsys, tmp_path, monkeypatch):
     assert captured.err.startswith("input error: fixture broken.json is not valid JSON")
 
 
-def test_determinism_byte_identical(capsys, tmp_path):
-    group = {"degree": 5, "generators": ["(0 1 2 3 4)"]}
-    path = tmp_path / "z5.json"
-    path.write_text(json.dumps(group))
-    argv = ["scan-etf", str(path), "--action", "regular", "--seed", "11"]
+def test_determinism_byte_identical(capsys):
+    argv = ["scan-etf", "fixture:z5", "--action", "regular", "--seed", "11"]
     code1 = main(argv)
     first = capsys.readouterr().out
     code2 = main(argv)
@@ -494,7 +486,7 @@ def test_determinism_byte_identical(capsys, tmp_path):
     assert first == second
 
 
-def test_scheme_past_the_array_limit_exits_4_at_once(capsys, tmp_path, monkeypatch):
+def test_scheme_past_the_array_limit_exits_4_at_once(capsys, monkeypatch):
     # an 11586-cycle: its 11586 x 11586 orbital matrix would pass 2^27 entries;
     # S_9 regular (n = 362880) is refused from its order, before any element is listed;
     # S_2000 on pairs (n = 3998000) from its degree, before any pair is listed;
@@ -505,23 +497,13 @@ def test_scheme_past_the_array_limit_exits_4_at_once(capsys, tmp_path, monkeypat
     monkeypatch.setattr(PermutationGroup, "elements", listed)
     monkeypatch.setattr(cli, "induced_pair_action", listed)
     monkeypatch.setattr(frames, "_dual_value", listed)
-    n = 11586
-
-    def symmetric(m):
-        return [[(i + 1) % m for i in range(m)], [1, 0, *range(2, m)]]
-
     cases = [
-        (["scheme"], [[(i + 1) % n for i in range(n)]], "orbital matrix"),
-        (["idempotents", "--action", "regular"], symmetric(9), "orbital matrix"),
-        (["scheme", "--action", "pairs"], symmetric(2000), "orbital matrix"),
-        (["harmonic", "--moduli", str(n), "--subset", "1"], None, "harmonic Gram"),
+        (["scheme", "fixture:z11586"], "orbital matrix"),
+        (["idempotents", "fixture:s9", "--action", "regular"], "orbital matrix"),
+        (["scheme", "fixture:s2000", "--action", "pairs"], "orbital matrix"),
+        (["harmonic", "--moduli", "11586", "--subset", "1"], "harmonic Gram"),
     ]
-    for command, generators, what in cases:
-        argv = command
-        if generators is not None:
-            path = tmp_path / "group.json"
-            path.write_text(json.dumps({"degree": len(generators[0]), "generators": generators}))
-            argv = [*command, str(path)]
+    for argv, what in cases:
         start = time.monotonic()
         code = main(argv)
         captured = capsys.readouterr()

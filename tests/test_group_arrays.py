@@ -168,37 +168,26 @@ def assert_same_scheme(action):
     assert json.dumps(got.to_json_dict()) == json.dumps(reference_to_json_dict(want))
 
 
-def cyclic(n):
-    return PermutationGroup.from_cycles(n, ["(" + " ".join(map(str, range(n))) + ")"])
-
-
 def test_battery_matches_reference(fixture_actions):
     for action in fixture_actions.values():
         assert_same_scheme(action)
 
 
-SHIPPED = {
-    "agl": fixtures.agl_line_action,
-    "sl2_f8": fixtures.sl2_f8_action,
-    "m11": fixtures.m11_action,
-}
-
-
 @pytest.mark.parametrize("label", ["natural", "pairs"])
-@pytest.mark.parametrize("name", sorted(SHIPPED))
+@pytest.mark.parametrize("name", ["agl", "m11", "sl2_f8"])
 def test_shipped_fixtures_match_reference(name, label):
     # the AGL pair action is intransitive: both must refuse it alike
-    action = SHIPPED[name]()
+    action = GroupAction(fixtures.named_group(name))
     assert_same_scheme(action if label == "natural" else induced_pair_action(action))
 
 
 @pytest.mark.parametrize(
     "group",
     [
-        cyclic(5),
-        cyclic(12),
-        PermutationGroup.from_cycles(3, ["(0 1 2)", "(0 1)"]),
-        PermutationGroup.from_cycles(4, ["(0 1 2 3)", "(1 3)"]),
+        fixtures.named_group("z5"),
+        fixtures.named_group("z12"),
+        fixtures.named_group("s3"),
+        fixtures.named_group("d4"),
         PermutationGroup.from_cycles(8, ["(0 1 2 3)(4 6 5 7)", "(0 4 2 5)(1 7 3 6)"]),
         PermutationGroup.from_cycles(4, ["(0 1 2)", "(1 2 3)"]),
     ],
@@ -345,7 +334,7 @@ def test_suborbits_need_more_than_one_hooking_round():
 
 def test_class_schemes_serialise_as_before():
     for group in (
-        PermutationGroup.from_cycles(3, ["(0 1 2)", "(0 1)"]),
+        fixtures.named_group("s3"),
         PermutationGroup.from_cycles(8, ["(0 1 2 3)(4 6 5 7)", "(0 4 2 5)(1 7 3 6)"]),
     ):
         sch = conjugacy_class_scheme(group)
@@ -354,7 +343,7 @@ def test_class_schemes_serialise_as_before():
 
 def test_scheme_past_the_array_limit_is_refused_before_labelling(monkeypatch):
     # 11586^2 > 2^27: refused without building the transversal or the matrix
-    action = GroupAction(cyclic(11586))
+    action = GroupAction(fixtures.named_group("z11586"))
     assert 11586**2 > errors.MAX_ARRAY_ENTRIES >= 11585**2
 
     def no_transversal(*args):
@@ -366,7 +355,7 @@ def test_scheme_past_the_array_limit_is_refused_before_labelling(monkeypatch):
 
 
 def test_scheme_at_a_lowered_limit(monkeypatch):
-    s4 = PermutationGroup.from_cycles(4, ["(0 1 2 3)", "(0 1)"])
+    s4 = fixtures.named_group("s4")
     monkeypatch.setattr(errors, "MAX_ARRAY_ENTRIES", 15)
     with pytest.raises(ResourceError):
         scheme_from_action(GroupAction(s4))
@@ -593,23 +582,16 @@ def images_or_error(build, *args):
     return action.point_count, [g.images for g in action.group.generators]
 
 
-def symmetric(n):
-    return PermutationGroup.from_cycles(n, ["(" + " ".join(map(str, range(n))) + ")", "(0 1)"])
-
-
 BUILDER_GROUPS = {
-    **{f"s{n}": (lambda n=n: symmetric(n)) for n in range(3, 7)},
+    **{
+        name: (lambda name=name: fixtures.named_group(name))
+        for name in ("s3", "s4", "s5", "s6", "d20", "z6", "sl2_f8", "agl")
+    },
     "q8": lambda: PermutationGroup.from_cycles(8, ["(0 1 2 3)(4 6 5 7)", "(0 4 2 5)(1 7 3 6)"]),
-    "d20": lambda: PermutationGroup(
-        20, [[(i + 1) % 20 for i in range(20)], [(-i) % 20 for i in range(20)]]
-    ),
-    "z6": lambda: cyclic(6),
     # Z_2 x Z_4 in its regular action
     "z2xz4": lambda: PermutationGroup.from_cycles(
         8, ["(0 1)(2 3)(4 5)(6 7)", "(0 2 4 6)(1 3 5 7)"]
     ),
-    "sl2_f8": lambda: fixtures.sl2_f8_action().group,
-    "agl": lambda: fixtures.agl_line_action().group,
     "trivial": lambda: PermutationGroup(1, []),
 }
 

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from linepack import idempotents
 from linepack.cli import main
 from linepack.errors import NumericError
-from linepack.fixtures import m11_action
+from linepack.fixtures import named_group
 from linepack.idempotents import (
     central_primitive_idempotents,
     multiplicity_free,
@@ -27,37 +26,28 @@ from linepack.scheme import (
     stable_matrix_check,
 )
 
-S3 = PermutationGroup.from_cycles(3, ["(0 1 2)", "(0 1)"])
-
-
-def cyclic(n):
-    return PermutationGroup.from_cycles(n, ["(" + " ".join(map(str, range(n))) + ")"])
-
-
-def dihedral(n):
-    """Rotation and reflection of the n-gon; order 2n."""
-    return PermutationGroup(n, [[(i + 1) % n for i in range(n)], [(-i) % n for i in range(n)]])
+S3 = named_group("s3")
 
 
 def m11_pairs_scheme():
-    return scheme_from_action(induced_pair_action(m11_action()))
+    return scheme_from_action(induced_pair_action(GroupAction(named_group("m11"))))
 
 
 def d20_regular_scheme():
-    return scheme_from_action(regular_action(dihedral(20)))
+    return scheme_from_action(regular_action(named_group("d20")))
 
 
 def fixture_schemes():
     return [
         scheme_from_action(GroupAction(S3)),
-        scheme_from_action(regular_action(cyclic(3))),
-        scheme_from_action(regular_action(cyclic(4))),
-        scheme_from_action(regular_action(cyclic(7))),
+        scheme_from_action(regular_action(named_group("z3"))),
+        scheme_from_action(regular_action(named_group("z4"))),
+        scheme_from_action(regular_action(named_group("z7"))),
         scheme_from_action(regular_action(S3)),
         scheme_from_action(induced_pair_action(GroupAction(S3))),
         conjugacy_class_scheme(S3),
         conjugacy_class_scheme(PermutationGroup.from_cycles(8, ["(0 1 2 3)(4 6 5 7)", "(0 4 2 5)(1 7 3 6)"])),
-        scheme_from_action(GroupAction(PermutationGroup.from_cycles(5, ["(0 1 2 3 4)", "(0 1)"]))),
+        scheme_from_action(GroupAction(named_group("s5"))),
         scheme_from_action(regular_action(PermutationGroup.from_cycles(6, ["(0 1 2)", "(3 4)"]))),
     ]
 
@@ -84,7 +74,7 @@ def test_s3_natural_two_projections():
 
 
 def test_z3_regular_matches_dft_oracle():
-    sch = scheme_from_action(regular_action(cyclic(3)))
+    sch = scheme_from_action(regular_action(named_group("z3")))
     dec = central_primitive_idempotents(sch)
     assert dec.ranks == (1, 1, 1)
     oracle = dft_projections(3)
@@ -95,7 +85,7 @@ def test_z3_regular_matches_dft_oracle():
 
 @pytest.mark.parametrize("n", [48, 97])
 def test_cyclic_regular_matches_dft_oracle(n):
-    sch = scheme_from_action(regular_action(cyclic(n)))
+    sch = scheme_from_action(regular_action(named_group(f"z{n}")))
     dec = central_primitive_idempotents(sch)
     assert dec.ranks == (1,) * n
     oracle = dft_projections(n)
@@ -110,7 +100,7 @@ def test_cyclic_regular_matches_dft_oracle(n):
 
 
 def test_z3_spherical_values_are_inverse_characters():
-    sch = scheme_from_action(regular_action(cyclic(3)))
+    sch = scheme_from_action(regular_action(named_group("z3")))
     dec = central_primitive_idempotents(sch)
     omega = np.exp(2j * np.pi / 3)
     rows = {
@@ -166,7 +156,7 @@ def test_commutative_schemes_decompose_without_the_tensor(idx, scheme):
 
 def test_s5_regular_decomposes_below_a_quarter_of_the_tensor():
     # c = 120, non-commutative: the int64 tensor alone would take c^3 * 8 bytes
-    scheme = scheme_from_action(regular_action(PermutationGroup.from_cycles(5, ["(0 1 2 3 4)", "(0 1)"])))
+    scheme = scheme_from_action(regular_action(named_group("s5")))
     c = scheme.n_orbitals
     assert c == 120 and not is_commutative(scheme)
     tracemalloc.start()
@@ -318,11 +308,9 @@ def test_three_failed_certifications_raise(monkeypatch, name):
     )
 
 
-def test_failed_decomposition_exits_3(monkeypatch, capsys, tmp_path):
-    group = tmp_path / "s3.json"
-    group.write_text(json.dumps({"degree": 3, "generators": ["(0 1 2)", "(0 1)"]}))
+def test_failed_decomposition_exits_3(monkeypatch, capsys):
     _corrupt_seeds(monkeypatch, CORRUPTIONS["idempotent"][0], {0, 1, 2})
-    assert main(["idempotents", str(group), "--action", "regular"]) == 3
+    assert main(["idempotents", "fixture:s3", "--action", "regular"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("numeric error: idempotent decomposition failed: seed 0: ")

@@ -61,7 +61,7 @@ def test_symmetry_loads_no_masked_arrays(tmp_path):
     "argv",
     [
         # D_20 is not abelian, so its regular action runs the exact center
-        ["idempotents", "@d20", "--action", "regular"],
+        ["idempotents", "fixture:d20", "--action", "regular"],
         ["heisenberg", "--moduli", "3", "--verify"],
         ["harmonic", "--moduli", "7", "--subset", "1,2,4"],
         ["reduce", "@simplex"],
@@ -70,12 +70,9 @@ def test_symmetry_loads_no_masked_arrays(tmp_path):
     ],
 )
 def test_commands_load_no_fractions_or_decimal(tmp_path, argv):
-    # "@name" in argv stands for the file written from files[name]
+    # "@simplex" in argv stands for a written 12-point simplex Gram
     n = 12
-    files = {
-        "d20": {"degree": 20, "generators": [[(i + 1) % 20 for i in range(20)], [-i % 20 for i in range(20)]]},
-        "simplex": {"n": n, "entries": [[[1.0 if i == j else -1.0 / (n - 1), 0.0] for j in range(n)] for i in range(n)]},
-    }
-    for name, payload in files.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
-    assert loaded_modules([str(tmp_path / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]) == []
+    simplex = tmp_path / "simplex.json"
+    entries = [[[1.0 if i == j else -1.0 / (n - 1), 0.0] for j in range(n)] for i in range(n)]
+    simplex.write_text(json.dumps({"n": n, "entries": entries}))
+    assert loaded_modules([str(simplex) if a == "@simplex" else a for a in argv]) == []

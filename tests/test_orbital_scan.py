@@ -19,16 +19,16 @@ from linepack.cli import build_parser, cmd_scan_etf, main, scan_row
 from linepack.errors import InputError, ResourceError
 from linepack.frames import REDUCE_TOL, REPORT_TOL, GramMatrix, packing_report, projective_reduce
 from linepack.idempotents import central_primitive_idempotents, projection_from_subset
-from linepack.permgroup import PermutationGroup, induced_pair_action, regular_action
+from linepack.permgroup import GroupAction, induced_pair_action, regular_action
 from linepack.scheme import SchurianScheme, scheme_from_action
 
 
 
 def _shipped_schemes():
     return {
-        "agl_natural": scheme_from_action(fixtures.agl_line_action()),
-        "sl2_f8_pairs": scheme_from_action(induced_pair_action(fixtures.sl2_f8_action())),
-        "m11_pairs": scheme_from_action(induced_pair_action(fixtures.m11_action())),
+        "agl_natural": scheme_from_action(GroupAction(fixtures.named_group("agl"))),
+        "sl2_f8_pairs": scheme_from_action(induced_pair_action(GroupAction(fixtures.named_group("sl2_f8")))),
+        "m11_pairs": scheme_from_action(induced_pair_action(GroupAction(fixtures.named_group("m11")))),
     }
 
 
@@ -243,7 +243,7 @@ def test_square_certificate_bounds_the_dense_residual(decompositions):
 
 def test_zero_diagonal_form_raises_the_dense_input_error():
     # x = e_1 on AGL natural: a Hermitian orbital form whose diagonal is 0
-    scheme = scheme_from_action(fixtures.agl_line_action())
+    scheme = scheme_from_action(GroupAction(fixtures.named_group("agl")))
     x = np.zeros(scheme.n_orbitals, dtype=complex)
     x[1] = 1.0
     gram = GramMatrix.from_orbitals(scheme, x)
@@ -280,25 +280,13 @@ def test_from_orbitals_checks_its_form(decompositions):
         GramMatrix.from_orbitals(dec.scheme, np.append(x, 0.0))
 
 
-def _group_file(path, generators):
-    path.write_text(json.dumps({"degree": len(generators[0]), "generators": generators}))
-    return str(path)
-
-
-def _symmetric(m):
-    return [[(i + 1) % m for i in range(m)], [1, 0, *range(2, m)]]
-
-
 # scans whose every subset is decided in coefficient space: the S_m pair
 # ladder, the shipped fixtures and the benchmark's scan commands
 SCANS = {
-    "s20_pairs": (lambda: _symmetric(20), ["--action", "pairs"]),
-    "s30_pairs": (lambda: _symmetric(30), ["--action", "pairs"]),
-    "s45_pairs": (lambda: _symmetric(45), ["--action", "pairs"]),
-    "hoggar": (
-        lambda: [list(g.images) for g in fixtures.hoggar_heisenberg_action().group.generators],
-        ["--max-subset-size", "2"],
-    ),
+    "s20_pairs": ("s20", ["--action", "pairs"]),
+    "s30_pairs": ("s30", ["--action", "pairs"]),
+    "s45_pairs": ("s45", ["--action", "pairs"]),
+    "hoggar": ("hoggar", ["--max-subset-size", "2"]),
     **{
         f"{name}_{action}{suffix}": (name, ["--action", action, *flags])
         for name in ("agl", "sl2_f8", "m11")
@@ -310,11 +298,10 @@ SCANS = {
 
 
 @pytest.mark.parametrize("case", sorted(SCANS))
-def test_scan_takes_no_dense_fallback(case, monkeypatch, tmp_path, capsys):
+def test_scan_takes_no_dense_fallback(case, monkeypatch, capsys):
     group, flags = SCANS[case]
-    group = f"fixture:{group}" if isinstance(group, str) else _group_file(tmp_path / "g.json", group())
     fallbacks = _Fallbacks(monkeypatch)
-    assert main(["scan-etf", group, *flags]) == 0
+    assert main(["scan-etf", f"fixture:{group}", *flags]) == 0
     rows = json.loads(capsys.readouterr().out)["results"]
     assert rows
     assert (fallbacks.reduce, fallbacks.report) == (0, 0)
@@ -368,9 +355,9 @@ def test_no_center_is_refused_past_the_tensor_limit(monkeypatch):
     # 144 <= limit < 12^3: the orbital matrices fit and no tensor of 12
     # orbitals does; the center, commutative or not, reads no tensor
     monkeypatch.setattr(errors, "MAX_ARRAY_ENTRIES", 1000)
-    z12 = scheme_from_action(regular_action(PermutationGroup(12, [[(i + 1) % 12 for i in range(12)]])))
+    z12 = scheme_from_action(regular_action(fixtures.named_group("z12")))
     assert central_primitive_idempotents(z12).ranks == (1,) * 12
-    d6 = scheme_from_action(regular_action(PermutationGroup(6, [[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]])))
+    d6 = scheme_from_action(regular_action(fixtures.named_group("d6")))
     assert sorted(central_primitive_idempotents(d6).ranks) == [1, 1, 1, 1, 4, 4]
     assert "structure_constants" not in z12.__dict__ and "structure_constants" not in d6.__dict__
 

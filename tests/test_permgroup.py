@@ -22,8 +22,8 @@ from linepack.permgroup import (
     regular_action,
 )
 
-S3 = PermutationGroup.from_cycles(3, ["(0 1 2)", "(0 1)"])
-Z4 = PermutationGroup.from_cycles(4, ["(0 1 2 3)"])
+S3 = fixtures.named_group("s3")
+Z4 = fixtures.named_group("z4")
 
 
 def brute_force_elements(group):
@@ -64,6 +64,22 @@ def test_cycle_parse_roundtrip():
         parse_cycles("(0 1 junk)")
 
 
+@pytest.mark.parametrize("text", ["(0 1 0)", "(0 1)(0 1)", "(0 1)(1 2)", "(2)(0 1 2)"])
+def test_cycle_parse_refuses_a_repeated_point(text):
+    # "(0 1)(0 1)" once read as (0 1), and "(0 1)(1 2)" failed as no permutation
+    with pytest.raises(InputError, match="repeated point"):
+        parse_cycles(text)
+    with pytest.raises(InputError, match="repeated point"):
+        PermutationGroup.from_cycles(3, [text])
+
+
+def test_degree_below_zero_is_refused():
+    with pytest.raises(InputError, match="non-negative"):
+        PermutationGroup(-3, [])
+    assert PermutationGroup(0, []).order == 1
+    assert PermutationGroup(0, [Permutation(())]).degree == 0
+
+
 def test_orbit_examples():
     assert orbit(S3, 0) == {0, 1, 2}
     trivial = PermutationGroup(5, [])
@@ -85,7 +101,7 @@ def test_is_transitive_examples():
         (S3, 6),
         (Z4, 4),
         (PermutationGroup(4, []), 1),
-        (PermutationGroup.from_cycles(5, ["(0 1 2 3 4)", "(0 1)"]), 120),
+        (fixtures.named_group("s5"), 120),
         (PermutationGroup.from_cycles(7, ["(0 1 2 3 4 5 6)", "(0 1 2)"]), 2520),
     ],
 )
@@ -109,14 +125,14 @@ def test_membership():
     assert not a4.contains(parse_cycles("(0 1)", 4))
 
 
-@pytest.mark.parametrize("group", [S3, Z4, PermutationGroup.from_cycles(6, ["(0 1 2 3 4 5)", "(1 5)(2 4)"])])
+@pytest.mark.parametrize("group", [S3, Z4, fixtures.named_group("d6")])
 def test_orbit_stabilizer_invariant(group):
     for x in range(group.degree):
         assert len(orbit(group, x)) * oracle(group).stabilizer(x).order() == group.order
 
 
 def test_generator_closure_invariant():
-    g = PermutationGroup.from_cycles(6, ["(0 1 2 3 4 5)", "(1 5)(2 4)"])
+    g = fixtures.named_group("d6")
     orb = orbit(g, 0)
     for gen in g.generators:
         assert all(gen(x) in orb for x in orb)
@@ -147,7 +163,7 @@ def test_induced_pair_action_examples():
     act = induced_pair_action(GroupAction(S3))
     assert act.point_count == 6
     assert is_transitive(act)
-    z3 = GroupAction(PermutationGroup.from_cycles(3, ["(0 1 2)"]))
+    z3 = GroupAction(fixtures.named_group("z3"))
     act = induced_pair_action(z3)
     assert act.point_count == 6
     assert not is_transitive(act)
@@ -157,8 +173,8 @@ def test_induced_pair_action_examples():
     "group",
     [
         S3,
-        PermutationGroup.from_cycles(4, ["(0 1 2 3)", "(0 1)"]),
-        PermutationGroup.from_cycles(5, ["(0 1 2 3 4)"]),
+        fixtures.named_group("s4"),
+        fixtures.named_group("z5"),
         PermutationGroup.from_cycles(8, ["(0 1 2 3 4 5 6 7)", "(0 2)(1 3)"]),
     ],
 )
@@ -188,16 +204,12 @@ def test_regular_action_examples(monkeypatch):
 
 def test_element_enumeration_deterministic():
     elems1 = S3.elements()
-    elems2 = PermutationGroup.from_cycles(3, ["(0 1 2)", "(0 1)"]).elements()
+    elems2 = fixtures.named_group("s3").elements()
     assert [p.images for p in elems1] == [p.images for p in elems2]
     assert elems1[0].is_identity()
 
 
 # --- the stabilizer chain against sympy.combinatorics as an oracle -----------
-
-
-def symmetric_group(n):
-    return PermutationGroup.from_cycles(n, ["(" + " ".join(map(str, range(n))) + ")", "(0 1)"])
 
 
 def alternating_group(n):
@@ -214,14 +226,14 @@ def oracle(group):
 
 
 ORACLE_GROUPS = {
-    "m11": lambda: fixtures.m11_action().group,
-    "sl2_f8": lambda: fixtures.sl2_f8_action().group,
-    "agl_lines": lambda: fixtures.agl_line_action().group,
-    "m11_pairs": lambda: induced_pair_action(fixtures.m11_action()).group,
-    "sl2_f8_pairs": lambda: induced_pair_action(fixtures.sl2_f8_action()).group,
-    "agl_lines_pairs": lambda: induced_pair_action(fixtures.agl_line_action()).group,
+    "m11": lambda: fixtures.named_group("m11"),
+    "sl2_f8": lambda: fixtures.named_group("sl2_f8"),
+    "agl_lines": lambda: fixtures.named_group("agl"),
+    "m11_pairs": lambda: induced_pair_action(GroupAction(fixtures.named_group("m11"))).group,
+    "sl2_f8_pairs": lambda: induced_pair_action(GroupAction(fixtures.named_group("sl2_f8"))).group,
+    "agl_lines_pairs": lambda: induced_pair_action(GroupAction(fixtures.named_group("agl"))).group,
     "z2_wr_z4": wreath_z2_z4,
-    **{f"S{n}": (lambda n=n: symmetric_group(n)) for n in range(2, 10)},
+    **{f"S{n}": (lambda n=n: fixtures.named_group(f"s{n}")) for n in range(2, 10)},
     **{f"A{n}": (lambda n=n: alternating_group(n)) for n in range(3, 10)},
 }
 
@@ -237,7 +249,7 @@ def test_oracle_orders_are_the_known_ones():
     assert ORACLE_GROUPS["sl2_f8"]().order == 504
     assert ORACLE_GROUPS["agl_lines"]().order == 1344
     assert wreath_z2_z4().order == 2**4 * 4
-    assert symmetric_group(9).order == math.factorial(9)
+    assert fixtures.named_group("s9").order == math.factorial(9)
     assert alternating_group(9).order == math.factorial(9) // 2
 
 
@@ -293,7 +305,7 @@ def test_chain_sifts_each_schreier_pair_at_most_once(monkeypatch):
         return sift(self, g, start)
 
     monkeypatch.setattr(_StabilizerChain, "_sift", counting_sift)
-    group = symmetric_group(12)
+    group = fixtures.named_group("s12")
     chain = group.chain()
     assert chain.order() == math.factorial(12)
     pairs = sum(len(level.orbit) * len(level.gens) for level in chain.levels)
@@ -310,7 +322,7 @@ def test_boundary_permutations_hold_python_ints():
     from linepack.frames import GramMatrix
     from linepack.symmetry import gram_symmetry_group
 
-    m11 = fixtures.m11_action().group
+    m11 = fixtures.named_group("m11")
     assert all(python_int_images(g) for g in m11.generators)
     # array input is converted at the boundary
     group = PermutationGroup(4, [np.array([1, 2, 3, 0]), np.arange(4)[::-1]])

@@ -7,7 +7,7 @@ from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup as SympyGroup
 
 from linepack.errors import MAX_ARRAY_ENTRIES, InputError, ResourceError
-from linepack.fixtures import agl_line_action
+from linepack.fixtures import named_group
 from linepack.permgroup import (
     GroupAction,
     PermutationGroup,
@@ -23,8 +23,8 @@ from linepack.scheme import (
 )
 from test_group_arrays import reference_structure_constants
 
-S3 = PermutationGroup.from_cycles(3, ["(0 1 2)", "(0 1)"])
-Z4 = PermutationGroup.from_cycles(4, ["(0 1 2 3)"])
+S3 = named_group("s3")
+Z4 = named_group("z4")
 Q8_GENS = ["(0 1 2 3)(4 6 5 7)", "(0 4 2 5)(1 7 3 6)"]  # i, j acting on {±1,±i,±j,±k}
 
 
@@ -79,7 +79,7 @@ def test_nontransitive_rejected():
 
 def test_pair_scheme_orbital_count_matches_stabilizer_orbits():
     # orbital count of a transitive scheme = number of point-stabilizer orbits
-    for group in (S3, PermutationGroup.from_cycles(5, ["(0 1 2 3 4)", "(0 1)"])):
+    for group in (S3, named_group("s5")):
         act = induced_pair_action(GroupAction(group))
         sch = scheme_from_action(act)
         sym = SympyGroup([SympyPermutation(list(g.images)) for g in act.group.generators])
@@ -106,7 +106,7 @@ def test_partition_and_valency_invariants():
 
 
 def test_two_transitive_gives_two_orbitals():
-    for group in (S3, PermutationGroup.from_cycles(4, ["(0 1 2 3)", "(0 1)"])):
+    for group in (S3, named_group("s4")):
         sch = scheme_from_action(GroupAction(group))
         assert sch.n_orbitals == 2
 
@@ -146,9 +146,7 @@ def test_structure_constants_reject_non_orbital_partition():
 def test_pair_codes_allocate_no_n_by_n_array():
     # S_30 on ordered pairs: n = 870, c = 7; a full n x n sort of the codes
     # peaks near 2 * 8 n^2 bytes, the c reference columns near 2 * 8 n c
-    m = 30
-    group = PermutationGroup(m, [[(i + 1) % m for i in range(m)], [1, 0, *range(2, m)]])
-    sch = scheme_from_action(induced_pair_action(GroupAction(group)))
+    sch = scheme_from_action(induced_pair_action(GroupAction(named_group("s30"))))
     n, c = sch.point_count, sch.n_orbitals
     assert (n, c) == (870, 7)
     tracemalloc.start()
@@ -163,8 +161,8 @@ def test_pair_codes_allocate_no_n_by_n_array():
 @pytest.mark.parametrize(
     "build, commutative",
     [
-        (lambda: GroupAction(PermutationGroup(520, [list(range(1, 520)) + [0]])), True),
-        (lambda: regular_action(agl_line_action().group), False),
+        (lambda: GroupAction(named_group("z520")), True),
+        (lambda: regular_action(named_group("agl")), False),
     ],
     ids=["z520_natural", "agl_regular"],
 )
@@ -180,12 +178,12 @@ def test_commutativity_examples():
     assert is_commutative(scheme_from_action(regular_action(S3))) is False
     assert is_commutative(conjugacy_class_scheme(S3)) is True
     for n in (3, 5, 6):
-        zn = PermutationGroup.from_cycles(n, ["(" + " ".join(map(str, range(n))) + ")"])
+        zn = named_group(f"z{n}")
         assert is_commutative(scheme_from_action(regular_action(zn))) is True
 
 
 def test_conjugacy_class_scheme_examples():
-    z3 = PermutationGroup.from_cycles(3, ["(0 1 2)"])
+    z3 = named_group("z3")
     sch = conjugacy_class_scheme(z3)
     reg = scheme_from_action(regular_action(z3))
     assert sch.n_orbitals == reg.n_orbitals == 3
@@ -205,14 +203,13 @@ def test_conjugacy_class_scheme_examples():
 
 
 @pytest.mark.parametrize(
-    "degree, gens",
-    [(6, ["(0 1 2 3 4 5)"]), (6, ["(0 1)", "(2 3 4 5)"])],
+    "group",
+    [named_group("z6"), PermutationGroup.from_cycles(6, ["(0 1)", "(2 3 4 5)"])],
     ids=["Z6", "Z2xZ4"],
 )
-def test_abelian_class_scheme_is_regular_scheme(degree, gens):
+def test_abelian_class_scheme_is_regular_scheme(group):
     # for abelian G both entry points label the pair (x, y) by x^-1 y, so
     # the canonical relabelling must give the same scheme from both
-    group = PermutationGroup.from_cycles(degree, gens)
     classes = conjugacy_class_scheme(group)
     regular = scheme_from_action(regular_action(group))
     assert classes.n_orbitals == regular.n_orbitals == group.order

@@ -38,25 +38,12 @@ from linepack.symmetry import color_matrix_from_gram
 
 DIGESTS = Path(__file__).parent / "data" / "cli_stdout_sha256.json"
 
-# group files written next to the run, as name -> {"degree", "generators"}
-GROUP_FILES = {
-    "d20": {
-        "degree": 20,
-        "generators": [[(i + 1) % 20 for i in range(20)], [(-i) % 20 for i in range(20)]],
-    },
-    "z7": {"degree": 7, "generators": ["(0 1 2 3 4 5 6)"]},
-    **{
-        f"s{m}": {"degree": m, "generators": [[(i + 1) % m for i in range(m)], [1, 0, *range(2, m)]]}
-        for m in (30, 45)
-    },
-}
-
 CASES = {
     "scheme_agl": ["scheme", "fixture:agl"],
     "scheme_sl2_f8_pairs": ["scheme", "fixture:sl2_f8", "--action", "pairs"],
     "scheme_m11_pairs": ["scheme", "fixture:m11", "--action", "pairs"],
-    "scheme_d20_regular": ["scheme", "@d20", "--action", "regular"],
-    "scheme_z7_regular": ["scheme", "@z7", "--action", "regular"],
+    "scheme_d20_regular": ["scheme", "fixture:d20", "--action", "regular"],
+    "scheme_z7_regular": ["scheme", "fixture:z7", "--action", "regular"],
     "verify_figures": ["verify-figures"],
 }
 
@@ -72,12 +59,12 @@ SCAN_CASES = {
     "scan_rows_agl_no_reduce": ["scan-etf", "fixture:agl", "--no-reduce"],
     "scan_rows_sl2_f8_pairs": ["scan-etf", "fixture:sl2_f8", "--action", "pairs"],
     "scan_rows_m11_pairs": ["scan-etf", "fixture:m11", "--action", "pairs"],
-    "scan_rows_s30_pairs": ["scan-etf", "@s30", "--action", "pairs"],
-    "scan_rows_s45_pairs": ["scan-etf", "@s45", "--action", "pairs"],
+    "scan_rows_s30_pairs": ["scan-etf", "fixture:s30", "--action", "pairs"],
+    "scan_rows_s45_pairs": ["scan-etf", "fixture:s45", "--action", "pairs"],
 }
 
 IDEMPOTENT_CASES = {
-    "idempotent_fields_d20_regular": ["idempotents", "@d20", "--action", "regular"],
+    "idempotent_fields_d20_regular": ["idempotents", "fixture:d20", "--action", "regular"],
     "idempotent_fields_sl2_f8_pairs": ["idempotents", "fixture:sl2_f8", "--action", "pairs"],
     "idempotent_fields_m11_pairs": ["idempotents", "fixture:m11", "--action", "pairs"],
 }
@@ -115,26 +102,14 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def resolve(argv, directory):
-    """The argv with each ``@name`` replaced by a written group file."""
-    out = []
-    for arg in argv:
-        if arg.startswith("@"):
-            path = Path(directory) / f"{arg[1:]}.json"
-            path.write_text(json.dumps(GROUP_FILES[arg[1:]]))
-            arg = str(path)
-        out.append(arg)
-    return out
-
-
 def test_digest_file_covers_every_case():
     cases = [*CASES, *EXPORT_CASES, *SCAN_CASES, *IDEMPOTENT_CASES, *COLOR_CASES, *LIMITED_CASES]
     assert sorted(json.loads(DIGESTS.read_text())) == sorted(cases)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_stdout_is_byte_identical(case, capsys, tmp_path):
-    code = main(resolve(CASES[case], tmp_path))
+def test_stdout_is_byte_identical(case, capsys):
+    code = main(CASES[case])
     stdout = capsys.readouterr().out
     assert code == 0
     digest = hashlib.sha256(stdout.encode("utf-8")).hexdigest()
@@ -160,8 +135,8 @@ def scan_fingerprint(stdout: str) -> str:
 
 
 @pytest.mark.parametrize("case", sorted(SCAN_CASES))
-def test_scan_row_fields_are_identical(case, capsys, tmp_path):
-    assert main(resolve(SCAN_CASES[case], tmp_path)) == 0
+def test_scan_row_fields_are_identical(case, capsys):
+    assert main(SCAN_CASES[case]) == 0
     digest = scan_fingerprint(capsys.readouterr().out)
     assert digest == json.loads(DIGESTS.read_text())[case]
 
@@ -173,8 +148,8 @@ def idempotent_fingerprint(stdout: str) -> str:
 
 
 @pytest.mark.parametrize("case", sorted(IDEMPOTENT_CASES))
-def test_idempotent_integer_fields_are_identical(case, capsys, tmp_path):
-    assert main(resolve(IDEMPOTENT_CASES[case], tmp_path)) == 0
+def test_idempotent_integer_fields_are_identical(case, capsys):
+    assert main(IDEMPOTENT_CASES[case]) == 0
     digest = idempotent_fingerprint(capsys.readouterr().out)
     assert digest == json.loads(DIGESTS.read_text())[case]
 

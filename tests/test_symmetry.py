@@ -6,6 +6,7 @@ import pytest
 
 from linepack import symmetry
 from linepack.errors import NumericError
+from linepack.fixtures import named_group
 from linepack.frames import GramMatrix, harmonic_gram
 from linepack.idempotents import central_primitive_idempotents, projection_from_subset
 from linepack.permgroup import Permutation, PermutationGroup, orbit, parse_cycles, regular_action
@@ -127,7 +128,7 @@ def test_order_cross_check_catches_bookkeeping_errors(monkeypatch, corrupt):
 
 def test_scheme_action_contained_in_symmetry_group():
     # generators of the acting group commute with every G_D by construction
-    act = regular_action(PermutationGroup.from_cycles(5, ["(0 1 2 3 4)"]))
+    act = regular_action(named_group("z5"))
     sch = scheme_from_action(act)
     dec = central_primitive_idempotents(sch)
     gram = projection_from_subset(dec, [0, 1])
