@@ -278,12 +278,12 @@ def projective_reduce(gram: GramMatrix, tol: float = REDUCE_TOL) -> tuple[GramMa
     pass over the n x n moduli: at the anchor a, the row of column x's
     largest modulus, |G[a, y]| must match |G[a, x]| within tol * scale,
     |G[a, x]| must exceed it, and alpha = G[a, y] / G[a, x] must be
-    unimodular within tol.  The greedy pass over the
-    representatives then compares whole columns, G[:, y] = alpha G[:, x],
-    only for the pairs that passed.
-    A Gram with a whole orbital form is reduced per orbital instead
-    (`_reduce_orbitals`), and falls back to this dense path when a test
-    lands within 10x of its tolerance.
+    unimodular within tol.  The greedy pass over the representatives then
+    compares whole columns, G[:, y] = alpha G[:, x], only for the pairs
+    that passed.  A Gram with a whole orbital form is reduced per orbital
+    instead (`_reduce_orbitals`): its classes are the blocks of the closed
+    subset of collapsed orbitals, and it falls back to this dense path when
+    a test lands within 10x of its tolerance or that subset is not closed.
     Returns the reduced Gram and the map point -> representative index.
     Unequal class sizes break the group-frame pattern and raise a warning.
     """
@@ -368,11 +368,12 @@ def _reduce_orbitals(form: OrbitalForm, tol: float) -> Optional[tuple[GramMatrix
     Group invariance lets the pair (0, v_i), v_i the first column of
     orbital i in row 0, decide every pair of orbital i, so the anchor,
     modulus, phase and column-residual tests cost O(n) per orbital.  The
-    classes are the blocks of the collapsed orbitals: class_map[y] is the
-    first x with orbital_of[x, y] collapsed, the lowest-index member.
+    collapsed orbitals S, with 0, relate the points of one class exactly
+    when S is closed: its own adjoint, with A_S A_S, one exact count of the
+    pair codes, zero outside S (Zieschang, 2005).  The classes are then
+    blocks of one size, each read off the row of its lowest-index member.
     Returns None, leaving the decision to the dense path, when x_0 <= 0, a
-    test lands within 10x of its tolerance or the collapsed orbitals do not
-    form an equivalence with equal classes.
+    test lands within 10x of its tolerance or S is not closed.
 
     The reduced form inherits the certificate ||G^2 - c G||_2 <= rho as
     (c / k, rho / k + dropped), for classes of k points.  On the
@@ -415,14 +416,16 @@ def _reduce_orbitals(form: OrbitalForm, tol: float) -> Optional[tuple[GramMatrix
     collapsed = np.zeros(len(x), dtype=bool)
     collapsed[0] = True
     collapsed[labels[parallel]] = True
-    same = collapsed[of]
-    class_map = np.argmax(same, axis=0)
-    if not np.array_equal(same, class_map[:, None] == class_map):
+    scheme, s = form.scheme, collapsed.astype(np.float64)
+    square = scheme.left_multiplication(s) @ s
+    if not np.array_equal(scheme.adjoint(s), s) or np.any(square[~collapsed]):
         return None
+    class_map = np.full(n, -1)
+    for y in range(n):
+        if class_map[y] < 0:
+            class_map[collapsed[of[y]]] = y
     reps = np.flatnonzero(class_map == np.arange(n))
     k = n // reps.size
-    if np.any(np.bincount(class_map)[reps] != k):
-        return None
     c, rho = _square_certificate(form)
     phase = float(phase[parallel].max()) + _EPS
     resid = float(resid[parallel].max()) + 3 * _EPS * float(moduli.max())

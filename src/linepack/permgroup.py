@@ -108,11 +108,12 @@ class Permutation:
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_cycles(text: str, degree: int = 0) -> Permutation:
+def parse_cycles(text: str, degree: Optional[int] = None) -> Permutation:
     """Parse cycle notation like ``"(0 1 2)(3 4)"``; whitespace/comma insensitive.
 
-    The degree grows to cover the largest point mentioned unless a larger
-    one is given.
+    With no degree, the degree grows to cover the largest point mentioned;
+    a given degree is kept, and a point at or past it is refused before
+    any image is listed.
     """
     stripped = text.strip()
     if stripped and not re.fullmatch(r"(\s*\([\d\s,]*\)\s*)+|\s*", stripped):
@@ -123,7 +124,9 @@ def parse_cycles(text: str, degree: int = 0) -> Permutation:
     points = [p for c in cycles for p in c]
     if len(points) != len(set(points)):
         raise InputError(f"repeated point in cycle notation: {text!r}")
-    n = max([degree, *(p + 1 for p in points)])
+    if degree is not None and points and max(points) >= degree:
+        raise InputError(f"cycle point {max(points)} is not below the degree {degree}: {text!r}")
+    n = max([degree or 0, *(p + 1 for p in points)])
     images = list(range(n))
     for cyc in cycles:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):

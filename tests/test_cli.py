@@ -338,6 +338,18 @@ def test_missing_file_is_input_error(capsys, tmp_path, files, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("point", [3, 10**30], ids=["at-the-degree", "past-any-list"])
+def test_cycle_point_past_the_degree_is_input_error(capsys, tmp_path, point):
+    # 10**30 images cannot be listed: the point is refused before any image list
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"degree": 3, "generators": [f"(0 {point})"]}))
+    code = main(["scheme", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"input error: cycle point {point} is not below the degree 3")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("size", ["0", "-1"])
 def test_scan_etf_rejects_max_subset_size_below_one(capsys, size):
     code = main(["scan-etf", "fixture:agl", "--max-subset-size", size])

@@ -280,6 +280,42 @@ def test_from_orbitals_checks_its_form(decompositions):
         GramMatrix.from_orbitals(dec.scheme, np.append(x, 0.0))
 
 
+# schemes whose transpose-closed orbital sets S, with 0, are all run through
+# the reduction, and how many of them are closed (the block systems)
+BLOCK_SCHEMES = {
+    "s4_pairs": (lambda: induced_pair_action(GroupAction(fixtures.named_group("s4"))), 32, 6),
+    "z12_regular": (lambda: regular_action(fixtures.named_group("z12")), 64, 6),
+    "d6_regular": (lambda: regular_action(fixtures.named_group("d6")), 512, 16),
+    "agl_natural": (lambda: GroupAction(fixtures.named_group("agl")), 8, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_SCHEMES))
+def test_every_block_system_reduces_in_coefficient_space(case, monkeypatch):
+    # x = 1_S is constant on orbitals; where S is closed its columns agree on
+    # the blocks, which the old argmax over the n x n array 1_S[of] reads
+    action, subsets, blocks = BLOCK_SCHEMES[case]
+    scheme = scheme_from_action(action())
+    of, pairing = scheme.orbital_of, scheme.transpose_pairing
+    pairs = sorted({frozenset((i, pairing[i])) for i in range(1, scheme.n_orbitals)}, key=min)
+    fallbacks = _Fallbacks(monkeypatch)
+    closed = 0
+    for chosen in itertools.product((False, True), repeat=len(pairs)):
+        x = np.zeros(scheme.n_orbitals)
+        x[[0, *(i for pair, on in zip(pairs, chosen) if on for i in pair)]] = 1.0
+        gram = GramMatrix.from_orbitals(scheme, x)
+        red, class_map = projective_reduce(gram)
+        dense_red, dense_map = projective_reduce(_dense(gram))
+        assert class_map == dense_map, chosen
+        assert red.entries.tobytes() == dense_red.entries.tobytes(), chosen
+        same = x[of] > 0
+        if np.array_equal((same.astype(np.int64) @ same) > 0, same):  # S is transitive: closed
+            closed += 1
+            assert class_map == np.argmax(same, axis=0).tolist(), chosen
+    assert (2 ** len(pairs), closed) == (subsets, blocks)
+    assert (fallbacks.reduce, fallbacks.report) == (0, 0)
+
+
 # scans whose every subset is decided in coefficient space: the S_m pair
 # ladder, the shipped fixtures and the benchmark's scan commands
 SCANS = {
@@ -287,6 +323,7 @@ SCANS = {
     "s30_pairs": ("s30", ["--action", "pairs"]),
     "s45_pairs": ("s45", ["--action", "pairs"]),
     "hoggar": ("hoggar", ["--max-subset-size", "2"]),
+    "heis5": ("heis5", []),
     **{
         f"{name}_{action}{suffix}": (name, ["--action", action, *flags])
         for name in ("agl", "sl2_f8", "m11")

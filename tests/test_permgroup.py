@@ -58,6 +58,7 @@ def test_compose_and_inverse():
 def test_cycle_parse_roundtrip():
     p = parse_cycles("(0 1 2)(3 4)")
     assert p.degree == 5
+    assert parse_cycles("(0 2)", 4).degree == 4 and parse_cycles("", 0).degree == 0
     assert parse_cycles(p.cycle_string()) == p
     assert parse_cycles("( 0 , 1 ) (3 4)", 6) == parse_cycles("(0 1)(3 4)", 6)
     with pytest.raises(InputError):
@@ -71,6 +72,20 @@ def test_cycle_parse_refuses_a_repeated_point(text):
         parse_cycles(text)
     with pytest.raises(InputError, match="repeated point"):
         PermutationGroup.from_cycles(3, [text])
+
+
+@pytest.mark.parametrize(
+    "text, degree, point",
+    [("(0 3)", 3, 3), ("(1 2)(0 4)", 4, 4), ("(0 1)", 0, 1), (f"(0 {10**30})", 3, 10**30)],
+    ids=["at-the-degree", "in-a-later-cycle", "degree-0", "past-any-list"],
+)
+def test_cycle_point_past_the_degree_is_refused(text, degree, point):
+    # 10**30 images cannot be listed: the refusal comes before any image list
+    message = f"cycle point {point} is not below the degree {degree}"
+    with pytest.raises(InputError, match=message):
+        parse_cycles(text, degree)
+    with pytest.raises(InputError, match=message):
+        PermutationGroup.from_cycles(degree, [text])
 
 
 def test_degree_below_zero_is_refused():

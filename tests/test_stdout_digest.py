@@ -18,7 +18,9 @@ of the entry colouring of each figure fixture, and ``verify-figures`` prints
 booleans only, so its whole stdout is pinned.  They were recorded before the
 scheme came to own its coefficient space and the exact colouring path went,
 except the S_30 and S_45 pair scans, recorded before the scan's certificate
-came to be read off one product in the adjacency algebra.
+came to be read off one product in the adjacency algebra, and the heis5
+scan, whose rows reduce by classes of 5 and 125 points, recorded before
+the reduction came to read its classes as the blocks of a closed subset.
 The idempotent cases pin the integer and boolean fields of ``idempotents``
 alone; they were recorded before the exact center came to be read one
 slice of structure constants at a time, except SL(2,8) regular, recorded
@@ -61,6 +63,7 @@ SCAN_CASES = {
     "scan_rows_m11_pairs": ["scan-etf", "fixture:m11", "--action", "pairs"],
     "scan_rows_s30_pairs": ["scan-etf", "fixture:s30", "--action", "pairs"],
     "scan_rows_s45_pairs": ["scan-etf", "fixture:s45", "--action", "pairs"],
+    "scan_rows_heis5": ["scan-etf", "fixture:heis5"],
 }
 
 IDEMPOTENT_CASES = {
