@@ -27,16 +27,10 @@ from .frames import (
 from .heisenberg import (
     AbelianGroupSpec,
     GammaTwist,
-    HeisenbergElement,
     heis_etf_gram,
     heis_etf_gram_direct,
-    heisenberg_multiply,
     heisenberg_permutation_action,
     make_spec,
-    parity_projectors,
-    schrodinger_matrix,
-    sp_membership,
-    symplectic_exponent,
 )
 from .idempotents import (
     IsotypicDecomposition,

@@ -4,7 +4,8 @@ For an odd abelian group A with exponent N, the Heisenberg group is
 K x C_N with K = A x A^ (dual), multiplied through the half-twisted
 symplectic cocycle.  The Schrodinger representation acts on L^2(A) by
 monomial matrices with N-th-root-of-unity entries, so everything here is
-exact integer arithmetic on exponents mod N.
+exact integer arithmetic on exponents mod N, on index arrays; the group
+law and these matrices as objects are the tests' oracle, not library code.
 
 The headline construction: the orbit of either parity projector under
 operator multiplication by the Schrodinger matrices is an equiangular
@@ -24,8 +25,9 @@ Gram equality and the scaled-projection certificate reduce through it.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd, lcm, prod
 from numbers import Rational
 from typing import Iterable, Iterator, Sequence
@@ -34,7 +36,7 @@ import numpy as np
 
 from .errors import InputError, NumericError, ResourceError, refuse_past_limit
 from .frames import GramMatrix
-from .permgroup import GroupAction, action_on
+from .permgroup import GroupAction, PermutationGroup
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,10 @@ class AbelianGroupSpec:
     moduli: tuple[int, ...]
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "moduli", tuple(map(operator.index, self.moduli)))
+        except TypeError:
+            raise InputError(f"moduli must be integers, got {self.moduli}") from None
         if not self.moduli:
             raise InputError("at least one modulus is required")
         for m in self.moduli:
@@ -66,22 +72,6 @@ class AbelianGroupSpec:
     def elements(self) -> list[tuple[int, ...]]:
         return list(itertools.product(*[range(m) for m in self.moduli]))
 
-    def add(self, a, b):
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
-
-    def neg(self, a):
-        return tuple((-x) % m for x, m in zip(a, self.moduli))
-
-    def halve(self, a):
-        """The unique element x with x + x = a (moduli are odd)."""
-        return tuple((x * ((m + 1) // 2)) % m for x, m in zip(a, self.moduli))
-
-    def validate(self, a) -> tuple[int, ...]:
-        a = tuple(int(x) for x in a)
-        if len(a) != len(self.moduli) or any(not 0 <= x < m for x, m in zip(a, self.moduli)):
-            raise InputError(f"{a} is not an element for moduli {self.moduli}")
-        return a
-
 
 def make_spec(moduli: Sequence[int]) -> AbelianGroupSpec:
     return AbelianGroupSpec(tuple(int(m) for m in moduli))
@@ -100,137 +90,11 @@ class GammaTwist:
         return g
 
 
-def pairing_exponent(spec: AbelianGroupSpec, a, alpha) -> int:
-    """<a, alpha> = zeta_N^(sum a_t alpha_t N/m_t); returns the exponent."""
-    n = spec.exponent
-    return sum(x * y * (n // m) for x, y, m in zip(a, alpha, spec.moduli)) % n
-
-
-def symplectic_exponent(spec: AbelianGroupSpec, u, v) -> int:
-    """[(a1,alpha1), (a2,alpha2)] = <a2,alpha1> <a1,alpha2>^-1, as an exponent."""
-    (a1, alpha1), (a2, alpha2) = u, v
-    return (pairing_exponent(spec, a2, alpha1) - pairing_exponent(spec, a1, alpha2)) % spec.exponent
-
-
-def k_elements(spec: AbelianGroupSpec) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """K = A x A^ in lexicographic order over (a-tuple, alpha-tuple)."""
-    elems = spec.elements()
-    return [(a, alpha) for a in elems for alpha in elems]
-
-
-@dataclass(frozen=True)
-class HeisenbergElement:
-    """(a, alpha, z) with z stored as a root-of-unity exponent mod N."""
-
-    a: tuple[int, ...]
-    alpha: tuple[int, ...]
-    z: int
-
-
-def heisenberg_identity(spec: AbelianGroupSpec) -> HeisenbergElement:
-    zero = tuple(0 for _ in spec.moduli)
-    return HeisenbergElement(zero, zero, 0)
-
-
-def heisenberg_multiply(
-    spec: AbelianGroupSpec, x: HeisenbergElement, y: HeisenbergElement
-) -> HeisenbergElement:
-    """(u1, z1)(u2, z2) = (u1 + u2, z1 z2 [u1, u2]^(1/2))."""
-    twist = spec.half * symplectic_exponent(spec, (x.a, x.alpha), (y.a, y.alpha))
-    return HeisenbergElement(
-        spec.add(x.a, y.a),
-        spec.add(x.alpha, y.alpha),
-        (x.z + y.z + twist) % spec.exponent,
-    )
-
-
-def heisenberg_inverse(spec: AbelianGroupSpec, x: HeisenbergElement) -> HeisenbergElement:
-    return HeisenbergElement(spec.neg(x.a), spec.neg(x.alpha), (-x.z) % spec.exponent)
-
-
 def _fixed_point_counts(col: np.ndarray, exp: np.ndarray, modulus: int) -> np.ndarray:
     """Row k: how many fixed points of the column map col[k] carry each exponent."""
     rows, fixed = np.nonzero(col == np.arange(col.shape[1]))
     keys = rows * modulus + exp[rows, fixed]
     return np.bincount(keys, minlength=len(col) * modulus).reshape(len(col), modulus)
-
-
-@dataclass(frozen=True)
-class MonomialMatrix:
-    """Matrix with one root-of-unity entry per row: M[i, col[i]] = zeta^exp[i]."""
-
-    size: int
-    modulus: int
-    col: tuple[int, ...]
-    exp: tuple[int, ...]
-
-    def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        if (self.size, self.modulus) != (other.size, other.modulus):
-            raise InputError("monomial matrix shape/modulus mismatch")
-        col = tuple(other.col[c] for c in self.col)
-        exp = tuple((e + other.exp[c]) % self.modulus for e, c in zip(self.exp, self.col))
-        return MonomialMatrix(self.size, self.modulus, col, exp)
-
-    def adjoint(self) -> "MonomialMatrix":
-        inv_col = [0] * self.size
-        inv_exp = [0] * self.size
-        for j, c in enumerate(self.col):
-            inv_col[c] = j
-            inv_exp[c] = (-self.exp[j]) % self.modulus
-        return MonomialMatrix(self.size, self.modulus, tuple(inv_col), tuple(inv_exp))
-
-    def trace_terms(self) -> np.ndarray:
-        """Length-modulus vector: fixed points of the column map, counted by exponent."""
-        return _fixed_point_counts(np.array([self.col]), np.array([self.exp]), self.modulus)[0]
-
-    def to_complex(self) -> np.ndarray:
-        m = np.zeros((self.size, self.size), dtype=np.complex128)
-        zeta = np.exp(2j * np.pi / self.modulus)
-        for i, (c, e) in enumerate(zip(self.col, self.exp)):
-            m[i, c] = zeta**e
-        return m
-
-
-def schrodinger_matrix(
-    spec: AbelianGroupSpec, gamma: GammaTwist, h: HeisenbergElement
-) -> MonomialMatrix:
-    """[pi(a, alpha, z) f](b) = gamma(z <b - a/2, alpha>) f(b - a) on L^2(A)."""
-    g = gamma.for_spec(spec)
-    n = spec.exponent
-    elems = spec.elements()
-    index = {e: i for i, e in enumerate(elems)}
-    half_a = spec.halve(spec.validate(h.a))
-    spec.validate(h.alpha)
-    neg_a, neg_half_a = spec.neg(h.a), spec.neg(half_a)
-    cols = tuple(index[spec.add(b, neg_a)] for b in elems)
-    exps = tuple((g * (h.z + pairing_exponent(spec, spec.add(b, neg_half_a), h.alpha))) % n for b in elems)
-    return MonomialMatrix(spec.order, n, cols, exps)
-
-
-def reversal_matrix(spec: AbelianGroupSpec) -> MonomialMatrix:
-    """(Rf)(a) = f(-a); R = R* and R^2 = I."""
-    elems = spec.elements()
-    index = {e: i for i, e in enumerate(elems)}
-    cols = tuple(index[spec.neg(b)] for b in elems)
-    return MonomialMatrix(spec.order, spec.exponent, cols, tuple(0 for _ in elems))
-
-
-def parity_projectors(spec: AbelianGroupSpec) -> tuple[list[list[Rational]], list[list[Rational]]]:
-    """Projections onto even and odd functions, as exact rational matrices."""
-    from fractions import Fraction  # here, so no command that skips this API loads fractions and decimal
-    elems = spec.elements()
-    index = {e: i for i, e in enumerate(elems)}
-    size = spec.order
-    p_even = [[Fraction(0)] * size for _ in range(size)]
-    p_odd = [[Fraction(0)] * size for _ in range(size)]
-    half = Fraction(1, 2)
-    for i, b in enumerate(elems):
-        j = index[spec.neg(b)]
-        p_even[i][i] += half
-        p_even[i][j] += half
-        p_odd[i][i] += half
-        p_odd[i][j] -= half
-    return p_even, p_odd
 
 
 # --- exact cyclotomic arithmetic -------------------------------------------
@@ -351,7 +215,7 @@ def heis_etf_gram(spec: AbelianGroupSpec, gamma: GammaTwist, parity: str) -> Exa
     n = spec.order**2
     refuse_past_limit(n * n * n_mod, f"an exact {n}x{n} Gram over {n_mod}-th roots of unity")
     elems = np.array(spec.elements(), dtype=np.int64)
-    a = np.repeat(elems, len(elems), axis=0)  # K = A x A^ in k_elements order
+    a = np.repeat(elems, len(elems), axis=0)  # K = A x A^, (a, alpha) in lexicographic order
     alpha = np.tile(elems, (len(elems), 1))
     weights = np.array([n_mod // m for m in spec.moduli], dtype=np.int64)
     pairing = (a * weights) @ alpha.T  # [i, j] = <a_i, alpha_j>, as an exponent
@@ -376,12 +240,12 @@ def heis_etf_gram_direct(spec: AbelianGroupSpec, gamma: GammaTwist, parity: str)
     if spec.order > 49:
         raise ResourceError("direct Hilbert-Schmidt computation is capped at |A| <= 49")
     n_mod = spec.exponent
-    rev = np.array(reversal_matrix(spec).col)
     sign = 1 if parity == "even" else -1
-    # row k = (a, alpha) of col/exp is pi(a, alpha, 0) (see `schrodinger_matrix`):
+    # row k = (a, alpha) of col/exp is the Schrodinger matrix pi(a, alpha, 0):
     # row b goes to column b - a with exponent g <b - a/2, alpha>
     moduli = np.array(spec.moduli)
     elems = np.array(spec.elements())
+    rev = np.ravel_multi_index(tuple((-elems % moduli).T), spec.moduli)  # (R f)(b) = f(-b)
     shifted = np.moveaxis((elems - elems[:, None]) % moduli, -1, 0)  # [t, a, b] = (b - a)_t
     col = np.repeat(np.ravel_multi_index(tuple(shifted), spec.moduli), len(elems), axis=0)
     half_a = elems * ((moduli + 1) // 2)  # a/2, up to multiples of the moduli
@@ -438,63 +302,28 @@ def exact_is_etf(gram: ExactGram) -> bool:
     return _is_scaled_projection(gram, int((coeff2.astype(object) ** 2).sum()), 2 * int(diag.sum()))
 
 
-# --- the symplectic group at prime level ------------------------------------
-
-
-def sp_membership(p: int, m) -> bool:
-    """Does a 2x2 integer matrix mod p preserve the symplectic form?
-
-    Checked on the standard basis pair and cross-validated against
-    det(m) = 1 mod p; the matrix must be invertible.
-    """
-    if p < 3 or p % 2 == 0:
-        raise InputError("p must be an odd prime")
-    m = [[int(m[0][0]) % p, int(m[0][1]) % p], [int(m[1][0]) % p, int(m[1][1]) % p]]
-    det = (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % p
-    if det == 0:
-        raise InputError("matrix is singular mod p")
-    spec = make_spec((p,))
-    e1 = ((1,), (0,))
-    e2 = ((0,), (1,))
-
-    def apply(u):
-        a, alpha = u[0][0], u[1][0]
-        return (((m[0][0] * a + m[0][1] * alpha) % p,), ((m[1][0] * a + m[1][1] * alpha) % p,))
-
-    preserved = symplectic_exponent(spec, apply(e1), apply(e2)) == symplectic_exponent(
-        spec, e1, e2
-    )
-    if preserved != (det == 1):
-        raise NumericError("form preservation disagrees with the determinant test")
-    return preserved
-
-
-def _sl2_map(p: int, m, e: HeisenbergElement) -> HeisenbergElement:
-    """The 2x2 matrix m mod p applied to the K-part (a, alpha) of e."""
-    a, alpha = e.a[0], e.alpha[0]
-    return HeisenbergElement(
-        ((m[0][0] * a + m[0][1] * alpha) % p,), ((m[1][0] * a + m[1][1] * alpha) % p,), e.z
-    )
+# --- the Heisenberg group at prime level -----------------------------------
 
 
 def heisenberg_permutation_action(p: int) -> GroupAction:
     """Permutation action of (Heisenberg) x| SL(2, p) on the p^3 group elements.
 
-    Generators: left translations by the three standard Heisenberg
-    generators, plus the two standard SL(2, p) generators acting on the
-    K-part coordinatewise.  Supported at desk scale, p in {3, 5, 7}.
+    Point a p^2 + alpha p + z is (a, alpha, z), and every generator is index
+    arithmetic mod p.  Left translation by (t_a, t_alpha, t_z), for the three
+    standard Heisenberg generators, adds it with z gaining h (a t_alpha -
+    t_a alpha), h = (p + 1)/2; the SL(2, p) generators [[0, -1], [1, 0]] and
+    [[1, 1], [0, 1]] act on (a, alpha) and fix z.  Supported at desk scale,
+    p in {3, 5, 7}, until the family is opened to every odd prime.
     """
     if p not in (3, 5, 7):
         raise InputError(f"supported primes are 3, 5, 7; got {p}")
-    spec = make_spec((p,))
-    triples = itertools.product(range(p), repeat=3)
-    elems = [HeisenbergElement((a,), (alpha,), z) for a, alpha, z in triples]
-    maps = [
-        partial(heisenberg_multiply, spec, HeisenbergElement(*translate))
-        for translate in (((1,), (0,), 0), ((0,), (1,), 0), ((0,), (0,), 1))
+    a, alpha, z = np.indices((p, p, p)).reshape(3, -1)
+    half = (p + 1) // 2
+    images = [
+        (a + ta, alpha + tal, z + tz + half * (a * tal - ta * alpha))
+        for ta, tal, tz in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     ]
-    for mat in ([[0, p - 1], [1, 0]], [[1, 1], [0, 1]]):
-        if not sp_membership(p, mat):
-            raise NumericError("standard SL(2, p) generator failed the symplectic check")
-        maps.append(partial(_sl2_map, p, mat))
-    return action_on(elems, lambda e: e, maps)
+    for (m00, m01), (m10, m11) in (((0, p - 1), (1, 0)), ((1, 1), (0, 1))):
+        images.append((m00 * a + m01 * alpha, m10 * a + m11 * alpha, z))
+    gens = [np.ravel_multi_index(tuple(c % p for c in image), (p, p, p)).tolist() for image in images]
+    return GroupAction(PermutationGroup(p**3, gens))

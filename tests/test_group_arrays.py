@@ -6,8 +6,10 @@ the set-based point orbit that ``permgroup.orbit`` replaced with the
 suborbit labelling, the ``np.unique`` ranking inside ``symmetry._joint_refine``, the
 per-(orbital, row) loop of ``SchurianScheme.to_json_dict``, and the
 index-dict loop of each action builder (pairs, regular, Heisenberg and
-Hoggar) and of ``conjugacy_class_scheme``, which ``permgroup.action_on``
-and ``scheme_from_action`` replaced, and the float products of
+Hoggar) and of ``conjugacy_class_scheme``, which ``permgroup.action_on``,
+index arithmetic (Heisenberg, whose reference reads the group law from the
+oracle in ``test_heisenberg.py``) and ``scheme_from_action`` replaced, and
+the float products of
 ``SchurianScheme.structure_constants`` and the tensor comparison of
 ``is_commutative``, which the counted pair codes replaced, and the n x n
 sort of ``_pair_codes`` with its closure check, which its c reference
@@ -32,13 +34,7 @@ from linepack.cli import main
 from linepack.errors import InputError, NumericError, ResourceError
 from linepack.fixtures import hoggar_stabilizer_generators, pauli_tensor_generators
 from linepack.frames import matrix_group_closure, matrix_key
-from linepack.heisenberg import (
-    HeisenbergElement,
-    heisenberg_multiply,
-    heisenberg_permutation_action,
-    make_spec,
-    sp_membership,
-)
+from linepack.heisenberg import heisenberg_permutation_action, make_spec
 from linepack.permgroup import (
     GroupAction,
     Permutation,
@@ -56,6 +52,7 @@ from linepack.scheme import (
     scheme_from_action,
 )
 from linepack.symmetry import _rank_rows
+from test_heisenberg import HeisenbergElement, heisenberg_multiply, sp_membership
 
 
 def reference_orbit(group, point):
@@ -617,7 +614,7 @@ def test_class_schemes_match_reference(name):
     assert got.transpose_pairing == want.transpose_pairing
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("p", [3, 4, 5, 7, 11])
 def test_heisenberg_action_matches_reference(p):
     assert images_or_error(heisenberg_permutation_action, p) == images_or_error(
         reference_heisenberg_permutation_action, p

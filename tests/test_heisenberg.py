@@ -1,35 +1,220 @@
+"""Heisenberg groups and their parity ETFs, against the object algebra.
+
+The library computes on integer index arrays.  The textbook objects it
+replaced are kept here as the oracle: the group law on `HeisenbergElement`,
+the Schrodinger representation as `MonomialMatrix` products, the reversal
+and the parity projectors, and symplectic membership of a 2x2 matrix.
+`test_group_arrays.py` builds its reference Heisenberg action from this law.
+"""
+
 import itertools
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from linepack.errors import MAX_ARRAY_ENTRIES, InputError, ResourceError
-from linepack.frames import coherence, gram_rank, is_etf, welch_bound
+from linepack.errors import MAX_ARRAY_ENTRIES, InputError, NumericError, ResourceError
+from linepack.fixtures import named_group
+from linepack.frames import GramMatrix, coherence, gram_rank, is_etf, projective_reduce, welch_bound
 from linepack.heisenberg import (
+    AbelianGroupSpec,
     GammaTwist,
-    HeisenbergElement,
     cyclotomic_basis,
     cyclotomic_zero,
     exact_is_etf,
     exact_scaled_projection_check,
     heis_etf_gram,
     heis_etf_gram_direct,
-    heisenberg_identity,
-    heisenberg_inverse,
-    heisenberg_multiply,
     heisenberg_permutation_action,
-    k_elements,
     make_spec,
-    parity_projectors,
-    reversal_matrix,
-    schrodinger_matrix,
-    sp_membership,
-    symplectic_exponent,
 )
-from linepack.permgroup import is_transitive
+from linepack.idempotents import central_primitive_idempotents, projection_from_subset
+from linepack.permgroup import GroupAction, is_transitive
 from linepack.scheme import is_commutative, scheme_from_action
+from linepack.symmetry import find_gram_isomorphism
+
+# --- the oracle: the Heisenberg group and its Schrodinger representation as objects
+
+
+def add(spec, a, b):
+    return tuple((x + y) % m for x, y, m in zip(a, b, spec.moduli))
+
+
+def neg(spec, a):
+    return tuple((-x) % m for x, m in zip(a, spec.moduli))
+
+
+def halve(spec, a):
+    """The unique element x with x + x = a (moduli are odd)."""
+    return tuple((x * ((m + 1) // 2)) % m for x, m in zip(a, spec.moduli))
+
+
+def validate(spec, a) -> tuple[int, ...]:
+    a = tuple(int(x) for x in a)
+    if len(a) != len(spec.moduli) or any(not 0 <= x < m for x, m in zip(a, spec.moduli)):
+        raise InputError(f"{a} is not an element for moduli {spec.moduli}")
+    return a
+
+
+def pairing_exponent(spec, a, alpha) -> int:
+    """<a, alpha> = zeta_N^(sum a_t alpha_t N/m_t); returns the exponent."""
+    n = spec.exponent
+    return sum(x * y * (n // m) for x, y, m in zip(a, alpha, spec.moduli)) % n
+
+
+def symplectic_exponent(spec, u, v) -> int:
+    """[(a1,alpha1), (a2,alpha2)] = <a2,alpha1> <a1,alpha2>^-1, as an exponent."""
+    (a1, alpha1), (a2, alpha2) = u, v
+    return (pairing_exponent(spec, a2, alpha1) - pairing_exponent(spec, a1, alpha2)) % spec.exponent
+
+
+def k_elements(spec):
+    """K = A x A^ in lexicographic order over (a-tuple, alpha-tuple)."""
+    elems = spec.elements()
+    return [(a, alpha) for a in elems for alpha in elems]
+
+
+@dataclass(frozen=True)
+class HeisenbergElement:
+    """(a, alpha, z) with z stored as a root-of-unity exponent mod N."""
+
+    a: tuple[int, ...]
+    alpha: tuple[int, ...]
+    z: int
+
+
+def heisenberg_identity(spec) -> HeisenbergElement:
+    zero = tuple(0 for _ in spec.moduli)
+    return HeisenbergElement(zero, zero, 0)
+
+
+def heisenberg_multiply(spec, x: HeisenbergElement, y: HeisenbergElement) -> HeisenbergElement:
+    """(u1, z1)(u2, z2) = (u1 + u2, z1 z2 [u1, u2]^(1/2))."""
+    twist = spec.half * symplectic_exponent(spec, (x.a, x.alpha), (y.a, y.alpha))
+    return HeisenbergElement(
+        add(spec, x.a, y.a), add(spec, x.alpha, y.alpha), (x.z + y.z + twist) % spec.exponent
+    )
+
+
+def heisenberg_inverse(spec, x: HeisenbergElement) -> HeisenbergElement:
+    return HeisenbergElement(neg(spec, x.a), neg(spec, x.alpha), (-x.z) % spec.exponent)
+
+
+@dataclass(frozen=True)
+class MonomialMatrix:
+    """Matrix with one root-of-unity entry per row: M[i, col[i]] = zeta^exp[i]."""
+
+    size: int
+    modulus: int
+    col: tuple[int, ...]
+    exp: tuple[int, ...]
+
+    def __matmul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
+        if (self.size, self.modulus) != (other.size, other.modulus):
+            raise InputError("monomial matrix shape/modulus mismatch")
+        col = tuple(other.col[c] for c in self.col)
+        exp = tuple((e + other.exp[c]) % self.modulus for e, c in zip(self.exp, self.col))
+        return MonomialMatrix(self.size, self.modulus, col, exp)
+
+    def adjoint(self) -> "MonomialMatrix":
+        inv_col = [0] * self.size
+        inv_exp = [0] * self.size
+        for j, c in enumerate(self.col):
+            inv_col[c] = j
+            inv_exp[c] = (-self.exp[j]) % self.modulus
+        return MonomialMatrix(self.size, self.modulus, tuple(inv_col), tuple(inv_exp))
+
+    def trace_terms(self) -> np.ndarray:
+        """Length-modulus vector: fixed points of the column map, counted by exponent."""
+        fixed = [e for i, (c, e) in enumerate(zip(self.col, self.exp)) if c == i]
+        return np.bincount(np.array(fixed, dtype=np.int64), minlength=self.modulus)
+
+    def to_complex(self) -> np.ndarray:
+        m = np.zeros((self.size, self.size), dtype=np.complex128)
+        zeta = np.exp(2j * np.pi / self.modulus)
+        for i, (c, e) in enumerate(zip(self.col, self.exp)):
+            m[i, c] = zeta**e
+        return m
+
+
+def schrodinger_matrix(spec, gamma: GammaTwist, h: HeisenbergElement) -> MonomialMatrix:
+    """[pi(a, alpha, z) f](b) = gamma(z <b - a/2, alpha>) f(b - a) on L^2(A)."""
+    g = gamma.for_spec(spec)
+    n = spec.exponent
+    elems = spec.elements()
+    index = {e: i for i, e in enumerate(elems)}
+    half_a = halve(spec, validate(spec, h.a))
+    validate(spec, h.alpha)
+    neg_a, neg_half_a = neg(spec, h.a), neg(spec, half_a)
+    cols = tuple(index[add(spec, b, neg_a)] for b in elems)
+    exps = tuple((g * (h.z + pairing_exponent(spec, add(spec, b, neg_half_a), h.alpha))) % n for b in elems)
+    return MonomialMatrix(spec.order, n, cols, exps)
+
+
+def reversal_matrix(spec) -> MonomialMatrix:
+    """(Rf)(a) = f(-a); R = R* and R^2 = I."""
+    elems = spec.elements()
+    index = {e: i for i, e in enumerate(elems)}
+    cols = tuple(index[neg(spec, b)] for b in elems)
+    return MonomialMatrix(spec.order, spec.exponent, cols, tuple(0 for _ in elems))
+
+
+def parity_projectors(spec) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """Projections onto even and odd functions, as exact rational matrices."""
+    elems = spec.elements()
+    index = {e: i for i, e in enumerate(elems)}
+    size = spec.order
+    p_even = [[Fraction(0)] * size for _ in range(size)]
+    p_odd = [[Fraction(0)] * size for _ in range(size)]
+    half = Fraction(1, 2)
+    for i, b in enumerate(elems):
+        j = index[neg(spec, b)]
+        p_even[i][i] += half
+        p_even[i][j] += half
+        p_odd[i][i] += half
+        p_odd[i][j] -= half
+    return p_even, p_odd
+
+
+def sp_membership(p: int, m) -> bool:
+    """Does a 2x2 integer matrix mod p preserve the symplectic form?
+
+    Checked on the standard basis pair and cross-validated against
+    det(m) = 1 mod p; the matrix must be invertible.
+    """
+    if p < 3 or p % 2 == 0:
+        raise InputError("p must be an odd prime")
+    m = [[int(m[0][0]) % p, int(m[0][1]) % p], [int(m[1][0]) % p, int(m[1][1]) % p]]
+    det = (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % p
+    if det == 0:
+        raise InputError("matrix is singular mod p")
+    spec = make_spec((p,))
+    e1 = ((1,), (0,))
+    e2 = ((0,), (1,))
+
+    def apply(u):
+        a, alpha = u[0][0], u[1][0]
+        return (((m[0][0] * a + m[0][1] * alpha) % p,), ((m[1][0] * a + m[1][1] * alpha) % p,))
+
+    preserved = symplectic_exponent(spec, apply(e1), apply(e2)) == symplectic_exponent(
+        spec, e1, e2
+    )
+    if preserved != (det == 1):
+        raise NumericError("form preservation disagrees with the determinant test")
+    return preserved
+
+
+def sl2_map(p: int, m, e: HeisenbergElement) -> HeisenbergElement:
+    """The 2x2 matrix m mod p applied to the K-part (a, alpha) of e."""
+    a, alpha = e.a[0], e.alpha[0]
+    return HeisenbergElement(
+        ((m[0][0] * a + m[0][1] * alpha) % p,), ((m[1][0] * a + m[1][1] * alpha) % p,), e.z
+    )
+
+
+# --- tests -------------------------------------------------------------------
 
 Z3 = make_spec((3,))
 GAMMA1 = GammaTwist(1)
@@ -494,3 +679,77 @@ def test_equals_needs_exactly_n_rows():
     assert closed.equals(iter(direct))
     assert not closed.equals(iter(direct[:-1]))
     assert not closed.equals(iter(direct + direct[:1]))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_action_sl2_generators_are_symplectic(p):
+    # the two SL(2, p) generators `heisenberg_permutation_action` applies to
+    # (a, alpha) preserve the form, so they are automorphisms of the group law
+    spec = make_spec((p,))
+    draws = np.random.default_rng(p).integers(p, size=(20, 2, 3)).tolist()
+    pairs = [[HeisenbergElement((a,), (al,), z) for a, al, z in pair] for pair in draws]
+    for mat in ([[0, p - 1], [1, 0]], [[1, 1], [0, 1]]):
+        assert sp_membership(p, mat)
+        for x, y in pairs:
+            image = sl2_map(p, mat, heisenberg_multiply(spec, x, y))
+            assert image == heisenberg_multiply(spec, sl2_map(p, mat, x), sl2_map(p, mat, y))
+
+
+@pytest.mark.parametrize("moduli", [(3.0,), (5.5,), ("5",)])
+def test_spec_refuses_moduli_that_are_not_integers(moduli):
+    with pytest.raises(InputError, match="moduli must be integers"):
+        AbelianGroupSpec(moduli)
+
+
+def test_spec_reads_integer_moduli_as_ints():
+    spec = AbelianGroupSpec((np.int64(5), 3))
+    assert spec.moduli == (5, 3) and [type(m) for m in spec.moduli] == [int, int]
+    assert spec.order == 15
+
+
+def rephased(gram: GramMatrix, b: int) -> GramMatrix:
+    """D* G D with D = diag(|G[b, i]| / G[b, i]): row b becomes real and positive."""
+    row = gram.entries[b]
+    d = np.abs(row) / row
+    return GramMatrix.from_entries(d.conj()[:, None] * gram.entries * d[None, :])
+
+
+def projectively_equivalent(gram: GramMatrix, target: GramMatrix) -> bool:
+    """Equal up to a permutation of the lines and one unit phase per line.
+
+    Base 0 of `gram` goes to some base b of `target`: both rephased so that
+    those rows are real and positive, the two Grams are then equal up to
+    a permutation carrying 0 to b.
+    """
+    base = rephased(gram, 0)
+    return any(find_gram_isomorphism(base, rephased(target, b)) is not None for b in range(target.n))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_general_program_constituents_are_the_closed_form_etfs(p):
+    # every rank (p^2 +- p)/2 constituent of heis<p> on its p^3 points reduces,
+    # with classes of p points (the center), to the p^2-line parity ETF at every twist
+    dec = central_primitive_idempotents(scheme_from_action(GroupAction(named_group(f"heis{p}"))))
+    spec = make_spec((p,))
+    parities = {(p * p + p) // 2: "even", (p * p - p) // 2: "odd"}
+
+    def closed(g, parity):
+        return heis_etf_gram(spec, GammaTwist(g), parity).to_gram_matrix().normalized()
+
+    matched = 0
+    for j, rank in enumerate(dec.ranks):
+        if rank not in parities:
+            continue
+        reduced, class_map = projective_reduce(projection_from_subset(dec, [j]))
+        sizes = np.bincount(class_map)
+        assert reduced.n == p * p and set(sizes[sizes > 0]) == {p}
+        gram, parity = reduced.normalized(), parities[rank]
+        assert all(projectively_equivalent(gram, closed(g, parity)) for g in range(1, p))
+        # controls: the other parity, and the closed form with zeta_5 G[1, 2] and its conjugate
+        assert not projectively_equivalent(gram, closed(1, "odd" if parity == "even" else "even"))
+        entries = closed(1, parity).entries.copy()
+        entries[1, 2] *= np.exp(2j * np.pi / 5)
+        entries[2, 1] = entries[1, 2].conjugate()
+        assert not projectively_equivalent(gram, GramMatrix.from_entries(entries))
+        matched += 1
+    assert matched == 2 * (p - 1)

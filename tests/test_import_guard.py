@@ -5,14 +5,16 @@
 `np.unique` called without a return flag.  `fractions` and the `decimal`
 C extension it imports take 2-3.5 ms of `-X importtime` in each process,
 and no command needs them: the exact center is held in integer rows, and
-only the library's `parity_projectors` returns `Fraction` matrices.  Each
-command runs in a fresh interpreter, which reports the guarded modules it
-loaded.
+no library function returns `Fraction` any more (the exact parity
+projectors are the tests' oracle).  Each command runs in a fresh
+interpreter, which reports the guarded modules it loaded.
 """
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,3 +78,16 @@ def test_commands_load_no_fractions_or_decimal(tmp_path, argv):
     entries = [[[1.0 if i == j else -1.0 / (n - 1), 0.0] for j in range(n)] for i in range(n)]
     simplex.write_text(json.dumps({"n": n, "entries": entries}))
     assert loaded_modules([str(simplex) if a == "@simplex" else a for a in argv]) == []
+
+
+def test_no_library_module_imports_fractions():
+    src = Path(__file__).resolve().parent.parent / "src" / "linepack"
+    imported = {
+        (path.name, alias.name if isinstance(node, ast.Import) else node.module)
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert len({name for name, _ in imported}) > 5
+    assert [(name, module) for name, module in imported if module in ("fractions", "decimal")] == []
