@@ -25,13 +25,11 @@ from .frames import (
     REDUCE_TOL,
     REPORT_TOL,
     GramMatrix,
-    coherence,
     difference_set_check,
     gap_clusters,
     harmonic_gram,
     packing_report,
     projective_reduce,
-    welch_bound,
 )
 from .heisenberg import GammaTwist, heis_etf_gram, heis_etf_gram_direct, make_spec
 from .idempotents import (
@@ -41,7 +39,7 @@ from .idempotents import (
 )
 from .permgroup import GroupAction, induced_pair_action, orbit, regular_action
 from .scheme import SchurianScheme, is_commutative, refuse_orbital_matrix_past_limit, scheme_from_action
-from .symmetry import DEFAULT_NODE_CAP, find_gram_isomorphism, gram_symmetry_group
+from .symmetry import DEFAULT_NODE_CAP, _cluster_values, find_gram_isomorphism, gram_symmetry_group
 
 MAX_SUBSET_BITS = 20
 
@@ -359,6 +357,8 @@ def cmd_symmetry(args) -> dict:
 
 
 def _verify_figure2() -> dict:
+    """Figure 2's facts from the pipeline's certified tests: the packing report,
+    the joint entry colouring and the isomorphism search."""
     sch = scheme_from_action(GroupAction(fixtures.named_group("agl")))
     dec = central_primitive_idempotents(sch)
     checks: dict = {"multiplicity_free": multiplicity_free(dec)}
@@ -366,26 +366,13 @@ def _verify_figure2() -> dict:
     rank7 = [j for j in range(dec.n_projections) if dec.ranks[j] == 7]
     checks["unique_rank7"] = len(rank7) == 1
     computed = projection_from_subset(dec, rank7)
-    ok_values = (
-        np.abs(np.diag(computed.entries.real) - 0.25).max() < 1e-9
-        and np.abs(computed.entries.imag).max() < 1e-9
-    )
-    off = computed.entries.real[~np.eye(28, dtype=bool)]
-    counts = {
-        "plus": int((np.abs(off - 1 / 12) < 1e-9).sum()),
-        "minus": int((np.abs(off + 1 / 12) < 1e-9).sum()),
-    }
-    target_off = target.entries.real[~np.eye(28, dtype=bool)]
-    target_counts = {
-        "plus": int((np.abs(target_off - 1 / 12) < 1e-9).sum()),
-        "minus": int((np.abs(target_off + 1 / 12) < 1e-9).sum()),
-    }
-    checks["entry_multiset_matches"] = bool(ok_values and counts == target_counts)
-    perm = find_gram_isomorphism(computed, target)
-    checks["permutation_equivalent"] = perm is not None
-    checks["coherence_is_welch_28_7"] = (
-        abs(coherence(computed.normalized()) - welch_bound(28, 7)) < 1e-9
-    )
+    # the colours find_gram_isomorphism reads: one clustering of both entry sets
+    colors = _cluster_values(np.stack([computed.entries, target.entries]), COLOR_TOL).reshape(2, -1)
+    histograms = [np.bincount(c, minlength=colors.max() + 1) for c in colors]
+    checks["entry_multiset_matches"] = bool(np.array_equal(*histograms))
+    checks["permutation_equivalent"] = find_gram_isomorphism(computed, target) is not None
+    report = packing_report(computed)
+    checks["coherence_is_welch_28_7"] = report.n == 28 and report.d == 7 and report.welch_met
     checks["passed"] = all(bool(v) for v in checks.values())
     return checks
 
@@ -403,7 +390,7 @@ def _verify_mub_figure(load, n: int, d: int, coherence_name: str, coh: float, fi
     checks = {
         "n": report.n == n,
         f"rank_{d}": report.d == d,
-        coherence_name: abs(report.coherence - coh) < 1e-9,
+        coherence_name: abs(report.coherence - coh) <= REPORT_TOL,
         "orthoplex_met": report.orthoplex_met,
         "levenstein_met": report.levenstein_met,
         "tight": report.is_tight,

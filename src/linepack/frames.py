@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from dataclasses import field as dataclass_field
 from functools import cached_property, partial
 from math import prod, sqrt
@@ -28,10 +28,10 @@ from .errors import InputError, NumericError, ResourceError, refuse_past_limit
 if TYPE_CHECKING:
     from .scheme import SchurianScheme
 
-# Tolerances that more than one decision shares or that the command line
-# sets, one name each.  Only `reduce` and `symmetry`, whose Gram comes from
-# a file, take a --tol (defaulting to REDUCE_TOL and COLOR_TOL); every other
-# command's input is exact.
+# Every tolerance of the package, one name each: no other module writes a
+# 1e-k literal (tests/test_tolerances.py).  Only `reduce` and `symmetry`,
+# whose Gram comes from a file, take a --tol (defaulting to REDUCE_TOL and
+# COLOR_TOL); every other command's input is exact.
 HERMITIAN_TOL = 1e-12
 RANK_TOL = 1e-8  # eigenvalues above RANK_TOL * spectral radius count toward the rank
 REAL_TOL = 1e-10  # a Gram whose imaginary parts stay within it is real
@@ -42,6 +42,8 @@ REDUCE_TOL = 1e-7  # moduli and phases that `projective_reduce` takes as equal
 COLOR_TOL = 1e-7  # entry values that share a color in the symmetry search
 CLUSTER_TOL = 1e-8  # eigenvalue gap, relative to the spectral radius, between idempotents
 IDEMPOTENT_TOL = 1e-8  # residual of the exact idempotent, orthogonality and sum checks
+COEFFICIENT_TOL = 1e-6  # idempotent order slack, integral-trace test and trivial J/n match
+STABLE_TOL = 1e-9  # entry slack of `stable_matrix_check` on a float matrix
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -606,21 +608,9 @@ class PackingReport:
         return self.moduli()
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "coherence": self.coherence,
-            "welch": self.welch,
-            "welch_met": self.welch_met,
-            "orthoplex_applicable": self.orthoplex_applicable,
-            "orthoplex_met": self.orthoplex_met,
-            "levenstein_applicable": self.levenstein_applicable,
-            "levenstein_met": self.levenstein_met,
-            "is_etf": self.is_etf,
-            "is_tight": self.is_tight,
-            "field": self.field,
-            "distinct_offdiag_moduli": self.distinct_offdiag_moduli,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "moduli"}
+        payload["distinct_offdiag_moduli"] = self.distinct_offdiag_moduli
+        return payload
 
 
 def _orbital_facts(gram: GramMatrix) -> Optional[tuple]:

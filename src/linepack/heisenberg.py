@@ -74,7 +74,7 @@ class AbelianGroupSpec:
 
 
 def make_spec(moduli: Sequence[int]) -> AbelianGroupSpec:
-    return AbelianGroupSpec(tuple(int(m) for m in moduli))
+    return AbelianGroupSpec(moduli)
 
 
 @dataclass(frozen=True)

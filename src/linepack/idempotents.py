@@ -39,7 +39,15 @@ from functools import cmp_to_key
 import numpy as np
 
 from .errors import InputError, NumericError
-from .frames import CLUSTER_TOL, HERMITIAN_TOL, IDEMPOTENT_TOL, GramMatrix, complex_pairs, gap_clusters
+from .frames import (
+    CLUSTER_TOL,
+    COEFFICIENT_TOL,
+    HERMITIAN_TOL,
+    IDEMPOTENT_TOL,
+    GramMatrix,
+    complex_pairs,
+    gap_clusters,
+)
 from .scheme import SchurianScheme, is_commutative
 
 
@@ -301,7 +309,7 @@ def _verify(scheme: SchurianScheme, coeff_list: list[np.ndarray]) -> None:
 
 
 def _item_cmp(a, b):
-    """Order (rank, coefficient vector, ...) items with a 1e-6 equality slack,
+    """Order (rank, coefficient vector, ...) items with a COEFFICIENT_TOL equality slack,
     so the canonical order is stable across seeds."""
     ra, ca = a[:2]
     rb, cb = b[:2]
@@ -309,7 +317,7 @@ def _item_cmp(a, b):
         return -1 if ra < rb else 1
     for x, y in zip(ca, cb):
         for u, v in ((x.real, y.real), (x.imag, y.imag)):
-            if abs(u - v) > 1e-6:
+            if abs(u - v) > COEFFICIENT_TOL:
                 return -1 if u < v else 1
     return 0
 
@@ -352,7 +360,7 @@ def _assemble(
     items = []
     for e, size in projectors:
         tr = np.real(scheme.trace(e))
-        if abs(tr - round(tr)) > 1e-6:
+        if abs(tr - round(tr)) > COEFFICIENT_TOL:
             raise NumericError(f"projector trace {tr} is not close to an integer")
         rank, mult = int(round(tr)), math.isqrt(size)
         if mult * mult != size or rank % mult:
@@ -365,7 +373,7 @@ def _assemble(
 
     trivial_index = None
     for j, (_, e, _) in enumerate(items):
-        if np.abs(e - 1.0 / n).max() < 1e-6:
+        if np.abs(e - 1.0 / n).max() < COEFFICIENT_TOL:
             trivial_index = j
             break
     if trivial_index is None:

@@ -29,6 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, refuse_past_limit
+from .frames import STABLE_TOL
 from .permgroup import (
     GroupAction,
     PermutationGroup,
@@ -272,7 +273,7 @@ def stable_matrix_check(scheme: SchurianScheme, matrix) -> bool:
     """True iff the matrix is constant on every orbital.
 
     Exact for an object array (Fraction or int entries), within an absolute
-    1e-9 otherwise.  Each orbital is compared with its entry in row 0.
+    STABLE_TOL otherwise.  Each orbital is compared with its entry in row 0.
     """
     n = scheme.point_count
     try:
@@ -281,6 +282,6 @@ def stable_matrix_check(scheme: SchurianScheme, matrix) -> bool:
         raise InputError("matrix rows must all have the same length") from None
     if values.shape != (n, n):
         raise InputError(f"matrix shape {values.shape} does not match point count {n}")
-    slack = 0 if values.dtype == object else 1e-9
+    slack = 0 if values.dtype == object else STABLE_TOL
     reference = values[0, scheme.columns][scheme.orbital_of]
     return bool(np.all(abs(values - reference) <= slack))

@@ -83,14 +83,6 @@ def _cluster_values(values: np.ndarray, tol: float) -> np.ndarray:
     return color[inverse].reshape(values.shape)
 
 
-def color_matrix_from_gram(gram: GramMatrix, tol: float = COLOR_TOL) -> np.ndarray:
-    """Entry-value coloring of a Gram matrix, its entries clustered at the given tolerance.
-
-    The n x n int64 matrix of color ids: the edge colors of the complete digraph.
-    """
-    return _cluster_values(gram.entries, tol)
-
-
 def _rank_rows(rows: np.ndarray) -> np.ndarray:
     """Rank of each row among the distinct rows in lexicographic order.
 
@@ -251,7 +243,7 @@ def gram_symmetry_group(
     Every returned generator is checked to commute with the Gram matrix
     within 10*tol before the group is returned.
     """
-    gens, order = colored_graph_automorphisms(color_matrix_from_gram(gram, tol), node_cap)
+    gens, order = colored_graph_automorphisms(_cluster_values(gram.entries, tol), node_cap)
     entries = gram.entries
     scale = max(1.0, float(np.abs(entries).max()))
     for g in gens:

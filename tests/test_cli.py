@@ -453,6 +453,25 @@ def test_verify_figures_command(capsys):
     assert payload["figure4"]["passed"] is True
 
 
+def test_verify_figures_fails_on_a_wrong_figure2(capsys, monkeypatch):
+    entries = fixtures.figure2_gram().entries.copy()
+    i, j = np.argwhere(np.isclose(entries, 1 / 12))[0]
+    entries[i, j] = entries[j, i] = -1 / 12
+    monkeypatch.setattr(fixtures, "figure2_gram", lambda: GramMatrix.from_entries(entries))
+    checks = cli._verify_figure2()
+    # one ±1/12 pair changes sign: the entry histogram and the isomorphism fail,
+    # while the computed frame is still the 28-line ETF
+    assert checks["entry_multiset_matches"] is False
+    assert checks["permutation_equivalent"] is False
+    assert checks["coherence_is_welch_28_7"] is True
+    assert checks["passed"] is False
+    code = main(["verify-figures"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "figure2: FAIL" in captured.err
+    assert captured.out == ""
+
+
 def test_output_flag_writes_file(capsys, tmp_path):
     out = tmp_path / "res.json"
     code, _ = run(capsys, ["harmonic", "--moduli", "3", "--subset", "0,1", "--output", str(out)])

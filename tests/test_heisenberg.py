@@ -701,6 +701,13 @@ def test_spec_refuses_moduli_that_are_not_integers(moduli):
         AbelianGroupSpec(moduli)
 
 
+@pytest.mark.parametrize("moduli", [[5.9], ["7"]], ids=["float", "str"])
+def test_make_spec_leaves_the_integer_check_to_the_spec(moduli):
+    # no conversion before the spec's own check: 5.9 is not Z_5, "7" is not Z_7
+    with pytest.raises(InputError, match="moduli must be integers"):
+        make_spec(moduli)
+
+
 def test_spec_reads_integer_moduli_as_ints():
     spec = AbelianGroupSpec((np.int64(5), 3))
     assert spec.moduli == (5, 3) and [type(m) for m in spec.moduli] == [int, int]

@@ -36,7 +36,8 @@ import pytest
 
 from linepack import cli, fixtures
 from linepack.cli import main
-from linepack.symmetry import color_matrix_from_gram
+from linepack.frames import COLOR_TOL
+from linepack.symmetry import _cluster_values
 
 DIGESTS = Path(__file__).parent / "data" / "cli_stdout_sha256.json"
 
@@ -159,5 +160,5 @@ def test_idempotent_integer_fields_are_identical(case, capsys):
 
 @pytest.mark.parametrize("case", sorted(COLOR_CASES))
 def test_figure_colors_are_identical(case):
-    color = color_matrix_from_gram(COLOR_CASES[case]())
+    color = _cluster_values(COLOR_CASES[case]().entries, COLOR_TOL)
     assert sha256(color.tobytes()) == json.loads(DIGESTS.read_text())[case]

@@ -7,11 +7,11 @@ import pytest
 from linepack import symmetry
 from linepack.errors import NumericError
 from linepack.fixtures import named_group
-from linepack.frames import GramMatrix, harmonic_gram
+from linepack.frames import COLOR_TOL, GramMatrix, harmonic_gram
 from linepack.idempotents import central_primitive_idempotents, projection_from_subset
 from linepack.permgroup import Permutation, PermutationGroup, orbit, parse_cycles, regular_action
 from linepack.scheme import scheme_from_action
-from linepack.symmetry import color_matrix_from_gram, find_gram_isomorphism, gram_symmetry_group
+from linepack.symmetry import find_gram_isomorphism, gram_symmetry_group
 
 
 def brute_force_symmetries(entries, tol=1e-9):
@@ -92,7 +92,7 @@ def test_commute_check_bound_is_ten_tol(monkeypatch, defect, raises):
     # swapping points 0 and 1 moves the diagonal by `defect`; the bound is 10 * tol * scale
     entries = np.array([[1.0, 0.5], [0.5, 1.0 + defect]])
     colors = np.array([[0, 1], [1, 0]])
-    monkeypatch.setattr(symmetry, "color_matrix_from_gram", lambda gram, tol: colors)
+    monkeypatch.setattr(symmetry, "_cluster_values", lambda values, tol: colors)
     gram = GramMatrix.from_entries(entries)
     if raises:
         with pytest.raises(NumericError, match="non-commuting generator"):
@@ -103,7 +103,7 @@ def test_commute_check_bound_is_ten_tol(monkeypatch, defect, raises):
 
 def true_simplex_symmetries(n):
     simplex = GramMatrix.from_entries(np.eye(n) - np.full((n, n), 1 / n))
-    gens, order = symmetry.colored_graph_automorphisms(color_matrix_from_gram(simplex))
+    gens, order = symmetry.colored_graph_automorphisms(symmetry._cluster_values(simplex.entries, COLOR_TOL))
     return simplex, gens, order
 
 
@@ -151,7 +151,7 @@ def test_exact_color_path():
     # J/3 has one entry value, so one colour and the whole symmetric group
     n = 3
     gram = GramMatrix(n, np.full((n, n), 1 / 3))
-    assert len(np.unique(color_matrix_from_gram(gram))) == 1
+    assert len(np.unique(symmetry._cluster_values(gram.entries, COLOR_TOL))) == 1
     assert gram_symmetry_group(gram).order == 6
 
 
