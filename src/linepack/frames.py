@@ -61,9 +61,10 @@ class OrbitalForm:
     one pair (0, v) of orbital i stands for all of it; `scheme.columns[i]`
     is the first such v.  A form that `projective_reduce` cut down to class
     representatives keeps their rows and columns of the whole form's
-    labels, has no `scheme`, and carries `certificate` = (c, rho):
-    ||G^2 - c G||_2 <= rho, inherited from the whole form, which measures
-    its own (`_square_certificate`).  Label 0 is the diagonal in both.
+    labels and has no `scheme`.  Label 0 is the diagonal in both.  Its
+    `certificate` (c, rho), ||G^2 - c G||_2 <= rho, comes from
+    `projection_from_subset` or, inherited, from the whole form; a form
+    without one (say, built by hand) is reported on the dense path.
     """
 
     orbital_of: np.ndarray
@@ -103,8 +104,8 @@ class GramMatrix:
         return gram
 
     @staticmethod
-    def from_orbitals(scheme: "SchurianScheme", x) -> "GramMatrix":
-        """The Gram x[scheme.orbital_of], held without dense entries.
+    def from_orbitals(scheme: "SchurianScheme", x, certificate=None) -> "GramMatrix":
+        """The Gram x[scheme.orbital_of], held without dense entries, with its certificate.
 
         Hermitian symmetry is checked on the coefficients, through
         `scheme.adjoint`.
@@ -114,7 +115,7 @@ class GramMatrix:
             raise InputError(f"{x.shape} coefficients for a scheme of {scheme.n_orbitals} orbitals")
         if np.abs(x - scheme.adjoint(x)).max() > HERMITIAN_TOL:
             raise InputError(f"Gram matrix is not Hermitian within {HERMITIAN_TOL:g}")
-        return GramMatrix._of_form(OrbitalForm(scheme.orbital_of, x, scheme=scheme))
+        return GramMatrix._of_form(OrbitalForm(scheme.orbital_of, x, scheme, certificate))
 
     @staticmethod
     def from_entries(entries) -> "GramMatrix":
@@ -341,29 +342,6 @@ def _decisive(values: np.ndarray, threshold: float) -> Optional[np.ndarray]:
     return passed
 
 
-def _square_certificate(form: OrbitalForm) -> tuple[float, float]:
-    """(c, rho) with ||G^2 - c G||_2 <= rho, for a whole orbital form with x_0 > 0.
-
-    c = (G^2)[0, 0] / x_0 = sum_i k_i |x_i|^2 / x_0.  S = S_x, the scheme's
-    `symmetrized_multiplication`, keeps the 2-norm, so ||G^2 - c G||_2
-    = ||S^2 - c S||_2 <= ||S^2 - c S||_F, one product of m x m matrices
-    over m orbitals.  Rounding: |G| has row sums a = sum_i k_i |x_i|, which
-    bounds ||S||, || |S| || and ||S_|x| ||; each entry of L_x sums at most
-    K = max k_i terms before its scaling by D^(+-1/2), so the computed S is
-    within (K + 3) eps S_|x|, which moves S^2 - c S by (K + 3) eps a (2 a + c)
-    in 2-norm; the product and the difference add (m + 3) eps a (a + c), and
-    the Frobenius sum a factor 1 + m^2 eps.  Counting eps for u = eps / 2
-    covers the second-order terms.
-    """
-    scheme, x = form.scheme, form.x
-    k, absx = np.asarray(scheme.valencies, dtype=np.float64), np.abs(x)
-    c, a = float(k @ absx**2) / float(x[0].real), float(k @ absx)
-    s = scheme.symmetrized_multiplication(x)
-    m = len(x)
-    rounding = (2 * max(scheme.valencies) + m + 9) * _EPS * a * (a + c)
-    return c, (1 + m * m * _EPS) * float(np.linalg.norm(s @ s - c * s)) + rounding
-
-
 def _reduce_orbitals(form: OrbitalForm, tol: float) -> Optional[tuple[GramMatrix, list[int]]]:
     """`projective_reduce`'s tests run once per orbital of a whole form.
 
@@ -377,8 +355,8 @@ def _reduce_orbitals(form: OrbitalForm, tol: float) -> Optional[tuple[GramMatrix
     Returns None, leaving the decision to the dense path, when x_0 <= 0, a
     test lands within 10x of its tolerance or S is not closed.
 
-    The reduced form inherits the certificate ||G^2 - c G||_2 <= rho as
-    (c / k, rho / k + dropped), for classes of k points.  On the
+    The reduced form inherits a certificate ||G^2 - c G||_2 <= rho, if any,
+    as (c / k, rho / k + dropped), for classes of k points.  On the
     representatives G^2 = G_red A A* G_red + G_red A E* + E A* G_red + E E*,
     where column z of A holds alpha_z and of E the residual e_z, with
     ||alpha_z| - 1| <= phase and |e_z| <= resid as measured, widened by eps
@@ -427,13 +405,16 @@ def _reduce_orbitals(form: OrbitalForm, tol: float) -> Optional[tuple[GramMatrix
         if class_map[y] < 0:
             class_map[collapsed[of[y]]] = y
     reps = np.flatnonzero(class_map == np.arange(n))
-    k = n // reps.size
-    c, rho = _square_certificate(form)
-    phase = float(phase[parallel].max()) + _EPS
-    resid = float(resid[parallel].max()) + 3 * _EPS * float(moduli.max())
-    g, n_red = c + rho / c, reps.size
-    dropped = g**2 * (2 * phase + phase**2) + n_red * resid * (2 * g * (1 + phase) + n_red * resid)
-    reduced = OrbitalForm(of[np.ix_(reps, reps)], x, certificate=(c / k, rho / k + dropped))
+    certificate = None
+    if form.certificate is not None:
+        c, rho = form.certificate
+        g, k, n_red = c + rho / c, n // reps.size, reps.size
+        phase = float(phase[parallel].max()) + _EPS
+        resid = float(resid[parallel].max()) + 3 * _EPS * float(moduli.max())
+        spill = n_red * resid
+        dropped = g**2 * (2 * phase + phase**2) + spill * (2 * g * (1 + phase) + spill)
+        certificate = (c / k, rho / k + dropped)
+    reduced = OrbitalForm(of[np.ix_(reps, reps)], x, certificate=certificate)
     return GramMatrix._of_form(reduced), class_map.tolist()
 
 
@@ -621,14 +602,14 @@ def _orbital_facts(gram: GramMatrix) -> Optional[tuple]:
     counted as often as it occurs, so they are the dense values bit for
     bit: the same numbers pass through the same float operations.
     Tightness and d come from the form's certificate ||G^2 - c G||_2 <=
-    rho.  The dense test's residual r, with its own c' = tr G^2 / tr G
-    and the rounding of G @ G, is at most 2 (rho + 4 n eps c x_0).  Every
-    eigenvalue of G lies within 2 rho / c of 0 or of c, so when that is
-    below RANK_TOL c, the dense path's d, from `_trace_rank` or
-    `gram_rank`, is tr G / c rounded.  Returns None, for the dense path,
-    unless r clears the tightness threshold and rho / c clears RANK_TOL c
-    by 10x, and tr G / c lies within 0.05 of an integer.  A diagonal x_0
-    <= 0 raises the dense path's InputError.
+    rho, and a form without one returns None.  The dense test's residual
+    r, with its own c' = tr G^2 / tr G and the rounding of G @ G, is at
+    most 2 (rho + 4 n eps c x_0).  Every eigenvalue of G lies within 2 rho
+    / c of 0 or of c, so when that is below RANK_TOL c, the dense path's
+    d, from `_trace_rank` or `gram_rank`, is tr G / c rounded.  Returns
+    None, for the dense path, unless r clears the tightness threshold and
+    rho / c clears RANK_TOL c by 10x, and tr G / c lies within 0.05 of an
+    integer.  A diagonal x_0 <= 0 raises the dense path's InputError.
     """
     form = gram.orbital
     of, x = form.orbital_of, form.x
@@ -636,14 +617,13 @@ def _orbital_facts(gram: GramMatrix) -> Optional[tuple]:
     x0 = float(x[0].real)
     if not x0 > 0 and n >= 2:
         raise InputError("coherence requires a strictly positive diagonal")
-    if not n * x0 > 10 * REPORT_TOL:
+    if form.certificate is None or not n * x0 > 10 * REPORT_TOL:
         return None
+    c, rho = form.certificate
     if form.scheme is not None:
         counts = n * np.array(form.scheme.valencies)
-        c, rho = _square_certificate(form)
     else:
         counts = np.bincount(of.ravel(), minlength=len(x))
-        c, rho = form.certificate
     counts[0] -= n
     off = np.flatnonzero(counts)
     absx = np.abs(x)
@@ -684,8 +664,8 @@ def packing_report(gram: GramMatrix) -> PackingReport:
     Coherence is taken after unit normalization, and a bound counts as met
     when coherence sits within REPORT_TOL of it.  A Gram with an orbital
     form is read in coefficient space (`_orbital_facts`) when its
-    certificate, a bound on ||G^2 - c G||_2 read in coefficient space,
-    decides tightness and rank with a 10x margin.
+    certificate, a bound on ||G^2 - c G||_2 summed from the idempotent
+    stage's pair products, decides tightness and rank with a 10x margin.
     """
     n = gram.n
     facts = _orbital_facts(gram) if gram.orbital is not None else None

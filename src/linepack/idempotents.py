@@ -23,7 +23,7 @@ certified with products read off the scheme's pair codes:
   3. the projectors are verified with products read off the pair codes
      (`SchurianScheme.left_multiplication`, no c^3 tensor): idempotent,
      Hermitian, pairwise orthogonal and summing to the identity, with
-     integral traces.
+     integral traces; each product leaves a bound that the scan's certificates sum.
 
 Since orbitals have disjoint supports, entrywise matrix norms are exactly
 coefficient norms.
@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .frames import (
+    _EPS,
     CLUSTER_TOL,
     COEFFICIENT_TOL,
     HERMITIAN_TOL,
@@ -58,6 +59,7 @@ class IsotypicDecomposition:
     coefficients[j, i] expands E_j over the orbital matrices; rank_j is
     the (integer) trace.  degrees[j] (the dimension of the irreducible
     constituent) and multiplicities[j] satisfy rank = multiplicity * degree.
+    pair_bounds[a, b] >= ||E_a E_b - delta_ab E_a||_2 (`_verify`); no JSON output holds it.
     """
 
     scheme: SchurianScheme
@@ -66,6 +68,7 @@ class IsotypicDecomposition:
     degrees: tuple[int, ...]
     multiplicities: tuple[int, ...]
     trivial_index: int
+    pair_bounds: np.ndarray  # (r+1, r+1) float
 
     @property
     def n_projections(self) -> int:
@@ -270,42 +273,56 @@ def _decompose_once(
 ) -> list[tuple[np.ndarray, int]]:
     """Spectral projectors of a seeded generic Hermitian central element x, with cluster sizes.
 
-    x is Hermitian, so S = D^(1/2) L_x D^(-1/2) with D = diag(valencies)
-    (`SchurianScheme.symmetrized_multiplication`) is Hermitian.  An
-    eigenvalue cluster V of S is the block of one primitive idempotent E,
-    and E = L_E 1 = D^(-1/2) V V* D^(1/2) 1.
+    S = D^(1/2) L_x D^(-1/2), D = diag(valencies), is L_x in the basis A_i / sqrt(n k_i),
+    orthonormal for tr(A B*), so x -> S_x is a faithful *-representation (Bannai-Ito,
+    Algebraic Combinatorics I, 2.2) and S is Hermitian.  An eigenvalue cluster V of S
+    is the block of one primitive idempotent E, and E = L_E 1 = D^(-1/2) V V* D^(1/2) 1.
     """
     rng = random.Random(seed)
     generic = sum(rng.gauss(0.0, 1.0) * h for h in herm)
-    sym = scheme.symmetrized_multiplication(generic)
+    root_k = np.sqrt(np.asarray(scheme.valencies, dtype=np.float64))
+    sym = root_k[:, None] * scheme.left_multiplication(generic) / root_k[None, :]
     eigvals, eigvecs = np.linalg.eigh((sym + sym.conj().T) / 2)
     radius = max(float(np.abs(eigvals).max()), 1.0)
     projectors = []
     for idx in gap_clusters(eigvals, CLUSTER_TOL * radius):
         vecs = eigvecs[:, idx]
-        e = vecs @ vecs[0].conj() / scheme.root_valencies
+        e = vecs @ vecs[0].conj() / root_k
         projectors.append(((e + scheme.adjoint(e)) / 2, len(idx)))
     return projectors
 
 
-def _verify(scheme: SchurianScheme, coeff_list: list[np.ndarray]) -> None:
-    """Certify the projectors with products read off the pair codes, one L_E at a time."""
+def _verify(scheme: SchurianScheme, coeff_list: list[np.ndarray]) -> np.ndarray:
+    """Certify the projectors with products read off the pair codes, one L_E at a time.
+
+    Returns rho[a, b] >= ||E_a E_b - delta_ab E_a||_2, read off the computed
+    residual R_ab: a group-stable M has absolute row and column sums sum_i k_i |m_i|
+    (paired orbitals share a valency), a bound on ||M||_2.  An entry of L_E sums at
+    most K = max k_i terms and a real or imaginary part of a product 2 m real products
+    over m orbitals, so E_a E_b is computed within (K + 3 m) u |E_a| |E_b|, u = eps / 2,
+    of norm a_a a_b, a_a = sum_i k_i |e_a,i|; 1 + (m + 4) eps covers rounding R_ab and sums.
+    """
     stack = np.array(coeff_list)
-    identity = np.zeros(scheme.n_orbitals, dtype=np.complex128)
-    identity[0] = 1.0
+    k = np.asarray(scheme.valencies, dtype=np.float64)
+    sizes = np.abs(stack) @ k
+    slack = (max(scheme.valencies) + 3 * len(k)) * _EPS / 2
+    bounds = np.empty((len(coeff_list), len(coeff_list)))
     for a, e in enumerate(coeff_list):
         if np.real(scheme.trace(e)) < 0.5:
             raise _DecompositionFailure("projector has rank zero")
         if np.abs(e - scheme.adjoint(e)).max() > HERMITIAN_TOL:
             raise _DecompositionFailure("projector is not Hermitian")
-        products = stack @ scheme.left_multiplication(e).T  # row b is E_a E_b
-        if np.abs(products[a] - e).max() > IDEMPOTENT_TOL:
+        residual = stack @ scheme.left_multiplication(e).T  # row b is E_a E_b
+        residual[a] -= e
+        residual = np.abs(residual)  # the complex products go before the next L_E
+        if residual[a].max() > IDEMPOTENT_TOL:
             raise _DecompositionFailure("projector is not idempotent")
-        products[a] = 0.0
-        if np.abs(products).max() > IDEMPOTENT_TOL:
+        if residual.max() > IDEMPOTENT_TOL:
             raise _DecompositionFailure("projectors are not mutually orthogonal")
-    if np.abs(stack.sum(axis=0) - identity).max() > IDEMPOTENT_TOL:
+        bounds[a] = (1 + (len(k) + 4) * _EPS) * (residual @ k + slack * sizes[a] * sizes)
+    if np.abs(stack.sum(axis=0) - np.eye(1, len(k))[0]).max() > IDEMPOTENT_TOL:
         raise _DecompositionFailure("projectors do not sum to the identity")
+    return bounds
 
 
 def _item_cmp(a, b):
@@ -340,15 +357,15 @@ def central_primitive_idempotents(scheme: SchurianScheme, seed: int = 0) -> Isot
                 raise _DecompositionFailure(
                     f"found {len(projectors)} projectors, center dimension is {len(center)}"
                 )
-            _verify(scheme, [e for e, _ in projectors])
-            return _assemble(scheme, projectors)
+            bounds = _verify(scheme, [e for e, _ in projectors])
+            return _assemble(scheme, projectors, bounds)
         except _DecompositionFailure as exc:
             failures.append(f"seed {seed + attempt}: {exc}")
     raise NumericError("idempotent decomposition failed: " + "; ".join(failures))
 
 
 def _assemble(
-    scheme: SchurianScheme, projectors: list[tuple[np.ndarray, int]]
+    scheme: SchurianScheme, projectors: list[tuple[np.ndarray, int]], bounds: np.ndarray
 ) -> IsotypicDecomposition:
     """The decomposition of certified projectors, each with its eigenvalue cluster's size.
 
@@ -358,33 +375,35 @@ def _assemble(
     """
     n = scheme.point_count
     items = []
-    for e, size in projectors:
+    for index, (e, size) in enumerate(projectors):
         tr = np.real(scheme.trace(e))
         if abs(tr - round(tr)) > COEFFICIENT_TOL:
             raise NumericError(f"projector trace {tr} is not close to an integer")
         rank, mult = int(round(tr)), math.isqrt(size)
         if mult * mult != size or rank % mult:
             raise NumericError(f"a block of dimension {size} does not fit a rank-{rank} projector")
-        items.append((rank, e, mult))
-    if sum(rank for rank, _, _ in items) != n:
+        items.append((rank, e, mult, index))
+    if sum(rank for rank, *_ in items) != n:
         raise NumericError("projector ranks do not sum to the point count")
     items.sort(key=cmp_to_key(_item_cmp))
-    coefficients = np.array([e for _, e, _ in items])
+    coefficients = np.array([e for _, e, *_ in items])
 
     trivial_index = None
-    for j, (_, e, _) in enumerate(items):
+    for j, (_, e, *_) in enumerate(items):
         if np.abs(e - 1.0 / n).max() < COEFFICIENT_TOL:
             trivial_index = j
             break
     if trivial_index is None:
         raise NumericError("no projection matches J/|X| (trivial component missing)")
+    order = [index for *_, index in items]
     return IsotypicDecomposition(
         scheme=scheme,
         coefficients=coefficients,
-        ranks=tuple(rank for rank, _, _ in items),
-        degrees=tuple(rank // mult for rank, _, mult in items),
-        multiplicities=tuple(mult for _, _, mult in items),
+        ranks=tuple(rank for rank, *_ in items),
+        degrees=tuple(rank // mult for rank, _, mult, _ in items),
+        multiplicities=tuple(mult for _, _, mult, _ in items),
         trivial_index=trivial_index,
+        pair_bounds=bounds[np.ix_(order, order)],
     )
 
 
@@ -411,11 +430,26 @@ def projection_from_subset(dec: IsotypicDecomposition, subset) -> GramMatrix:
     The complement subset yields I minus the result (Naimark pairing).
     The Gram is held in its orbital form: the coefficients, symmetrised as
     x <- (x + adjoint(x)) / 2, over the scheme's orbitals.
+
+    It carries the certificate ||G^2 - c G||_2 <= rho, c = sum_i k_i |x_i|^2 / x_0, in
+    O(|S|^2): P = sum_S E_a has ||P^2 - P||_2 <= sigma = sum_{a, b in S} rho_ab, and G =
+    P + Delta with ||Delta||_2 <= delta = |S| eps A, A = sum_S a_a >= ||P||_2 (`_verify`'s
+    row-sum norm), so rho = sigma + delta (2 A + delta + 1) + |1 - c| sum_i k_i |x_i|,
+    widened by (|S|^2 + m) eps for rounding.
     """
     indices = sorted(set(int(j) for j in subset))
     for j in indices:
         if not 0 <= j < dec.n_projections:
             raise InputError(f"projection index {j} out of range")
-    coeffs = dec.coefficients[indices].sum(axis=0)
-    coeffs = (coeffs + dec.scheme.adjoint(coeffs)) / 2
-    return GramMatrix.from_orbitals(dec.scheme, coeffs)
+    scheme, rows = dec.scheme, dec.coefficients[indices]
+    x = rows.sum(axis=0)
+    x = (x + scheme.adjoint(x)) / 2
+    if not indices:  # the zero Gram has no c to certify
+        return GramMatrix.from_orbitals(scheme, x)
+    k, absx = np.asarray(scheme.valencies, dtype=np.float64), np.abs(x)
+    c, a = float(k @ absx**2) / float(x[0].real), float(k @ absx)
+    spread = float((np.abs(rows) @ k).sum())
+    delta = len(indices) * _EPS * spread
+    rho = dec.pair_bounds[np.ix_(indices, indices)].sum() + delta * (2 * spread + delta + 1)
+    rho = float(rho + abs(1 - c) * a) * (1 + (len(indices) ** 2 + len(k)) * _EPS)
+    return GramMatrix.from_orbitals(scheme, x, certificate=(c, rho))

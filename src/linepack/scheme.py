@@ -143,23 +143,6 @@ class SchurianScheme:
         np.subtract.at(out, second_slots, y[first])
         return out.reshape(self.n_orbitals, -1)
 
-    @cached_property
-    def root_valencies(self) -> np.ndarray:
-        return np.sqrt(np.asarray(self.valencies, dtype=np.float64))
-
-    def symmetrized_multiplication(self, x: np.ndarray) -> np.ndarray:
-        """S_x = D^(1/2) L_x D^(-1/2), D = diag(valencies): L_x in the basis A_i / sqrt(n k_i).
-
-        That basis is orthonormal for <A, B> = tr(A B*), under which left
-        multiplication by M* is the adjoint of left multiplication by M.  So
-        x -> S_x is a faithful *-representation of the adjacency algebra:
-        S of adjoint(x) is the conjugate transpose of S_x, and S_x has the
-        eigenvalues and the 2-norm of x[orbital_of] (Bannai-Ito, Algebraic
-        Combinatorics I, 2.2).
-        """
-        root_k = self.root_valencies
-        return root_k[:, None] * self.left_multiplication(x) / root_k[None, :]
-
     def to_json_dict(self) -> dict:
         """Each orbital as its rows [x, columns y with (x, y) in it, ascending].
 

@@ -25,10 +25,11 @@ DEFAULT_NODE_CAP = 10**7
 
 
 def _cluster_values(values: np.ndarray, tol: float) -> np.ndarray:
-    """Color id of every value, rounded to 9 decimals; complain about near-ties.
+    """Color id of every value, rounded to a grid; complain about near-ties.
 
     The values are rounded and sorted once, and the ids come back in the
-    shape of the values.  Values within tol share a color; a pair
+    shape of the values; the rounding grid is no coarser than tol / 10 or
+    1e-9, nor finer than 1e-16.  Values within tol share a color; a pair
     separated by more than tol but less than 10*tol is ambiguous at this
     tolerance and raises.
     |dz| <= tol implies |d re| <= tol, so with the distinct values sorted
@@ -36,8 +37,9 @@ def _cluster_values(values: np.ndarray, tol: float) -> np.ndarray:
     part lies within 10*tol of its own (a little more, against rounding);
     that window holds every pair that the clustering or the audit reads.
     """
+    decimals = min(max(9, 1 - int(np.floor(np.log10(tol)))), 16)
     # unique is sorted by (real, imag)
-    unique, inverse = np.unique(np.round(values, 9), return_inverse=True)
+    unique, inverse = np.unique(np.round(values, decimals), return_inverse=True)
     u = unique.size
     hi = np.searchsorted(unique.real, unique.real + 11 * tol, side="right")
     width = hi - np.arange(u) - 1

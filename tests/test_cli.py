@@ -289,6 +289,11 @@ GRAM_I2 = json.dumps(GramMatrix.from_entries(np.eye(2)).to_json_dict())
         ({}, ["harmonic", "--moduli", "3,3", "--subset", "[[0, 1], [false, 2]]"]),
         ({}, ["harmonic", "--moduli", "7", "--subset", "1,2,4,4"]),
         ({"g": GRAM_I2}, ["symmetry", "@g", "--node-cap=-1"]),
+        ({"g": GRAM_I2.replace('"n": 2', '"n": 3')}, ["reduce", "@g"]),
+        ({"g": '{"n": 2, "entries": [[[1, 0], [0.5, 0]], [[0, 0], [1, 0]]]}'}, ["reduce", "@g"]),
+        ({}, ["harmonic", "--moduli", "3,3", "--subset", "1,2"]),
+        ({}, ["harmonic", "--moduli", "0", "--subset", "0"]),
+        ({}, ["heisenberg", "--moduli", ""]),
     ],
     ids=[
         "missing-group",
@@ -325,6 +330,11 @@ GRAM_I2 = json.dumps(GramMatrix.from_entries(np.eye(2)).to_json_dict())
         "nested-bool-subset",
         "repeated-subset",
         "negative-node-cap",
+        "gram-n-disagrees-with-entries",
+        "non-hermitian-gram",
+        "comma-subset-of-two-moduli",
+        "zero-modulus",
+        "empty-moduli",
     ],
 )
 def test_missing_file_is_input_error(capsys, tmp_path, files, argv):

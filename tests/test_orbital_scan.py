@@ -14,10 +14,17 @@ import numpy as np
 import pytest
 from test_stdout_digest import DIGESTS, LIMITED_CASES, idempotent_fingerprint
 
-from linepack import errors, fixtures, frames
+from linepack import errors, fixtures, frames, idempotents
 from linepack.cli import build_parser, cmd_scan_etf, main, scan_row
 from linepack.errors import InputError, ResourceError
-from linepack.frames import REDUCE_TOL, REPORT_TOL, GramMatrix, packing_report, projective_reduce
+from linepack.frames import (
+    IDEMPOTENT_TOL,
+    REDUCE_TOL,
+    REPORT_TOL,
+    GramMatrix,
+    packing_report,
+    projective_reduce,
+)
 from linepack.idempotents import central_primitive_idempotents, projection_from_subset
 from linepack.permgroup import GroupAction, induced_pair_action, regular_action
 from linepack.scheme import SchurianScheme, scheme_from_action
@@ -223,22 +230,59 @@ def test_orbital_form_that_is_no_projection_is_read_densely(decompositions, monk
     assert report.to_json_dict() == packing_report(_dense(gram)).to_json_dict()
 
 
-def test_square_certificate_bounds_the_dense_residual(decompositions):
-    # the certificate bounds the 2-norm of G^2 - c G: within rounding of it
-    # on the projection forms, and within the Frobenius factor sqrt(m) of it
-    # on a form that is no scaled projection
-    dec = decompositions["s4_pairs"]
-    m = dec.scheme.n_orbitals
-    x = np.zeros(m, dtype=complex)
+def test_subset_certificate_bounds_the_dense_residual(decompositions):
+    # the certificate summed from the verified pair bounds bounds the 2-norm
+    # of G^2 - c G on every subset, with c read off x; a form built by hand
+    # carries none, so its report takes the dense path
+    for name, dec in decompositions.items():
+        for subset in _subsets(dec.n_projections):
+            gram = projection_from_subset(dec, subset)
+            c, bound = gram.orbital.certificate
+            x = gram.orbital.x
+            assert c == float(np.asarray(dec.scheme.valencies) @ np.abs(x) ** 2) / x[0].real
+            g = gram.entries
+            assert float(np.linalg.norm(g @ g - c * g, 2)) <= bound < REPORT_TOL / 100, (name, subset)
+    scheme = decompositions["s4_pairs"].scheme
+    x = np.zeros(scheme.n_orbitals, dtype=complex)
     x[0], x[1:] = 1.0, 0.2
-    forms = [projection_from_subset(dec, s) for s in _subsets(dec.n_projections)]
-    forms.append(GramMatrix.from_orbitals(dec.scheme, x))
-    for gram in forms:
-        c, bound = frames._square_certificate(gram.orbital)
-        g = gram.entries
-        dense = float(np.linalg.norm(g @ g - c * g, 2))
-        assert dense <= bound <= np.sqrt(m) * dense + 1e-12
-    assert bound > 0.1  # the last form is no scaled projection
+    assert GramMatrix.from_orbitals(scheme, x).orbital.certificate is None
+
+
+def test_a_perturbed_projector_sends_its_subsets_to_the_dense_path(fixture_schemes, monkeypatch):
+    # a projector moved by 4e-9 along one symmetric orbital still passes the
+    # IDEMPOTENT_TOL checks, but its pair bounds now exceed the report's
+    # threshold: exactly the subsets that hold it are reported densely
+    scheme = fixture_schemes["s4_pairs"]
+    clean = central_primitive_idempotents(scheme)
+    pairing = scheme.transpose_pairing
+    i = next(i for i in range(1, scheme.n_orbitals) if pairing[i] == i)
+    decompose = idempotents._decompose_once
+
+    def perturbed(scheme, herm, seed):
+        projectors = decompose(scheme, herm, seed)
+        e, size = projectors[-1]
+        projectors[-1] = (e + 4e-9 * (np.arange(len(e)) == i), size)
+        return projectors
+
+    monkeypatch.setattr(idempotents, "_decompose_once", perturbed)
+    dec = central_primitive_idempotents(scheme)
+    moved = np.abs(dec.coefficients - clean.coefficients).max(axis=1)
+    assert np.count_nonzero(moved) == 1 and moved.max() < IDEMPOTENT_TOL
+    j = int(moved.argmax())
+    fallbacks = _Fallbacks(monkeypatch)
+    holding = 0
+    for subset in _subsets(dec.n_projections):
+        rank = sum(dec.ranks[a] for a in subset)
+        gram = projection_from_subset(dec, subset)
+        before = fallbacks.report
+        row = scan_row(subset, rank, gram, False)
+        assert fallbacks.report - before == (j in subset), subset
+        holding += j in subset
+        assert row == scan_row(subset, rank, _dense(gram), False), subset
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert scan_row(subset, rank, gram, True) == scan_row(subset, rank, _dense(gram), True)
+    assert holding == 2 ** (dec.n_projections - 1)
 
 
 def test_zero_diagonal_form_raises_the_dense_input_error():
@@ -317,9 +361,12 @@ def test_every_block_system_reduces_in_coefficient_space(case, monkeypatch):
 
 
 # scans whose every subset is decided in coefficient space: the S_m pair
-# ladder, the shipped fixtures and the benchmark's scan commands
+# ladder, the shipped fixtures, the benchmark's scan commands and SL(2,8)
+# regular, whose c = 504 orbitals give the widest rounding terms of the
+# pair bounds
 SCANS = {
     "s20_pairs": ("s20", ["--action", "pairs"]),
+    "sl2_f8_regular": ("sl2_f8", ["--action", "regular"]),
     "s30_pairs": ("s30", ["--action", "pairs"]),
     "s45_pairs": ("s45", ["--action", "pairs"]),
     "hoggar": ("hoggar", ["--max-subset-size", "2"]),

@@ -276,3 +276,17 @@ def test_cluster_values_keeps_union_find_color_order():
     colors = symmetry._cluster_values(values, tol)
     assert colors.tolist() == _reference_ids(values, tol)
     assert colors[1] == 0 and colors[0] == 1
+
+
+@pytest.mark.parametrize("tol, order", [(1e-7, 6), (1e-11, 2), (1e-12, 2), (1e-15, 2), (1e-300, 2)])
+def test_cluster_grid_follows_a_fine_tolerance(tol, order):
+    # entries (1, 2) and (2, 1) sit 3e-10 above the other off-diagonal 0.1:
+    # one color at 1e-7, and their own color at any tolerance below 3e-11,
+    # which a fixed 9-decimal rounding would merge back into 0.1
+    entries = np.full((3, 3), 0.1)
+    np.fill_diagonal(entries, 1.0)
+    entries[1, 2] = entries[2, 1] = 0.1 + 3e-10
+    group = gram_symmetry_group(GramMatrix.from_entries(entries), tol=tol)
+    assert group.order == order
+    if order == 2:
+        assert [g.images for g in group.generators] == [(0, 2, 1)]
