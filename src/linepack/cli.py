@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import fixtures
-from .errors import InputError, NumericError, ResourceError
+from .errors import InputError, NumericError, ResourceError, refuse_orbital_matrix_past_limit
 from .frames import (
     COLOR_TOL,
     REDUCE_TOL,
@@ -38,7 +38,7 @@ from .idempotents import (
     projection_from_subset,
 )
 from .permgroup import GroupAction, induced_pair_action, orbit, regular_action
-from .scheme import SchurianScheme, is_commutative, refuse_orbital_matrix_past_limit, scheme_from_action
+from .scheme import SchurianScheme, is_commutative, scheme_from_action
 from .symmetry import DEFAULT_NODE_CAP, _cluster_values, find_gram_isomorphism, gram_symmetry_group
 
 MAX_SUBSET_BITS = 20

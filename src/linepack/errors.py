@@ -35,3 +35,8 @@ def refuse_past_limit(entries: int, what: str) -> None:
         raise ResourceError(
             f"{what} would need {entries} entries, above the limit of {MAX_ARRAY_ENTRIES}"
         )
+
+
+def refuse_orbital_matrix_past_limit(n: int) -> None:
+    """Refuse an n x n orbital matrix past the array limit, before n points are listed."""
+    refuse_past_limit(n * n, f"the orbital matrix of {n} points")

@@ -61,7 +61,7 @@ _FAMILIES = {
 }
 
 GROUP_NAMES = ", ".join(
-    [*_SHIPPED, "hoggar", "heis<p> (p = 3, 5, 7)"] + [f"{f}<n> (n >= {row[0]})" for f, row in _FAMILIES.items()]
+    [*_SHIPPED, "hoggar", "heis<p> (p an odd prime)"] + [f"{f}<n> (n >= {row[0]})" for f, row in _FAMILIES.items()]
 )
 
 

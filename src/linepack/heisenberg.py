@@ -28,13 +28,13 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from numbers import Rational
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericError, ResourceError, refuse_past_limit
+from .errors import InputError, NumericError, ResourceError, refuse_orbital_matrix_past_limit, refuse_past_limit
 from .frames import GramMatrix
 from .permgroup import GroupAction, PermutationGroup
 
@@ -312,11 +312,12 @@ def heisenberg_permutation_action(p: int) -> GroupAction:
     arithmetic mod p.  Left translation by (t_a, t_alpha, t_z), for the three
     standard Heisenberg generators, adds it with z gaining h (a t_alpha -
     t_a alpha), h = (p + 1)/2; the SL(2, p) generators [[0, -1], [1, 0]] and
-    [[1, 1], [0, 1]] act on (a, alpha) and fix z.  Supported at desk scale,
-    p in {3, 5, 7}, until the family is opened to every odd prime.
+    [[1, 1], [0, 1]] act on (a, alpha) and fix z.  Any odd prime p whose
+    p^3 x p^3 orbital matrix fits the array limit, refused from p first.
     """
-    if p not in (3, 5, 7):
-        raise InputError(f"supported primes are 3, 5, 7; got {p}")
+    refuse_orbital_matrix_past_limit(p**3)
+    if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, isqrt(p) + 1, 2)):
+        raise InputError(f"p must be an odd prime; got {p}")
     a, alpha, z = np.indices((p, p, p)).reshape(3, -1)
     half = (p + 1) // 2
     images = [

@@ -158,21 +158,18 @@ def _invert_array(a: np.ndarray) -> np.ndarray:
 
 
 class _Transversal:
-    """Extend-only Schreier transversal of the orbit of `point`.
+    """Extend-only Schreier transversal of the orbit of `point`, one level of the stabilizer chain.
 
     ``reps[q]`` takes `point` to q and ``invs[q]`` is its inverse; both
     are image arrays, and ``None`` off the orbit.  Representatives are
     never replaced, so a Schreier generator, once formed, stays the same
     element however far the orbit or the generator list grows later.
     ``cursor[j]`` counts the orbit points already paired with ``gens[j]``.
-    With `release_reps`, each representative is dropped once every generator
-    has passed its point, leaving ``invs``; no generator is taken after that.
     """
 
-    def __init__(self, point: int, degree: int, release_reps: bool = False):
+    def __init__(self, point: int, degree: int):
         ident = np.arange(degree, dtype=np.intp)
         self.point = point
-        self.release_reps = release_reps
         self.orbit = [point]
         self.reps: list[Optional[np.ndarray]] = [None] * degree
         self.invs: list[Optional[np.ndarray]] = [None] * degree
@@ -181,13 +178,12 @@ class _Transversal:
         self.cursor: list[int] = []
 
     def add_generator(self, g: np.ndarray) -> None:
-        """Take g, refused first if the orbit of `point` it gives would make the tables
-        kept, ``invs`` and unless released ``reps``, pass the limit: an orbit of at most
-        `degree` points is counted only when `degree` points would pass it."""
-        tables = 1 if self.release_reps else 2
-        if tables * g.size * g.size > errors.MAX_ARRAY_ENTRIES:
+        """Take g, refused first if the orbit of `point` it gives would make the two tables,
+        ``reps`` and ``invs``, pass the limit: an orbit of at most `degree` points is counted
+        only when `degree` points would pass it."""
+        if 2 * g.size * g.size > errors.MAX_ARRAY_ENTRIES:
             label = _suborbits(self.gens + [g], g.size)
-            entries = tables * int(np.count_nonzero(label == label[self.point])) * g.size
+            entries = 2 * int(np.count_nonzero(label == label[self.point])) * g.size
             refuse_past_limit(entries, f"the transversal of point {self.point} of degree {g.size}")
         self.gens.append(g)
         self.cursor.append(0)
@@ -217,8 +213,6 @@ class _Transversal:
                     self.invs[q] = _invert_array(moved)
                 else:
                     yield inv[moved]
-            if self.release_reps:
-                self.reps[self.orbit[k]] = rep = None
             k += 1
 
 
@@ -394,7 +388,7 @@ def _suborbits(generators: Iterable[np.ndarray], n: int) -> np.ndarray:
         while True:
             ends = label[s]
             split = ends != label
-            if not split.any():
+            if not np.count_nonzero(split):  # a C loop, where .any() dispatches through Python
                 break
             ends, own = ends[split], label[split]
             np.minimum.at(label, np.maximum(ends, own), np.minimum(ends, own))
@@ -416,14 +410,6 @@ def orbit(group: PermutationGroup, point: int) -> set[int]:
 
 def is_transitive(action: GroupAction) -> bool:
     return len(orbit(action.group, 0)) == action.point_count
-
-
-def _generator_transversal(group: PermutationGroup, point: int) -> _Transversal:
-    """The unexplored transversal of `point` under the group's generators, releasing its reps."""
-    transversal = _Transversal(point, group.degree, release_reps=True)
-    for g in group.generators:
-        transversal.add_generator(_as_array(g.images))
-    return transversal
 
 
 def action_on(elements: Sequence, key: Callable, maps: Iterable[Callable]) -> GroupAction:

@@ -8,8 +8,9 @@ structure is stored as one integer matrix ``orbital_of`` with
 
 Each orbital matches one suborbit, an orbit of the point stabilizer G_0:
 the orbital of (x, y) meets row 0 in the suborbit of t_x^-1(y), for any
-t_x in G with t_x(0) = x.  ``scheme_from_action`` labels the suborbits
-and reads the whole matrix off one transversal of 0.
+t_x in G with t_x(0) = x.  ``scheme_from_action`` writes t_x^-1 as row x
+along the breadth-first tree of 0, labels the suborbits from the Schreier
+generators that two rows give, and relabels the rows in place.
 
 Orbital products are read off one integer table, the pair codes: row k
 holds the codes of (o(0, z), o(z, w_k)) over all z, sorted, where w_k is
@@ -25,15 +26,17 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
-from .errors import InputError, refuse_past_limit
+from .errors import InputError, refuse_orbital_matrix_past_limit, refuse_past_limit
 from .frames import STABLE_TOL
 from .permgroup import (
     GroupAction,
     PermutationGroup,
-    _generator_transversal,
+    _as_array,
+    _invert_array,
     _suborbits,
     action_on,
     is_transitive,
@@ -191,36 +194,48 @@ def _canonical_scheme(orbital_of: np.ndarray) -> SchurianScheme:
     )
 
 
-def refuse_orbital_matrix_past_limit(n: int) -> None:
-    """Refuse an n x n orbital matrix past the array limit, before n points are listed."""
-    refuse_past_limit(n * n, f"the orbital matrix of {n} points")
+def _tree_rows(group: PermutationGroup, rows: np.ndarray) -> Iterator[np.ndarray]:
+    """Fill row x with t_x^-1 along the breadth-first tree of 0, yielding generators of G_0.
+
+    A new point q = g(p) gets t_q = g t_p, so row q is row p read at g^-1;
+    every other pair (p, g) yields the Schreier generator t_q^-1 g t_p,
+    which is s[row p] = (row q)[g] (Schreier's lemma; Seress, Permutation
+    Group Algorithms, 2003).  Points go breadth-first, generators in order.
+    """
+    gens = [(g, _invert_array(g)) for g in (_as_array(h.images) for h in group.generators)]
+    rows[0] = np.arange(len(rows))
+    order, seen = [0], {0}
+    for p in order:  # grows as the tree does
+        row = rows[p]
+        for g, g_inv in gens:
+            q = g.item(p)
+            if q in seen:
+                s = np.empty_like(g)
+                s[row] = rows[q][g]
+                yield s
+            else:
+                seen.add(q)
+                order.append(q)
+                rows[q] = row[g_inv]
 
 
 def scheme_from_action(action: GroupAction) -> SchurianScheme:
     """Orbital partition of X x X under the diagonal action.
 
-    Each orbital meets row 0 in one suborbit, an orbit of the stabilizer
-    G_0.  If t_x takes 0 to x, then (x, y) lies in the orbital of
-    (0, t_x^-1(y)); so the labelling is the suborbits, found from the
-    Schreier generators of one transversal of 0, gathered row by row
-    through the inverse transversal.  Orbital 0 is the diagonal; the rest are
-    ordered by (valency, least column in row 0) so downstream indexing is
-    reproducible.  The n x n orbital matrix is refused past the array limit
-    before the transversal, whose inverse table is no larger, is built.
+    (x, y) lies in the orbital of (0, t_x^-1(y)), which meets row 0 in one
+    suborbit, so row x is t_x^-1 relabelled by suborbit in place: one n x n
+    array in all, refused past the array limit before any row is formed.
+    Orbital 0 is the diagonal; the rest are ordered by (valency, least
+    column in row 0) so downstream indexing is reproducible.
     """
     if not is_transitive(action):
         raise InputError("scheme construction requires a transitive action")
     n = action.point_count
     refuse_orbital_matrix_past_limit(n)
-    transversal = _generator_transversal(action.group, 0)
-    suborbit = _suborbits(transversal.schreier_generators(), n)
-    # each inverse goes once its row is gathered, as each representative
-    # went once the scan passed it: n^2 entries of them at most, not 2 n^2
     orbital_of = np.empty((n, n), dtype=np.int64)
-    invs = transversal.invs
-    for x in range(n):
-        orbital_of[x] = suborbit[invs[x]]
-        invs[x] = None
+    suborbit = _suborbits(_tree_rows(action.group, orbital_of), n)
+    for row in orbital_of:
+        row[...] = suborbit[row]
     return _canonical_scheme(orbital_of)
 
 

@@ -136,12 +136,9 @@ def _joint_refine(
         old_count = np.count_nonzero(np.bincount(np.concatenate([vc_a, vc_b])))
         vc_a = inverse[:na].astype(np.int64)
         vc_b = inverse[na:].astype(np.int64)
+        # the old color leads each signature, so an equal count relabels the
+        # old colors one to one, and the histograms checked above still match
         if new_count == old_count:
-            k = int(max(vc_a.max(initial=0), vc_b.max(initial=0))) + 1
-            if not np.array_equal(
-                np.bincount(vc_a, minlength=k), np.bincount(vc_b, minlength=k)
-            ):
-                return None, None
             return vc_a, vc_b
 
 
@@ -155,6 +152,25 @@ class _Budget:
             raise ResourceError("backtracking search exceeded its node budget")
 
 
+def _individualize(
+    ec_a: np.ndarray, ec_b: np.ndarray, fixed_a: list[int], fixed_b: list[int]
+) -> Optional[tuple[np.ndarray, np.ndarray, Optional[int]]]:
+    """Give fixed_a[i] and fixed_b[i] color i + 1 and every other vertex 0, and refine jointly.
+
+    Returns the refined colorings and the least color of more than one
+    vertex (None when the partition is discrete), or None when the
+    histograms diverge.
+    """
+    vc_a = np.zeros(len(ec_a), dtype=np.int64)
+    vc_b = np.zeros(len(ec_b), dtype=np.int64)
+    vc_a[fixed_a] = vc_b[fixed_b] = np.arange(1, len(fixed_a) + 1)
+    vc_a, vc_b = _joint_refine(ec_a, vc_a, ec_b, vc_b)
+    if vc_a is None:
+        return None
+    cells = np.flatnonzero(np.bincount(vc_a) > 1)
+    return vc_a, vc_b, int(cells[0]) if cells.size else None
+
+
 def _search_isomorphism(
     ec_a: np.ndarray,
     ec_b: np.ndarray,
@@ -163,36 +179,19 @@ def _search_isomorphism(
     budget: _Budget,
 ) -> Optional[Permutation]:
     """Color isomorphism from graph A to graph B extending fixed_a -> fixed_b."""
-    n = ec_a.shape[0]
     budget.spend()
-    vc_a = np.zeros(n, dtype=np.int64)
-    vc_b = np.zeros(n, dtype=np.int64)
-    for slot, (va, vb) in enumerate(zip(fixed_a, fixed_b)):
-        vc_a[va] = slot + 1
-        vc_b[vb] = slot + 1
-    vc_a, vc_b = _joint_refine(ec_a, vc_a, ec_b, vc_b)
-    if vc_a is None:
+    refined = _individualize(ec_a, ec_b, fixed_a, fixed_b)
+    if refined is None:
         return None
-    n_colors = int(max(vc_a.max(initial=0), vc_b.max(initial=0))) + 1
-    counts = np.bincount(vc_a, minlength=n_colors)
-    target_cell = None
-    for color in range(n_colors):
-        if counts[color] > 1:
-            target_cell = color
-            break
-    if target_cell is None:
-        # discrete partition: read the candidate map off the colors
-        images = [0] * n
-        pos_b = {int(c): i for i, c in enumerate(vc_b)}
-        for i, c in enumerate(vc_a):
-            images[i] = pos_b[int(c)]
-        perm = Permutation(tuple(images))
-        idx = np.asarray(images)
-        if np.array_equal(ec_b[np.ix_(idx, idx)], ec_a):
-            return perm
-        return None
-    v = int(np.nonzero(vc_a == target_cell)[0][0])
-    for u in map(int, np.nonzero(vc_b == target_cell)[0]):
+    vc_a, vc_b, cell = refined
+    if cell is None:
+        # discrete partition: both colorings are bijections onto 0..n-1
+        vertex_b = np.empty_like(vc_b)
+        vertex_b[vc_b] = np.arange(len(vc_b))
+        idx = vertex_b[vc_a]
+        return Permutation(tuple(idx.tolist())) if np.array_equal(ec_b[np.ix_(idx, idx)], ec_a) else None
+    v = int(np.flatnonzero(vc_a == cell)[0])
+    for u in np.flatnonzero(vc_b == cell).tolist():
         found = _search_isomorphism(ec_a, ec_b, fixed_a + [v], fixed_b + [u], budget)
         if found is not None:
             return found
@@ -211,21 +210,13 @@ def colored_graph_automorphisms(
     budget = _Budget(node_cap)
 
     def level(fixed: list[int]) -> tuple[list[Permutation], int]:
-        vc = np.zeros(n, dtype=np.int64)
-        for slot, v in enumerate(fixed):
-            vc[v] = slot + 1
-        vc, _ = _joint_refine(color, vc, color, vc.copy())
-        n_colors = int(vc.max(initial=0)) + 1
-        counts = np.bincount(vc, minlength=n_colors)
-        cell_color = next((c for c in range(n_colors) if counts[c] > 1), None)
-        if cell_color is None:
+        vc, _, cell = _individualize(color, color, fixed, fixed)
+        if cell is None:
             return [], 1
-        cell = [int(x) for x in np.nonzero(vc == cell_color)[0]]
-        v = cell[0]
+        v, *others = np.flatnonzero(vc == cell).tolist()
         gens, stab_order = level(fixed + [v])
-        gens = list(gens)
         reached = orbit(PermutationGroup(n, gens), v)
-        for u in cell[1:]:
+        for u in others:
             if u in reached:
                 continue
             found = _search_isomorphism(color, color, fixed + [v], fixed + [u], budget)

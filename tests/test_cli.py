@@ -275,7 +275,8 @@ GRAM_I2 = json.dumps(GramMatrix.from_entries(np.eye(2)).to_json_dict())
         ({"g": GRAM_I2.replace("1.0", "Infinity", 1)}, ["symmetry", "@g"]),
         ({}, ["scheme", "fixture:nosuch"]),
         ({}, ["scheme", "fixture:s1"]),
-        ({}, ["scheme", "fixture:heis11"]),
+        ({}, ["scheme", "fixture:heis9"]),
+        ({}, ["scheme", "fixture:heis2"]),
         ({"g": '{"degree": -1, "generators": []}'}, ["scheme", "@g", "--action", "regular"]),
         ({"g": '{"degree": 2, "generators": ["(0 1)(0 1)"]}'}, ["scheme", "@g"]),
         ({"g": '{"degree": 3, "generators": ["(0 1)(1 2)"]}'}, ["scheme", "@g"]),
@@ -316,7 +317,8 @@ GRAM_I2 = json.dumps(GramMatrix.from_entries(np.eye(2)).to_json_dict())
         "infinite-gram-symmetry",
         "unknown-fixture",
         "s1-fixture",
-        "heis11-fixture",
+        "heis9-fixture",
+        "heis2-fixture",
         "negative-degree",
         "cycles-sharing-all-points",
         "cycles-sharing-one-point",
@@ -531,6 +533,7 @@ def test_scheme_past_the_array_limit_exits_4_at_once(capsys, monkeypatch):
     # an 11586-cycle: its 11586 x 11586 orbital matrix would pass 2^27 entries;
     # S_9 regular (n = 362880) is refused from its order, before any element is listed;
     # S_2000 on pairs (n = 3998000) from its degree, before any pair is listed;
+    # heis<p> from p, before any image is listed, ahead of the primality test;
     # the harmonic Gram of Z_11586 before any character value is formed
     def listed(*args):
         raise AssertionError("the points were listed")
@@ -542,6 +545,8 @@ def test_scheme_past_the_array_limit_exits_4_at_once(capsys, monkeypatch):
         (["scheme", "fixture:z11586"], "orbital matrix"),
         (["idempotents", "fixture:s9", "--action", "regular"], "orbital matrix"),
         (["scheme", "fixture:s2000", "--action", "pairs"], "orbital matrix"),
+        (["scheme", "fixture:heis23"], "orbital matrix of 12167 points"),
+        (["scheme", "fixture:heis1000003"], "orbital matrix"),
         (["harmonic", "--moduli", "11586", "--subset", "1"], "harmonic Gram"),
     ]
     for argv, what in cases:

@@ -29,7 +29,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linepack import errors, fixtures
-from linepack import scheme as scheme_module
 from linepack.cli import main
 from linepack.errors import InputError, NumericError, ResourceError
 from linepack.fixtures import hoggar_stabilizer_generators, pauli_tensor_generators
@@ -338,17 +337,35 @@ def test_class_schemes_serialise_as_before():
         assert json.dumps(sch.to_json_dict()) == json.dumps(reference_to_json_dict(sch))
 
 
-def test_scheme_past_the_array_limit_is_refused_before_labelling(monkeypatch):
-    # 11586^2 > 2^27: refused without building the transversal or the matrix
+def traced_peak(build):
+    """The traced peak of build(), in bytes, from a fresh tracemalloc start."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scheme_past_the_array_limit_is_refused_before_labelling():
+    # 11586^2 > 2^27: refused before any row of the matrix is formed
     action = GroupAction(fixtures.named_group("z11586"))
     assert 11586**2 > errors.MAX_ARRAY_ENTRIES >= 11585**2
 
-    def no_transversal(*args):
-        raise AssertionError("the transversal was built")
+    def build():
+        with pytest.raises(ResourceError, match="orbital matrix of 11586 points"):
+            scheme_from_action(action)
 
-    monkeypatch.setattr(scheme_module, "_generator_transversal", no_transversal)
-    with pytest.raises(ResourceError, match="orbital matrix of 11586 points"):
-        scheme_from_action(action)
+    assert traced_peak(build) < 16 * 11586 * np.dtype(np.int64).itemsize
+
+
+@pytest.mark.parametrize("name, pairs", [("s20", True), ("heis7", False)])
+def test_scheme_holds_one_orbital_matrix(name, pairs):
+    # the rows t_x^-1 of the breadth-first tree become the orbital matrix in place
+    action = GroupAction(fixtures.named_group(name))
+    action = induced_pair_action(action) if pairs else action
+    n = action.point_count
+    assert traced_peak(lambda: scheme_from_action(action)) < 1.25 * n * n * np.dtype(np.int64).itemsize
 
 
 def test_scheme_at_a_lowered_limit(monkeypatch):
@@ -496,10 +513,10 @@ def reference_heisenberg_permutation_action(p: int) -> GroupAction:
 
     Generators: left translations by the three standard Heisenberg
     generators, plus the two standard SL(2, p) generators acting on the
-    K-part coordinatewise.  Supported at desk scale, p in {3, 5, 7}.
+    K-part coordinatewise.  Any odd prime p.
     """
-    if p not in (3, 5, 7):
-        raise InputError(f"supported primes are 3, 5, 7; got {p}")
+    if p < 3 or any(p % d == 0 for d in range(2, p)):
+        raise InputError(f"p must be an odd prime; got {p}")
     spec = make_spec((p,))
     elems = [
         HeisenbergElement((a,), (alpha,), z)

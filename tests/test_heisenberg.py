@@ -8,6 +8,7 @@ and the parity projectors, and symplectic membership of a 2x2 matrix.
 """
 
 import itertools
+import json
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from linepack.cli import main
 from linepack.errors import MAX_ARRAY_ENTRIES, InputError, NumericError, ResourceError
 from linepack.fixtures import named_group
 from linepack.frames import GramMatrix, coherence, gram_rank, is_etf, projective_reduce, welch_bound
@@ -565,10 +567,12 @@ def test_heisenberg_permutation_action_p3():
 
 
 def test_heisenberg_action_rejects_unsupported():
-    with pytest.raises(InputError):
-        heisenberg_permutation_action(4)
-    with pytest.raises(InputError):
-        heisenberg_permutation_action(11)
+    for p in (2, 4, 9):
+        with pytest.raises(InputError):
+            heisenberg_permutation_action(p)
+    # 23^3 points pass the orbital-matrix limit, refused from p alone
+    with pytest.raises(ResourceError, match="orbital matrix of 12167 points"):
+        heisenberg_permutation_action(23)
 
 
 def test_gamma_twist_validation():
@@ -760,3 +764,14 @@ def test_general_program_constituents_are_the_closed_form_etfs(p):
         assert not projectively_equivalent(gram, GramMatrix.from_entries(entries))
         matched += 1
     assert matched == 2 * (p - 1)
+
+
+def test_heis11_scan_gives_the_etfs_of_both_parities(capsys):
+    # p = 11, past the desk-scale primes: the rank (p^2 +- p)/2 constituents
+    # reduce to 121 lines at the Welch coherences 1/12 (rank 66) and 1/10 (rank 55)
+    assert main(["scan-etf", "fixture:heis11", "--max-subset-size", "1"]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]
+    etfs = [(row["rank"], row["coherence"]) for row in rows if row["is_etf"] and row["rank"] in (55, 66)]
+    assert sorted(rank for rank, _ in etfs) == [55] * 10 + [66] * 10
+    assert all(row["n"] == 121 for row in rows if row["rank"] in (55, 66))
+    assert all(mu == pytest.approx(1 / 12 if rank == 66 else 1 / 10) for rank, mu in etfs)

@@ -4,7 +4,9 @@
 rounding to drift, and any change in an action builder's point order or
 generator images changes these digests.  The digests in
 ``data/cli_stdout_sha256.json`` were recorded before the action builders
-were rebuilt on ``permgroup.action_on``.
+were rebuilt on ``permgroup.action_on``, except ``heis5`` (5 generators)
+and ``hoggar`` (9), recorded before the orbital matrix came to be built
+from the rows of the breadth-first tree of 0.
 
 The exact Heisenberg export is integer-only too, but ``heisenberg`` also
 prints a float report, so its cases pin the digest of
@@ -47,6 +49,8 @@ CASES = {
     "scheme_m11_pairs": ["scheme", "fixture:m11", "--action", "pairs"],
     "scheme_d20_regular": ["scheme", "fixture:d20", "--action", "regular"],
     "scheme_z7_regular": ["scheme", "fixture:z7", "--action", "regular"],
+    "scheme_heis5": ["scheme", "fixture:heis5"],
+    "scheme_hoggar": ["scheme", "fixture:hoggar"],
     "verify_figures": ["verify-figures"],
 }
 
